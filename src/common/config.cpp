@@ -1,12 +1,33 @@
 #include "common/config.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
+#include <string_view>
 
 #include "common/log.hpp"
 
 namespace dr
 {
+
+long long
+envWhole(const char *name, long long lo, long long hi, long long fallback)
+{
+    const char *env = std::getenv(name);
+    if (!env || !*env)
+        return fallback;
+    const std::string_view text(env);
+    long long parsed = 0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), parsed);
+    if (ec != std::errc{} || ptr != text.data() + text.size() ||
+        parsed < lo || parsed > hi) {
+        fatal(name, " must be a whole number in [", lo, ", ", hi,
+              "], got '", text, "'");
+    }
+    return parsed;
+}
 
 int
 NocConfig::effectiveChannelBytes() const

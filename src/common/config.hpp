@@ -264,6 +264,15 @@ struct SystemConfig
     static SystemConfig makePaper();
 };
 
+/**
+ * An environment knob as a whole number in [lo, hi]. Unset or empty
+ * gives `fallback`; anything else that is not a whole number in range
+ * ("4x", " 4", "-1", "abc") is fatal, naming the variable and the
+ * accepted range — never silently defaulted or clamped.
+ */
+long long envWhole(const char *name, long long lo, long long hi,
+                   long long fallback);
+
 } // namespace dr
 
 #endif // DR_COMMON_CONFIG_HPP

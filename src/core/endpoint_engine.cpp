@@ -8,10 +8,12 @@
 namespace dr
 {
 
-EndpointEngine::EndpointEngine(const Network &net, bool concurrentSafe,
+EndpointEngine::EndpointEngine(const Network &net, TickPool &pool,
+                               bool concurrentSafe,
                                const std::vector<MemNode *> &mems,
                                const std::vector<SmCore *> &gpus,
                                const std::vector<CpuNode *> &cpus)
+    : pool_(pool)
 {
     numDomains_ = concurrentSafe ? net.numDomains() : 1;
     domains_.resize(static_cast<std::size_t>(numDomains_));
@@ -32,26 +34,6 @@ EndpointEngine::EndpointEngine(const Network &net, bool concurrentSafe,
         const int d = domainOf(c->nodeId());
         c->setDomain(d);
         domains_[d].cpus.push_back(c);
-    }
-
-    if (numDomains_ > 1) {
-        barrier_.reset(numDomains_);
-        workers_.reserve(static_cast<std::size_t>(numDomains_ - 1));
-        for (int d = 1; d < numDomains_; ++d)
-            workers_.emplace_back(&EndpointEngine::workerLoop, this, d);
-    }
-}
-
-EndpointEngine::~EndpointEngine()
-{
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lk(epochMutex_);
-            stop_.store(true, std::memory_order_release);
-        }
-        epochCv_.notify_all();
-        for (std::thread &t : workers_)
-            t.join();
     }
 }
 
@@ -76,60 +58,19 @@ EndpointEngine::tick(Cycle now)
 {
     DR_PHASE_ASSERT_COMMIT();
     if (numDomains_ == 1) {
-        // Serial mode (noc.threads == 1 or a non-concurrency-safe L1
-        // organization): same staging and merge, no compute scope, so
-        // unit tests and shared-L1 configs keep plain serial
-        // semantics.
+        // Serial mode (noc.threads == 1, or an L1 organization that is
+        // not concurrency-safe): same staging and merge, no compute scope.
         tickDomain(0, now);
         return;
     }
 
-    now_ = now;
-    {
-        std::lock_guard<std::mutex> lk(epochMutex_);
-        epoch_.fetch_add(1, std::memory_order_release);
-    }
-    epochCv_.notify_all();
-    {
-        // The main thread acts as domain 0's worker.
-        phase::ComputeScope cs(0);
+    // The networks' pool, one run: domain 0 on this thread, and the
+    // run's closing barrier ends the endpoint compute phase.
+    pool_.run([&](int d) {
+        phase::ComputeScope cs(d);
         DR_PHASE_ASSERT_COMPUTE();
-        tickDomain(0, now);
-    }
-    barrier_.arriveAndWait();  // endpoint compute -> serial merge
-}
-
-void
-EndpointEngine::workerLoop(int domainIdx)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        // Spin briefly for the next tick (it usually follows
-        // immediately), then sleep on the condition variable so idle
-        // stretches don't burn a core.
-        int spins = 0;
-        while (epoch_.load(std::memory_order_acquire) == seen) {
-            if (stop_.load(std::memory_order_acquire))
-                return;
-            if (spins < 1024) {
-                cpuRelax(spins);
-            } else {
-                std::unique_lock<std::mutex> lk(epochMutex_);
-                epochCv_.wait(lk, [&] {
-                    return epoch_.load(std::memory_order_relaxed) !=
-                               seen ||
-                           stop_.load(std::memory_order_relaxed);
-                });
-            }
-        }
-        ++seen;
-        {
-            phase::ComputeScope cs(domainIdx);
-            DR_PHASE_ASSERT_COMPUTE();
-            tickDomain(domainIdx, now_);
-        }
-        barrier_.arriveAndWait();  // endpoint compute -> serial merge
-    }
+        tickDomain(d, now);
+    });
 }
 
 } // namespace dr

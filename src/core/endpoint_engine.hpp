@@ -21,10 +21,6 @@
  * with the same staging and merge so the semantics stay uniform.
  */
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/ownership.hpp"
@@ -45,15 +41,15 @@ class EndpointEngine
   public:
     /**
      * Partition the endpoints over `net`'s spatial domains (attach-
-     * router domain, Network::domainOfNode). `concurrentSafe` false
-     * forces one serially-ticked domain. Calls setDomain() on every
-     * endpoint with its partition domain.
+     * router domain, Network::domainOfNode), ticked on `pool` — the
+     * pool that drives the networks. `concurrentSafe` false forces one
+     * serially-ticked domain. Calls setDomain() on every endpoint with
+     * its partition domain.
      */
-    EndpointEngine(const Network &net, bool concurrentSafe,
+    EndpointEngine(const Network &net, TickPool &pool, bool concurrentSafe,
                    const std::vector<MemNode *> &mems,
                    const std::vector<SmCore *> &gpus,
                    const std::vector<CpuNode *> &cpus);
-    ~EndpointEngine();
 
     EndpointEngine(const EndpointEngine &) = delete;
     EndpointEngine &operator=(const EndpointEngine &) = delete;
@@ -66,7 +62,6 @@ class EndpointEngine
     void tick(Cycle now);
 
     int numDomains() const { return numDomains_; }
-    bool parallel() const { return numDomains_ > 1; }
 
   private:
     /** One domain's slice of the endpoints, in canonical tick order. */
@@ -78,22 +73,10 @@ class EndpointEngine
     };
 
     void tickDomain(int domainIdx, Cycle now) DR_ENDPOINT_PHASE;
-    void workerLoop(int domainIdx);
 
+    TickPool &pool_;
     int numDomains_ DR_SERIAL_ONLY = 1;
     std::vector<Partition> domains_ DR_SERIAL_ONLY;
-
-    // Worker rendezvous: identical protocol to Network's pool — an
-    // epoch bump (under the mutex, so sleepers can't miss it) starts a
-    // tick, the barrier ends the compute phase, and the atomics are
-    // their own synchronization.
-    SpinBarrier barrier_;
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<bool> stop_{false};
-    std::mutex epochMutex_;
-    std::condition_variable epochCv_;
-    std::vector<std::thread> workers_;
-    Cycle now_ DR_SERIAL_ONLY = 0;
 };
 
 } // namespace dr

@@ -1,8 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hpp"
 
@@ -59,12 +57,9 @@ mean(const std::vector<double> &values)
 Cycle
 benchCycles(Cycle fallback)
 {
-    if (const char *env = std::getenv("DR_BENCH_CYCLES")) {
-        const long long parsed = std::atoll(env);
-        if (parsed > 0)
-            return static_cast<Cycle>(parsed);
-    }
-    return fallback;
+    return static_cast<Cycle>(envWhole(
+        "DR_BENCH_CYCLES", 1, 1000000000000LL,
+        static_cast<long long>(fallback)));
 }
 
 SystemConfig
@@ -98,22 +93,9 @@ benchConfig(Mechanism mechanism)
     // whole bench sweep (results are bit-identical for every value;
     // only wall-clock changes). Leaving it unset keeps the network's
     // own auto default (DR_NOC_THREADS, else 1).
-    if (const char *env = std::getenv("DR_BENCH_THREADS")) {
-        const int parsed = std::atoi(env);
-        if (parsed > 0)
-            cfg.noc.threads = parsed;
-    }
+    cfg.noc.threads = static_cast<int>(
+        envWhole("DR_BENCH_THREADS", 1, 256, cfg.noc.threads));
     return cfg;
-}
-
-void
-printRow(const std::string &label, const std::vector<double> &values,
-         int width)
-{
-    std::printf("%-14s", label.c_str());
-    for (const double v : values)
-        std::printf(" %*.3f", width, v);
-    std::printf("\n");
 }
 
 } // namespace dr

@@ -39,10 +39,6 @@ Cycle benchCycles(Cycle fallback);
 /** A paper-default config scaled to the bench cycle budget. */
 SystemConfig benchConfig(Mechanism mechanism);
 
-/** Print a markdown-style table row. */
-void printRow(const std::string &label,
-              const std::vector<double> &values, int width = 10);
-
 } // namespace dr
 
 #endif // DR_CORE_EXPERIMENT_HPP

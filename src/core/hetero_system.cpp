@@ -104,8 +104,8 @@ HeteroSystem::HeteroSystem(const SystemConfig &cfg,
         for (auto &c : cpuNodes_)
             cpus.push_back(c.get());
         engine_ = std::make_unique<EndpointEngine>(
-            ic_->net(NetKind::Request), l1Org_->concurrentSafe(), mems,
-            gpus, cpus);
+            ic_->net(NetKind::Request), ic_->tickPool(),
+            l1Org_->concurrentSafe(), mems, gpus, cpus);
         // The engine assigned each SM its endpoint domain; hand the
         // mapping to the L1 organization so its per-core staged banks
         // carry the right writer-domain stamp owners.

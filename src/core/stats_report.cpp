@@ -1,6 +1,8 @@
 #include "core/stats_report.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -8,6 +10,32 @@
 
 namespace dr
 {
+
+namespace
+{
+
+/**
+ * One value, exactly: integral values (every counter) print as integers,
+ * other doubles as the shortest text that parses back to the same bits
+ * (at most max_digits10 digits). JSON has no NaN/inf literal, so it
+ * passes `null` for those.
+ */
+std::ostream &
+writeValue(std::ostream &out, double v, const char *nonFinite = nullptr)
+{
+    if (nonFinite && !std::isfinite(v)) {
+        out << nonFinite;
+    } else if (v == std::trunc(v) && std::fabs(v) < 0x1p53) {
+        out << static_cast<long long>(v);
+    } else {
+        char buf[32];
+        const char *end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+        out.write(buf, end - buf);
+    }
+    return out;
+}
+
+} // namespace
 
 void
 StatsReport::add(std::string path, double value)
@@ -38,31 +66,20 @@ StatsReport::capture(const HeteroSystem &system, Cycle measuredCycles)
         std::ostringstream prefix;
         prefix << "gpu" << i << ".";
         const std::string p = prefix.str();
-        report.add(p + "instructions",
-                   static_cast<double>(s.instructions.value()));
-        report.add(p + "loads", static_cast<double>(s.loads.value()));
-        report.add(p + "stores", static_cast<double>(s.stores.value()));
-        report.add(p + "l1Hits", static_cast<double>(s.l1Hits.value()));
-        report.add(p + "l1Misses",
-                   static_cast<double>(s.l1Misses.value()));
-        report.add(p + "mshrMerges",
-                   static_cast<double>(s.mshrMerges.value()));
-        report.add(p + "llcRequests",
-                   static_cast<double>(s.llcRequests.value()));
-        report.add(p + "frqReceived",
-                   static_cast<double>(s.frqReceived.value()));
-        report.add(p + "frqRemoteHits",
-                   static_cast<double>(s.frqRemoteHits.value()));
-        report.add(p + "frqDelayedHits",
-                   static_cast<double>(s.frqDelayedHits.value()));
-        report.add(p + "frqRemoteMisses",
-                   static_cast<double>(s.frqRemoteMisses.value()));
-        report.add(p + "probesSent",
-                   static_cast<double>(s.probesSent.value()));
-        report.add(p + "stallNoMshr",
-                   static_cast<double>(s.stallNoMshr.value()));
-        report.add(p + "stallInject",
-                   static_cast<double>(s.stallInject.value()));
+        report.add(p + "instructions", s.instructions.value());
+        report.add(p + "loads", s.loads.value());
+        report.add(p + "stores", s.stores.value());
+        report.add(p + "l1Hits", s.l1Hits.value());
+        report.add(p + "l1Misses", s.l1Misses.value());
+        report.add(p + "mshrMerges", s.mshrMerges.value());
+        report.add(p + "llcRequests", s.llcRequests.value());
+        report.add(p + "frqReceived", s.frqReceived.value());
+        report.add(p + "frqRemoteHits", s.frqRemoteHits.value());
+        report.add(p + "frqDelayedHits", s.frqDelayedHits.value());
+        report.add(p + "frqRemoteMisses", s.frqRemoteMisses.value());
+        report.add(p + "probesSent", s.probesSent.value());
+        report.add(p + "stallNoMshr", s.stallNoMshr.value());
+        report.add(p + "stallInject", s.stallInject.value());
         report.add(p + "loadLatency", s.loadLatency.mean());
     }
 
@@ -71,14 +88,11 @@ StatsReport::capture(const HeteroSystem &system, Cycle measuredCycles)
         std::ostringstream prefix;
         prefix << "cpu" << i << ".";
         const std::string p = prefix.str();
-        report.add(p + "retired", static_cast<double>(s.retired.value()));
-        report.add(p + "accesses",
-                   static_cast<double>(s.accesses.value()));
-        report.add(p + "l1Hits", static_cast<double>(s.l1Hits.value()));
-        report.add(p + "requestsSent",
-                   static_cast<double>(s.requestsSent.value()));
-        report.add(p + "blockedCycles",
-                   static_cast<double>(s.blockedCycles.value()));
+        report.add(p + "retired", s.retired.value());
+        report.add(p + "accesses", s.accesses.value());
+        report.add(p + "l1Hits", s.l1Hits.value());
+        report.add(p + "requestsSent", s.requestsSent.value());
+        report.add(p + "blockedCycles", s.blockedCycles.value());
         report.add(p + "requestLatency", s.requestLatency.mean());
     }
 
@@ -88,43 +102,27 @@ StatsReport::capture(const HeteroSystem &system, Cycle measuredCycles)
         prefix << "mem" << i << ".";
         const std::string p = prefix.str();
         report.add(p + "requestsAccepted",
-                   static_cast<double>(
-                       node.stats().requestsAccepted.value()));
-        report.add(p + "repliesSent",
-                   static_cast<double>(node.stats().repliesSent.value()));
-        report.add(p + "delegations",
-                   static_cast<double>(node.stats().delegations.value()));
-        report.add(p + "blockedCycles",
-                   static_cast<double>(
-                       node.stats().blockedCycles.value()));
+                   node.stats().requestsAccepted.value());
+        report.add(p + "repliesSent", node.stats().repliesSent.value());
+        report.add(p + "delegations", node.stats().delegations.value());
+        report.add(p + "blockedCycles", node.stats().blockedCycles.value());
         report.add(p + "blockingRate", node.blockingRate());
-        report.add(p + "llcHits",
-                   static_cast<double>(node.llcStats().hits.value()));
-        report.add(p + "llcMisses",
-                   static_cast<double>(node.llcStats().misses.value()));
-        report.add(p + "llcStallCycles",
-                   static_cast<double>(
-                       node.llcStats().stallCycles.value()));
-        report.add(p + "dramReads",
-                   static_cast<double>(node.dramStats().reads.value()));
-        report.add(p + "dramWrites",
-                   static_cast<double>(node.dramStats().writes.value()));
-        report.add(p + "dramRowHits",
-                   static_cast<double>(node.dramStats().rowHits.value()));
+        report.add(p + "llcHits", node.llcStats().hits.value());
+        report.add(p + "llcMisses", node.llcStats().misses.value());
+        report.add(p + "llcStallCycles", node.llcStats().stallCycles.value());
+        report.add(p + "dramReads", node.dramStats().reads.value());
+        report.add(p + "dramWrites", node.dramStats().writes.value());
+        report.add(p + "dramRowHits", node.dramStats().rowHits.value());
     }
 
     for (const NetKind kind : {NetKind::Request, NetKind::Reply}) {
         const Network &net = system.interconnect().net(kind);
         const std::string p =
             kind == NetKind::Request ? "net.request." : "net.reply.";
-        report.add(p + "packetsInjected",
-                   static_cast<double>(
-                       net.stats().packetsInjected.value()));
+        report.add(p + "packetsInjected", net.stats().packetsInjected.value());
         report.add(p + "packetsDelivered",
-                   static_cast<double>(
-                       net.stats().packetsDelivered.value()));
-        report.add(p + "flitsDelivered",
-                   static_cast<double>(net.stats().flitsDelivered.value()));
+                   net.stats().packetsDelivered.value());
+        report.add(p + "flitsDelivered", net.stats().flitsDelivered.value());
         report.add(p + "packetLatency", net.stats().packetLatency.mean());
         report.add(p + "cpuPacketLatency",
                    net.stats().cpuPacketLatency.mean());
@@ -134,16 +132,12 @@ StatsReport::capture(const HeteroSystem &system, Cycle measuredCycles)
             const std::string vp =
                 p + "vnet." + vnetName(static_cast<VirtualNet>(vn)) + ".";
             report.add(vp + "packetsInjected",
-                       static_cast<double>(
-                           net.stats().vnPacketsInjected[vn].value()));
+                       net.stats().vnPacketsInjected[vn].value());
             report.add(vp + "flitsDelivered",
-                       static_cast<double>(
-                           net.stats().vnFlitsDelivered[vn].value()));
+                       net.stats().vnFlitsDelivered[vn].value());
             report.add(vp + "injectionStalls",
-                       static_cast<double>(
-                           net.stats().vnInjectionStalls[vn].value()));
-            report.add(vp + "peakFlits",
-                       static_cast<double>(net.stats().vnPeakFlits[vn]));
+                       net.stats().vnInjectionStalls[vn].value());
+            report.add(vp + "peakFlits", net.stats().vnPeakFlits[vn]);
             report.add(vp + "flitsPerCycle",
                        measuredCycles > 0
                            ? static_cast<double>(
@@ -158,9 +152,7 @@ StatsReport::capture(const HeteroSystem &system, Cycle measuredCycles)
             const std::string ip = p + "interposer.";
             const auto flits = net.stats().interposerFlits.value();
             report.add(ip + "flits", static_cast<double>(flits));
-            report.add(ip + "peakFlits",
-                       static_cast<double>(
-                           net.stats().interposerPeakFlits));
+            report.add(ip + "peakFlits", net.stats().interposerPeakFlits);
             const int links = net.topology().interposerLinkCount();
             report.add(ip + "links", static_cast<double>(links));
             report.add(ip + "linkUtilization",
@@ -208,7 +200,7 @@ void
 StatsReport::writeText(std::ostream &out) const
 {
     for (const auto &e : entries_)
-        out << e.path << " " << e.value << "\n";
+        writeValue(out << e.path << " ", e.value) << "\n";
 }
 
 void
@@ -216,7 +208,7 @@ StatsReport::writeCsv(std::ostream &out) const
 {
     out << "stat,value\n";
     for (const auto &e : entries_)
-        out << e.path << "," << e.value << "\n";
+        writeValue(out << e.path << ",", e.value) << "\n";
 }
 
 void
@@ -224,8 +216,9 @@ StatsReport::writeJson(std::ostream &out) const
 {
     out << "{\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-        out << "  \"" << entries_[i].path << "\": " << entries_[i].value;
-        out << (i + 1 < entries_.size() ? ",\n" : "\n");
+        writeValue(out << "  \"" << entries_[i].path << "\": ",
+                   entries_[i].value, "null")
+            << (i + 1 < entries_.size() ? ",\n" : "\n");
     }
     out << "}\n";
 }

@@ -52,12 +52,14 @@ class StatsReport
     /** Two-column CSV with a header. */
     void writeCsv(std::ostream &out) const;
 
-    /** A flat JSON object. */
+    /** A flat JSON object (NaN/inf as null). Every writer prints
+     *  integral values as integers and others round-trip exactly. */
     void writeJson(std::ostream &out) const;
 
-  private:
+    /** Append one entry. */
     void add(std::string path, double value);
 
+  private:
     std::vector<StatEntry> entries_;
 };
 

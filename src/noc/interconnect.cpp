@@ -116,6 +116,10 @@ Interconnect::Interconnect(const SystemConfig &cfg,
         params.seed = cfg.seed * 7919 + 2;
         reply_ = std::make_unique<Network>(params, topo_);
     }
+    // Both nets partition the same topology with the same thread count,
+    // so one pool sized to the request net's domains drives both.
+    DR_ASSERT(!reply_ || reply_->numDomains() == request_->numDomains());
+    pool_.emplace(request_->numDomains());
 
     outbox_.resize(nodeTypes_.size());
 }
@@ -254,9 +258,8 @@ Interconnect::popMessage(NodeId node, NetKind kind)
 void
 Interconnect::tick(Cycle now)
 {
-    request_->tick(now);
-    if (reply_)
-        reply_->tick(now);
+    Network *const nets[] = {request_.get(), reply_.get()};
+    Network::tickAll(*pool_, {nets, reply_ ? 2u : 1u}, now);
 }
 
 void

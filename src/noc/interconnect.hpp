@@ -14,6 +14,7 @@
  */
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/config.hpp"
@@ -70,13 +71,16 @@ class Interconnect
     /** Leave staging mode. @pre every outbox has been drained */
     void endStaging();
 
-    bool staging() const { return staging_; }
-
     bool hasMessage(NodeId node, NetKind kind) const;
     const Message &peekMessage(NodeId node, NetKind kind) const;
     Message popMessage(NodeId node, NetKind kind);
 
+    /** Advance both physical networks one cycle on the shared pool. */
     void tick(Cycle now);
+
+    /** The chip's one worker pool: the networks and the endpoint
+     *  engine run every parallel phase on it (DESIGN.md §11). */
+    TickPool &tickPool() { return *pool_; }
 
     const Topology &topology() const { return topo_; }
 
@@ -146,6 +150,7 @@ class Interconnect
     std::vector<NodeType> nodeTypes_;
     std::unique_ptr<Network> request_;
     std::unique_ptr<Network> reply_;  //!< null in shared mode
+    std::optional<TickPool> pool_;  //!< engaged once the nets exist
     std::vector<NodeOutbox> outbox_ DR_DOMAIN_OWNED;
     bool staging_ DR_SERIAL_ONLY = false;
 };

@@ -1,7 +1,6 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ostream>
 
 #include "common/invariant.hpp"
@@ -19,12 +18,7 @@ resolveThreads(int configured)
 {
     if (configured > 0)
         return configured;
-    if (const char *env = std::getenv("DR_NOC_THREADS")) {
-        const int parsed = std::atoi(env);
-        if (parsed > 0)
-            return parsed;
-    }
-    return 1;
+    return static_cast<int>(envWhole("DR_NOC_THREADS", 1, 256, 1));
 }
 
 } // namespace
@@ -157,24 +151,6 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         DR_STAMP_SET_OWNER(nis_[n], nodeDomain_[n]);
     for (int d = 0; d < numDomains_; ++d)
         DR_STAMP_SET_OWNER(domains_[d], d);
-
-    barrier_.reset(numDomains_);
-    workers_.reserve(static_cast<std::size_t>(numDomains_ - 1));
-    for (int d = 1; d < numDomains_; ++d)
-        workers_.emplace_back(&Network::workerLoop, this, d);
-}
-
-Network::~Network()
-{
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lk(epochMutex_);
-            stop_.store(true, std::memory_order_release);
-        }
-        epochCv_.notify_all();
-        for (std::thread &t : workers_)
-            t.join();
-    }
 }
 
 int
@@ -467,9 +443,16 @@ Network::niEject(Domain &d, Ni &ni, NodeId node, Cycle now)
 void
 Network::tick(Cycle now)
 {
-    DR_PHASE_ASSERT_COMMIT();
-    now_ = now;
+    if (!tickPool_)
+        tickPool_ = std::make_unique<TickPool>(numDomains_);
+    Network *const self = this;
+    tickAll(*tickPool_, {&self, 1}, now);
+}
 
+void
+Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now)
+{
+    DR_PHASE_ASSERT_COMMIT();
     // Two-phase compute/commit cycle (DESIGN.md §11). Phase 1 ticks
     // every domain's NIs and routers in parallel: all inter-entity
     // effects are future-timestamped, so phase 1 reads only
@@ -479,48 +462,34 @@ Network::tick(Cycle now)
     // queues. A final serial merge replays the order-sensitive
     // completion effects so the result is bit-identical to
     // noc.threads=1 by construction.
-    if (numDomains_ == 1) {
-        Domain &d = domains_[0];
-        if (!d.hasWork())
-            return;
-        {
-            phase::ComputeScope cs(0);
-            DR_PHASE_ASSERT_COMPUTE();
-            tickDomain(d, now);
-        }
-        mergeTick();
-        return;
+    //
+    // Quiescence vote: with every domain's active sets empty, nothing in
+    // any net can change this cycle — skip the round (and the pool).
+    // A net idle beside a busy one is swept as a no-op.
+    bool idle = true;
+    for (Network *net : nets) {
+        DR_ASSERT(net->numDomains_ == pool.size());
+        net->now_ = now;
+        idle = idle && net->quiescent();
     }
-
-    // Quiescence vote: with every domain's active sets empty, nothing
-    // in the network can change this cycle — skip the whole round
-    // (including the barriers) instead of waking the workers.
-    bool anyWork = false;
-    for (const Domain &d : domains_) {
-        if (d.hasWork()) {
-            anyWork = true;
-            break;
-        }
-    }
-    if (!anyWork)
+    if (idle)
         return;
 
-    {
-        std::lock_guard<std::mutex> lk(epochMutex_);
-        epoch_.fetch_add(1, std::memory_order_release);
-    }
-    epochCv_.notify_all();
-    {
-        // The main thread acts as domain 0's worker for the two
-        // parallel phases, then drops back to serial for the merge.
-        phase::ComputeScope cs(0);
+    pool.run([&](int d) {
+        phase::ComputeScope cs(d);
         DR_PHASE_ASSERT_COMPUTE();
-        tickDomain(domains_[0], now);
-        barrier_.arriveAndWait();  // compute -> commit
-        commitStaged(0);
+        for (Network *net : nets)
+            net->tickDomain(net->domains_[d], now);
+    });
+    if (pool.size() > 1) {
+        pool.run([&](int d) {
+            phase::ComputeScope cs(d);
+            for (Network *net : nets)
+                net->commitStaged(d);
+        });
     }
-    barrier_.arriveAndWait();  // commit -> merge
-    mergeTick();
+    for (Network *net : nets)
+        net->mergeTick();
 }
 
 void
@@ -660,44 +629,6 @@ Network::mergeTick()
             pool_.release(rec.slot);
         }
         d.delivered.clear();
-    }
-}
-
-void
-Network::workerLoop(int domainIdx)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        // Wait for the next tick's start signal: spin briefly (the next
-        // tick usually follows immediately under load), then sleep on
-        // the condition variable so idle stretches don't burn a core.
-        int spins = 0;
-        while (epoch_.load(std::memory_order_acquire) == seen) {
-            if (stop_.load(std::memory_order_acquire))
-                return;
-            if (spins < 1024) {
-                cpuRelax(spins);
-            } else {
-                std::unique_lock<std::mutex> lk(epochMutex_);
-                epochCv_.wait(lk, [&] {
-                    return epoch_.load(std::memory_order_relaxed) !=
-                               seen ||
-                           stop_.load(std::memory_order_relaxed);
-                });
-            }
-        }
-        // Lockstep: the main thread cannot start another tick until
-        // every domain passes both barriers, so the epoch advances by
-        // exactly one per observed change.
-        ++seen;
-        {
-            phase::ComputeScope cs(domainIdx);
-            DR_PHASE_ASSERT_COMPUTE();
-            tickDomain(domains_[domainIdx], now_);
-            barrier_.arriveAndWait();  // compute -> commit
-            commitStaged(domainIdx);
-        }
-        barrier_.arriveAndWait();  // commit -> merge
     }
 }
 

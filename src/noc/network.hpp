@@ -11,14 +11,10 @@
  */
 
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include "common/config.hpp"
@@ -129,7 +125,6 @@ class Network : public RouterEnv, public CongestionProbe
 {
   public:
     Network(const NetworkParams &params, const Topology &topo);
-    ~Network() override;
 
     Network(const Network &) = delete;
     Network &operator=(const Network &) = delete;
@@ -158,8 +153,20 @@ class Network : public RouterEnv, public CongestionProbe
     const Message &peekMessage(NodeId node, NetKind kind) const;
     Message popMessage(NodeId node, NetKind kind);
 
-    /** Advance one cycle. */
+    /** Advance one cycle on this network's own pool (started on first
+     *  use; networks an Interconnect drives share its pool instead). */
     void tick(Cycle now);
+
+    /**
+     * Advance several physical networks one cycle on one pool (DESIGN.md
+     * §11): one run computes every domain of every net, one run
+     * commits their staged flits and credits, then each net's serial
+     * merge follows in list order. The nets share no state, so the
+     * result equals ticking them one after another. @pre every net has
+     * pool.size() domains
+     */
+    static void tickAll(TickPool &pool, std::span<Network *const> nets,
+                        Cycle now);
 
     // RouterEnv interface. These run on a worker inside the parallel
     // phases (routers call back into their Network), hence the
@@ -518,7 +525,6 @@ class Network : public RouterEnv, public CongestionProbe
     void commitStaged(int consumer) DR_COMPUTE_PHASE;
     /** Merge per-domain scratch into global stats (main thread only). */
     void mergeTick() DR_COMMIT_PHASE;
-    void workerLoop(int domainIdx);
     /** Apply the seeded phase-discipline mutant, if armed (DR_CHECKED
      *  tests; deliberately violates the rules the checks enforce). */
     void applyPhaseMutant(Domain &d, Cycle now)
@@ -563,12 +569,7 @@ class Network : public RouterEnv, public CongestionProbe
     std::vector<std::vector<StagedFlit>> stagedFlits_ DR_SHARED_SPSC;
     std::vector<std::vector<StagedCredit>> stagedCredits_ DR_SHARED_SPSC;
     PhaseMutant debugPhaseMutant_ DR_SERIAL_ONLY = PhaseMutant::None;
-    SpinBarrier barrier_;
-    std::atomic<std::uint64_t> epoch_{0};  //!< tick-start signal
-    std::atomic<bool> stop_{false};
-    std::mutex epochMutex_;
-    std::condition_variable epochCv_;
-    std::vector<std::thread> workers_;  //!< one per domain beyond the first
+    std::unique_ptr<TickPool> tickPool_;  //!< standalone tick() only
 };
 
 } // namespace dr

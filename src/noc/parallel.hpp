@@ -4,24 +4,30 @@
 /**
  * @file
  * Threading primitives for the deterministic parallel tick engine
- * (DESIGN.md §11). The barrier is a counter + generation pair: every
- * arrival is one atomic RMW, the last arrival resets the counter and
- * bumps the generation, releasing the spinners. Waiters spin with a
- * CPU-relax hint and escalate to yield; there is no futex sleep
- * because a barrier wait spans at most one domain's worth of tick
- * work. The release/acquire pair on the generation (and the RMW chain
- * on the arrival counter) makes every write before any party's arrival
- * visible to every party after the barrier — which is the whole
+ * (DESIGN.md §11): the one worker pool every parallel phase runs on, and
+ * the barrier that ends each of its runs. The barrier is a counter +
+ * generation pair: every arrival is one atomic RMW, the last arrival
+ * resets the counter and bumps the generation, releasing the spinners.
+ * Waiters spin with a CPU-relax hint and escalate to yield; there is no
+ * futex sleep because a barrier wait spans at most one domain's worth of
+ * tick work. The release/acquire pair on the generation (and the RMW
+ * chain on the arrival counter) makes every write before any party's
+ * arrival visible to every party after the barrier — which is the whole
  * correctness contract between the compute and commit phases.
  *
- * Ownership (DESIGN.md §12): the atomics are their own synchronization
- * and carry no phase annotation; parties_ is plain data reconfigured
- * only between ticks, hence DR_SERIAL_ONLY.
+ * Ownership (DESIGN.md §12): the atomics, mutex and threads are their
+ * own synchronization and carry no phase annotation; the plain members
+ * are written only by the serial (main) thread between runs, hence
+ * DR_SERIAL_ONLY.
  */
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "common/ownership.hpp"
 
@@ -55,13 +61,6 @@ class SpinBarrier
   public:
     explicit SpinBarrier(int parties = 1) : parties_(parties) {}
 
-    /** Set the party count. Only valid while no thread is waiting. */
-    void
-    reset(int parties) DR_COMMIT_PHASE
-    {
-        parties_ = parties;
-    }
-
     // The barrier *is* the synchronization between phases, so it sits
     // outside the phase model clang is asked to check.
     void
@@ -87,6 +86,80 @@ class SpinBarrier
     int parties_ DR_SERIAL_ONLY;
     std::atomic<int> arrived_{0};
     std::atomic<std::uint64_t> gen_{0};
+};
+
+/**
+ * The tick engine's worker pool: size() − 1 threads, started by the
+ * first run(), plus the caller — one per spatial domain. run(f) calls
+ * f(d) exactly once for every domain d, f(0) on the calling thread, and
+ * returns when all have finished, so one cycle's parallel phases are a
+ * short sequence of run() calls costing one epoch bump and one barrier
+ * each.
+ *
+ * Between runs the workers spin on the epoch: the next run of a cycle
+ * is microseconds away. Only after a long idle window (kSleepAfter, e.g.
+ * between advance() calls) does a worker register as a sleeper and
+ * block on the condition variable; run() takes the mutex only while a
+ * sleeper is registered.
+ */
+class TickPool
+{
+  public:
+    explicit TickPool(int domains);
+    ~TickPool();
+
+    TickPool(const TickPool &) = delete;
+    TickPool &operator=(const TickPool &) = delete;
+
+    /** Domains per run: the worker threads plus the caller. */
+    int size() const { return domains_; }
+
+    /** Workers currently blocked on the condition variable. */
+    int
+    sleeping() const
+    {
+        return sleepers_.load(std::memory_order_relaxed);
+    }
+
+    /** Call f(d) once for every domain d, f(0) on this thread. */
+    template <typename F>
+    void
+    run(F &&f) DR_COMMIT_PHASE
+    {
+        if (domains_ == 1) {
+            f(0);
+            return;
+        }
+        if (workers_.empty())
+            start();
+        using Fn = const std::remove_reference_t<F>;
+        job_ = [](const void *ctx, int d) { (*static_cast<Fn *>(ctx))(d); };
+        ctx_ = &f;
+        publish();
+        f(0);
+        barrier_.arriveAndWait();
+    }
+
+  private:
+    using Job = void (*)(const void *, int);
+
+    void start();
+    void publish() DR_PHASE_UNCHECKED;
+    void workerLoop(int domain) DR_PHASE_UNCHECKED;
+    /** Spin (then sleep) until the epoch leaves `seen`; false on stop. */
+    bool awaitRun(std::uint64_t seen);
+
+    int domains_ DR_SERIAL_ONLY;
+    //! the current run's job; written before the epoch bump publishes it
+    Job job_ DR_SERIAL_ONLY = nullptr;
+    const void *ctx_ DR_SERIAL_ONLY = nullptr;
+    SpinBarrier barrier_;
+    std::atomic<std::uint64_t> epoch_{0};  //!< runs published so far
+    std::atomic<int> sleepers_{0};
+    std::atomic<bool> stop_{false};
+    std::mutex sleepMutex_;
+    std::condition_variable sleepCv_;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace dr

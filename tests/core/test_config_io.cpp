@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "core/config_io.hpp"
+#include "core/experiment.hpp"
 
 namespace dr
 {
@@ -260,6 +264,83 @@ TEST(ConfigIoDeath, MemPlacementDuplicateIsFatal)
     SystemConfig cfg = SystemConfig::makePaper();
     cfg.mem.placement = {1, 1, 2, 3, 4, 5, 6, 7};
     EXPECT_DEATH(cfg.validate(), "listed twice");
+}
+
+/**
+ * Environment knobs parse as whole numbers in range or die naming the
+ * variable — "4x" is not 4 and "-1" is not the default. An empty value
+ * still means unset (CI's release legs export DR_NOC_THREADS="").
+ */
+struct EnvKnob
+{
+    const char *name;
+    void (*read)();
+};
+
+const EnvKnob kEnvKnobs[] = {
+    {"DR_NOC_THREADS",
+     [] { HeteroSystem sys(SystemConfig::makeSmall(), "HS", "vips"); }},
+    {"DR_BENCH_THREADS", [] { (void)benchConfig(Mechanism::Baseline); }},
+    {"DR_BENCH_CYCLES", [] { (void)benchCycles(100); }},
+};
+
+/** Set an environment variable for one scope, then restore it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (old_)
+            setenv(name_, old_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(EnvKnobDeath, MalformedValuesAreFatal)
+{
+    for (const EnvKnob &knob : kEnvKnobs) {
+        for (const char *bad : {"4x", "-1", "0", " 4", "abc"}) {
+            EXPECT_DEATH(
+                {
+                    setenv(knob.name, bad, 1);
+                    knob.read();
+                },
+                std::string(knob.name) + " must be a whole number in")
+                << knob.name << "='" << bad << "'";
+        }
+    }
+}
+
+TEST(EnvKnob, EmptyValueMeansUnset)
+{
+    for (const EnvKnob &knob : kEnvKnobs) {
+        const ScopedEnv env(knob.name, "");
+        knob.read();
+    }
+    const ScopedEnv cycles("DR_BENCH_CYCLES", "");
+    EXPECT_EQ(benchCycles(123), 123u);
+    const ScopedEnv threads("DR_BENCH_THREADS", "");
+    EXPECT_EQ(benchConfig(Mechanism::Baseline).noc.threads, 0);
+}
+
+TEST(EnvKnob, WholeNumbersInRangeApply)
+{
+    const ScopedEnv cycles("DR_BENCH_CYCLES", "4000");
+    EXPECT_EQ(benchCycles(123), 4000u);
+    const ScopedEnv threads("DR_BENCH_THREADS", "3");
+    EXPECT_EQ(benchConfig(Mechanism::Baseline).noc.threads, 3);
 }
 
 } // namespace

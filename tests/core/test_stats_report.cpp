@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "core/stats_report.hpp"
 
@@ -98,6 +102,57 @@ TEST_F(StatsReportTest, JsonIsWellFormedEnough)
 TEST_F(StatsReportTest, UnknownPathIsFatal)
 {
     EXPECT_DEATH((void)report->value("gpu0.flux"), "unknown path");
+}
+
+/** The text after `key` up to the end of its line. */
+std::string
+valueText(const std::string &out, const std::string &key)
+{
+    const auto at = out.find(key);
+    if (at == std::string::npos)
+        return "";
+    const auto begin = at + key.size();
+    return out.substr(begin, out.find('\n', begin) - begin);
+}
+
+TEST(StatsReportFormat, CountersAndRatesRoundTripExactly)
+{
+    // A counter above 10^7 lost its low digits at the stream's default
+    // 6-digit precision (12345678901 printed as 1.23457e+10).
+    const std::uint64_t count = 12345678901ULL;
+    const double rate = 0.1 + 0.2;
+    StatsReport rep;
+    rep.add("net.reply.flitsDelivered", static_cast<double>(count));
+    rep.add("sim.rate", rate);
+
+    std::ostringstream text, csv, json;
+    rep.writeText(text);
+    rep.writeCsv(csv);
+    rep.writeJson(json);
+    for (const auto &[out, countKey, rateKey] :
+         {std::tuple{text.str(), std::string("flitsDelivered "),
+                     std::string("sim.rate ")},
+          std::tuple{csv.str(), std::string("flitsDelivered,"),
+                     std::string("sim.rate,")},
+          std::tuple{json.str(), std::string("flitsDelivered\": "),
+                     std::string("sim.rate\": ")}}) {
+        std::string c = valueText(out, countKey);
+        if (!c.empty() && c.back() == ',')
+            c.pop_back();
+        EXPECT_EQ(c, "12345678901") << out;
+        EXPECT_EQ(std::stoull(c), count);
+        EXPECT_EQ(std::stod(valueText(out, rateKey)), rate) << out;
+    }
+}
+
+TEST(StatsReportFormat, JsonWritesNonFiniteAsNull)
+{
+    StatsReport rep;
+    rep.add("a", std::nan(""));
+    rep.add("b", HUGE_VAL);
+    std::ostringstream json;
+    rep.writeJson(json);
+    EXPECT_EQ(json.str(), "{\n  \"a\": null,\n  \"b\": null\n}\n");
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -19,7 +20,8 @@ namespace
  * bit-identical run: same cycle counts, same counters, same
  * floating-point metrics. These tests pin that equivalence across
  * thread counts {1, 2, 4} x idleSkip {on, off} x vnets {on, off} x
- * two topologies.
+ * three topologies, plus the 256-node chiplet chip and the shared
+ * (AVCP) physical network.
  */
 
 /** Serialize every RunResults field at full precision. */
@@ -134,15 +136,9 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{TopologyKind::ChipletMesh, true}),
     caseName);
 
-/**
- * Scale acceptance (ISSUE 9): a 256-node chip of 4x4 chiplets, each a
- * 4x4 sub-mesh, with restricted gateways, half-width interposer
- * channels, and virtual networks on — bit-identical across worker
- * threads {1, 4} x idleSkip {on, off}. The chiplet-aligned domain
- * partition snaps to whole chiplet rows, so the 4-thread run really
- * exercises 4 domains (one per chiplet row).
- */
-TEST(WholeSystemDeterminism, ChipletScale256Nodes)
+/** 4x4 chiplets of 4x4 routers: the 256-node chiplet-scale chip. */
+SystemConfig
+chiplet256Cfg()
 {
     SystemConfig cfg = matrixCfg(TopologyKind::ChipletMesh, true);
     cfg.noc.chipletsX = 4;
@@ -154,7 +150,65 @@ TEST(WholeSystemDeterminism, ChipletScale256Nodes)
     cfg.mem.numNodes = 32;
     cfg.warmupCycles = 800;
     cfg.simCycles = 1600;
+    return cfg;
+}
 
+/**
+ * Scale acceptance: a 256-node chip of 4x4 chiplets, each a
+ * 4x4 sub-mesh, with restricted gateways, half-width interposer
+ * channels, and virtual networks on — bit-identical across worker
+ * threads {1, 4} x idleSkip {on, off}. The chiplet-aligned domain
+ * partition snaps to whole chiplet rows, so the 4-thread run really
+ * exercises 4 domains (one per chiplet row).
+ */
+TEST(WholeSystemDeterminism, ChipletScale256Nodes)
+{
+    const SystemConfig cfg = chiplet256Cfg();
+    const std::string golden = runFingerprint(cfg, 1, false);
+    EXPECT_EQ(golden, runFingerprint(cfg, 1, true)) << "skip-on diverged";
+    EXPECT_EQ(golden, runFingerprint(cfg, 4, false))
+        << "4 threads diverged";
+    EXPECT_EQ(golden, runFingerprint(cfg, 4, true))
+        << "4 threads + skip diverged";
+}
+
+/** Threads of this process, counted from /proc/self/task. */
+int
+processThreads()
+{
+    int n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/**
+ * One pool for the whole chip (DESIGN.md §11): both physical networks
+ * and the endpoint engine run on the interconnect's TickPool, so
+ * noc.threads=4 adds exactly 3 worker threads to the process — not one
+ * pool of 3 per network plus 3 for the endpoints.
+ */
+TEST(WholeSystemDeterminism, FourThreadsMeansThreeWorkers)
+{
+    SystemConfig cfg = chiplet256Cfg();
+    cfg.noc.threads = 4;
+    const int before = processThreads();
+    HeteroSystem sys(cfg, "HS", "blackscholes");
+    sys.advance(200);
+    EXPECT_EQ(sys.endpointDomains(), 4);
+    EXPECT_EQ(processThreads() - before, 3);
+}
+
+/**
+ * AVCP: one double-width physical network shared by requests and
+ * replies (noc.sharedPhysical), so the fused network tick drives a
+ * one-network list. Bit-identical across threads {1, 4} x idleSkip.
+ */
+TEST(WholeSystemDeterminism, SharedPhysicalNetwork)
+{
+    SystemConfig cfg = matrixCfg(TopologyKind::Mesh, false);
+    cfg.noc.sharedPhysical = true;
     const std::string golden = runFingerprint(cfg, 1, false);
     EXPECT_EQ(golden, runFingerprint(cfg, 1, true)) << "skip-on diverged";
     EXPECT_EQ(golden, runFingerprint(cfg, 4, false))

@@ -30,8 +30,8 @@ This pass walks the annotated sources and enforces the discipline:
   unannotated-state           a mutable member of a tick-reachable class
                               carries no classification (and no exempt
                               type: atomics, mutexes, threads, the
-                              barrier — their synchronization is their
-                              own)
+                              barrier and the tick pool — their
+                              synchronization is their own)
   cross-domain-commit         a compute-phase method resolves producer/
                               consumer domains and mutates another
                               domain's router directly without staging
@@ -109,7 +109,8 @@ RULES = {
 # must carry an ownership classification. Nested structs inherit a
 # class-level DR_DOMAIN_OWNED from their enclosing class.
 COVERED_CLASSES = {
-    "Network", "Router", "PacketPool", "SpinBarrier", "ActiveSet",
+    "Network", "Router", "PacketPool", "SpinBarrier", "TickPool",
+    "ActiveSet",
     "Ni", "Domain",
     "SmCore", "CpuNode", "MemNode", "EndpointEngine",
     "GpuCoherence", "MesiDirectory", "CtaScheduler",
@@ -120,7 +121,7 @@ COVERED_CLASSES = {
 # phase classification required.
 TYPE_EXEMPT_RE = re.compile(
     r"std\s*::\s*(?:atomic|mutex|condition_variable|thread|function)\b"
-    r"|\bSpinBarrier\b")
+    r"|\b(?:SpinBarrier|TickPool)\b")
 
 ANNOTATIONS = ("DR_DOMAIN_OWNED", "DR_SHARED_SPSC", "DR_SERIAL_ONLY")
 ANNOTATION_CLASS = {
