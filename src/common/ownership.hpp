@@ -11,7 +11,7 @@
  * commit/merge sections own everything else. The macros below make that
  * discipline *declared in the source* so it can be checked three ways:
  *
- *  1. statically by tools/drphase.py (token-level, no compiler needed),
+ *  1. statically by tools/drlint.py (token-level, no compiler needed),
  *  2. by clang's -Wthread-safety when building with -DDR_THREAD_SAFETY
  *     (the macros expand to capability/guarded_by/requires_capability
  *     attributes; they are no-ops under gcc and in release builds),
@@ -256,8 +256,8 @@ auditStamp(const DomainStamp &stamp, const char *what)
 // or between the struct keyword and the name to classify a whole type:
 //   struct DR_DOMAIN_OWNED Ni { ... };
 
-#define DR_DOMAIN_OWNED /* per-domain ownership: checked by drphase */
-#define DR_SHARED_SPSC  /* staged cross-domain hand-off: checked by drphase */
+#define DR_DOMAIN_OWNED /* per-domain ownership: checked by drlint */
+#define DR_SHARED_SPSC  /* staged cross-domain hand-off: checked by drlint */
 #define DR_SERIAL_ONLY DR_TS_ATTR(guarded_by(::dr::serialPhaseCap))
 
 // --- method phase classification ------------------------------------------
@@ -283,7 +283,7 @@ auditStamp(const DomainStamp &stamp, const char *what)
  * Endpoint tick path (DESIGN.md §13): runs inside the endpoint compute
  * phase when the system-level engine is active, confined to the
  * endpoint's domain, or from plain serial code (unit tests drive
- * endpoints directly; serial code holds exclusive access). drphase
+ * endpoints directly; serial code holds exclusive access). drlint
  * checks these bodies under the same rules as DR_COMPUTE_PHASE ones;
  * clang's analysis treats them as shared readers of frozen serial
  * state. Entry points open with DR_PHASE_ASSERT_DOMAIN(domain_).

@@ -9,29 +9,24 @@ namespace dr
 {
 
 EndpointEngine::EndpointEngine(const Network &net, TickPool &pool,
-                               bool concurrentSafe,
                                const std::vector<MemNode *> &mems,
                                const std::vector<SmCore *> &gpus,
                                const std::vector<CpuNode *> &cpus)
-    : pool_(pool)
+    : pool_(pool), numDomains_(net.numDomains())
 {
-    numDomains_ = concurrentSafe ? net.numDomains() : 1;
     domains_.resize(static_cast<std::size_t>(numDomains_));
-    const auto domainOf = [&](NodeId node) {
-        return numDomains_ > 1 ? net.domainOfNode(node) : 0;
-    };
     for (MemNode *m : mems) {
-        const int d = domainOf(m->nodeId());
+        const int d = net.domainOfNode(m->nodeId());
         m->setDomain(d);
         domains_[d].mems.push_back(m);
     }
     for (SmCore *g : gpus) {
-        const int d = domainOf(g->nodeId());
+        const int d = net.domainOfNode(g->nodeId());
         g->setDomain(d);
         domains_[d].gpus.push_back(g);
     }
     for (CpuNode *c : cpus) {
-        const int d = domainOf(c->nodeId());
+        const int d = net.domainOfNode(c->nodeId());
         c->setDomain(d);
         domains_[d].cpus.push_back(c);
     }

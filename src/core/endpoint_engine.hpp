@@ -42,11 +42,10 @@ class EndpointEngine
     /**
      * Partition the endpoints over `net`'s spatial domains (attach-
      * router domain, Network::domainOfNode), ticked on `pool` — the
-     * pool that drives the networks. `concurrentSafe` false forces one
-     * serially-ticked domain. Calls setDomain() on every endpoint with
-     * its partition domain.
+     * pool that drives the networks. Calls setDomain() on every
+     * endpoint with its partition domain.
      */
-    EndpointEngine(const Network &net, TickPool &pool, bool concurrentSafe,
+    EndpointEngine(const Network &net, TickPool &pool,
                    const std::vector<MemNode *> &mems,
                    const std::vector<SmCore *> &gpus,
                    const std::vector<CpuNode *> &cpus);

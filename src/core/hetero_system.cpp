@@ -89,10 +89,8 @@ HeteroSystem::HeteroSystem(const SystemConfig &cfg,
 
     // Endpoint tick engine (DESIGN.md §13): partition the endpoints
     // over the request network's spatial domains. Every L1
-    // organization now stages its cross-core effects per calling core
-    // (DESIGN.md §14), so shared organizations parallelize too;
-    // concurrentSafe() stays as an escape hatch for organizations
-    // whose lookup paths cannot be confined.
+    // organization stages its cross-core effects per calling core
+    // (DESIGN.md §14), so shared organizations parallelize too.
     {
         std::vector<MemNode *> mems;
         std::vector<SmCore *> gpus;
@@ -104,8 +102,8 @@ HeteroSystem::HeteroSystem(const SystemConfig &cfg,
         for (auto &c : cpuNodes_)
             cpus.push_back(c.get());
         engine_ = std::make_unique<EndpointEngine>(
-            ic_->net(NetKind::Request), ic_->tickPool(),
-            l1Org_->concurrentSafe(), mems, gpus, cpus);
+            ic_->net(NetKind::Request), ic_->tickPool(), mems, gpus,
+            cpus);
         // The engine assigned each SM its endpoint domain; hand the
         // mapping to the L1 organization so its per-core staged banks
         // carry the right writer-domain stamp owners.

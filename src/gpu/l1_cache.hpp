@@ -140,16 +140,6 @@ class L1Organizer
         (void)now;
         return kNeverCycle;
     }
-
-    /**
-     * Whether the per-core entry points above confine their writes to
-     * the calling core's bank (staging any cross-core effect for the
-     * serial merge), so distinct cores may be ticked concurrently from
-     * different endpoint domains (DESIGN.md §13). tools/drreach.py
-     * computes this confinement verdict statically and fails the lint
-     * if a class's return here contradicts it.
-     */
-    virtual bool concurrentSafe() const { return false; }
 };
 
 /** The baseline private L1 per SM. */
@@ -168,7 +158,6 @@ class PrivateL1 : public L1Organizer
     int hitLatency() const override;
     const L1OrgStats &stats() const override;
     void tick(Cycle now) override;
-    bool concurrentSafe() const override { return true; }
 
   private:
     struct NoMeta

@@ -18,7 +18,7 @@
  * kernel launch.
  *
  * Staged concurrency model (DESIGN.md §14): both organizations are
- * concurrentSafe. During the endpoint compute phase every lookup reads
+ * core-confined. During the endpoint compute phase every lookup reads
  * only frozen cross-core state (tags via probe(), the slice-port
  * backlog watermark) and appends its effects — port claims, LRU
  * touches, fills, probe-phase counters — to the calling core's staged
@@ -61,7 +61,6 @@ class SharedL1 : public L1Organizer
     void commitCycle(Cycle now) override DR_COMMIT_PHASE;
     void setCoreDomain(int core, int domain) override;
     void auditStamps() const override;
-    bool concurrentSafe() const override { return true; }
 
     int clusters() const { return static_cast<int>(tags_.size()); }
     int clusterOf(int core) const { return core / coresPerCluster_; }
@@ -137,7 +136,6 @@ class DynEbL1 : public L1Organizer
     void commitCycle(Cycle now) override DR_COMMIT_PHASE;
     void setCoreDomain(int core, int domain) override;
     void auditStamps() const override;
-    bool concurrentSafe() const override { return true; }
 
     /**
      * DynEB's probe-phase clock advances in the serial merge, so an
@@ -189,7 +187,7 @@ class DynEbL1 : public L1Organizer
 
     GpuConfig cfg_ DR_SERIAL_ONLY;
     /** Confinement of the nested organizers is their own (both are
-     *  concurrentSafe; drreach verifies the delegation chain). */
+     *  core-confined; drlint verifies the delegation chain). */
     SharedL1 shared_ DR_DOMAIN_OWNED;
     PrivateL1 private_ DR_DOMAIN_OWNED;
     /** The phase selector and its clock mutate only in commitCycle()

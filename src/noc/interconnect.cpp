@@ -191,7 +191,7 @@ Interconnect::send(const Message &msg, Cycle now)
         // the immediate-injection path never runs from a parallel
         // phase; the reachability analyzer cannot see the `staging_`
         // guard, hence the suppression.
-        sendNow(msg, now);  // drreach-allow(phase-escape)
+        sendNow(msg, now);  // drlint-allow(phase-escape)
         return;
     }
     NodeOutbox &box = outbox_[msg.src];

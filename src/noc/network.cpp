@@ -535,7 +535,7 @@ Network::commitStaged(int consumer)
         int p = i;
 #ifdef DR_CHECKED
         if (debugPhaseMutant_ == PhaseMutant::SpscOutOfOrder)
-            // drphase-allow(spsc-drain-order): seeded mutant — the
+            // drlint-allow(spsc-drain-order): seeded mutant — the
             // ascending-order assertion below must trap this at runtime.
             p = numDomains_ - 1 - i;
         // Ascending producer order is part of the determinism contract:
@@ -803,14 +803,14 @@ Network::applyPhaseMutant(Domain &d, Cycle now)
     const NodeId victim = static_cast<NodeId>(topo_.nodes() - 1);
     switch (debugPhaseMutant_) {
     case PhaseMutant::CrossDomainWrite:
-        // drphase-allow(cross-domain-commit): seeded mutant — the NI
+        // drlint-allow(cross-domain-commit): seeded mutant — the NI
         // stamp check inside niEject must trap this foreign-domain call.
         niEject(d, nis_[victim], victim, now);
         break;
     case PhaseMutant::SerialInCompute:
-        // drphase-allow(compute-calls-commit): seeded mutant — the
+        // drlint-allow(compute-calls-commit): seeded mutant — the
         // pool's commit-phase assertion must trap this.
-        // drreach-allow(phase-escape): same mutant, transitive view.
+        // drlint-allow(phase-escape): same mutant, transitive view.
         pool_.release(pool_.alloc());
         break;
     case PhaseMutant::StampBypass:

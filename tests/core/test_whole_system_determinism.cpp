@@ -220,8 +220,8 @@ TEST(WholeSystemDeterminism, SharedPhysicalNetwork)
 /**
  * Shared-L1 determinism matrix (DESIGN.md §14). The DC-L1 and DynEB
  * organizations stage their cross-core effects per calling core and
- * drain them in the serial merge, which is what lets them report
- * concurrentSafe() and run the endpoint phase across multiple domains.
+ * drain them in the serial merge, which is what lets them run the
+ * endpoint phase across multiple domains.
  * Every threads {1, 2, 4} x idleSkip {on, off} combination must stay
  * bit-identical to the serial densely-ticked golden run.
  */

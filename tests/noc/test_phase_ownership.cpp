@@ -2,7 +2,7 @@
  * @file
  * Runtime truth-checking of the phase/domain ownership model
  * (DESIGN.md §12). Each seeded PhaseMutant reproduces one ownership
- * violation the static checker (tools/drphase.py) catches textually;
+ * violation the static checker (tools/drlint.py) catches textually;
  * here the DR_CHECKED stamp machinery must catch the same violation
  * dynamically — a mutant that only one side sees means the other
  * side's model has drifted from the code.
