@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Self-test for drlint.py (stdlib unittest; ctest: drlint_selftest).
+"""Self-test for drlint.py (stdlib unittest).
+
+The cases fall into three rule families, each its own ctest:
+determinism rules and the CLI (drlint_selftest), per-body phase
+ownership (drphase_selftest) and cross-TU reachability with the L1
+confinement verdicts (drreach_selftest).
 
 Rule tests lint small synthetic trees. The heart of the file is the
 seeded-mutant matrix: each mutant copies the *real* src/ into a temp
@@ -12,9 +17,11 @@ runtime counterparts into a DR_CHECKED build, this pins the ownership
 checking from both sides: the static pass and the stamp machinery must
 each catch their half of the matrix.
 
-Run directly (`python3 tools/drlint_test.py`) or via ctest.
+Run directly (`python3 tools/drlint_test.py [--group NAME]`; all groups
+by default) or via ctest.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -304,16 +311,22 @@ class ConfinementHelperTest(unittest.TestCase):
             "idx[0]")
 
 
-class LiveTreeTest(unittest.TestCase):
-    """The parser recovers the real tree's model, and the tree is clean."""
+class LiveTreeCase(unittest.TestCase):
+    """Base for cases that read the real tree's scan."""
 
     @classmethod
     def setUpClass(cls):
         cls.prog = drlint.scan(REPO, ["src", "tools"])
         cls.classes = cls.prog.classes
 
+
+class LiveTreeTest(LiveTreeCase):
     def test_live_tree_has_zero_findings(self):
         self.assertEqual([str(f) for f in self.prog.findings], [])
+
+
+class PhaseModelTest(LiveTreeCase):
+    """The parser recovers the real tree's ownership model."""
 
     def test_network_members_classified(self):
         net = self.classes["Network"]
@@ -354,6 +367,8 @@ class LiveTreeTest(unittest.TestCase):
         self.assertEqual(sm.classification("localityOracle_"), "serial")
         self.assertIn("function", sm.members["localityOracle_"].type)
 
+
+class ConfinementVerdictTest(LiveTreeCase):
     def test_all_organizers_confined(self):
         verdicts = self.prog.verdicts
         for cls in ("PrivateL1", "SharedL1", "DynEbL1"):
@@ -364,7 +379,7 @@ class LiveTreeTest(unittest.TestCase):
         self.assertIn("SharedL1", verdicts["DynEbL1"].delegates)
 
 
-class MutantTest(unittest.TestCase):
+class MutantCase(unittest.TestCase):
     """Each seeded static mutant must be caught by its rule."""
 
     def assert_rule(self, findings, rule, path, contains=None):
@@ -376,8 +391,8 @@ class MutantTest(unittest.TestCase):
                             "no [%s] finding mentions %r: %s"
                             % (rule, contains, [str(f) for f in hits]))
 
-    # -- per-body phase rules ---------------------------------------------
 
+class PhaseMutantTest(MutantCase):
     def test_mutant_wrong_phase_write(self):
         # niEject (compute) bumps a DR_SERIAL_ONLY global counter.
         prog = scan_mutated([
@@ -466,8 +481,8 @@ class MutantTest(unittest.TestCase):
             "    while (!ni.creditArrivals.empty() &&")])
         self.assert_rule(prog.findings, "missing-stamp-check", NETWORK_CPP)
 
-    # -- cross-TU reachability --------------------------------------------
 
+class ReachMutantTest(MutantCase):
     def test_mutant_cross_tu_phase_escape(self):
         # The per-body rules alone are blind to this: the call is not a
         # known mutating call and the write sits in an unannotated
@@ -532,7 +547,7 @@ class MutantTest(unittest.TestCase):
         self.assertFalse(prog.verdicts["DynEbL1"].confined)
 
 
-class MutantSuppressionTest(unittest.TestCase):
+class PhaseSuppressionTest(unittest.TestCase):
     def test_allow_comment_suppresses(self):
         prog = scan_mutated([
             (NETWORK_CPP, EJECT_STAMP, EJECT_STAMP +
@@ -547,6 +562,8 @@ class MutantSuppressionTest(unittest.TestCase):
              "    ++stats_.packetsDelivered;")])
         self.assertIn("compute-writes-serial", rules_in(prog.findings))
 
+
+class ReachSuppressionTest(unittest.TestCase):
     def test_allow_at_call_site_kills_the_chain(self):
         rel, old, new = TOUCH_EPOCH[1]
         prog = scan_mutated([TOUCH_EPOCH[0], (
@@ -601,5 +618,39 @@ class CliTest(unittest.TestCase):
             self.assertIn(rule, out)
 
 
+class GroupsTest(unittest.TestCase):
+    def test_every_case_in_exactly_one_group(self):
+        grouped = [c for cases in GROUPS.values() for c in cases]
+        defined = [c for c in globals().values()
+                   if isinstance(c, type)
+                   and issubclass(c, unittest.TestCase)
+                   and c.__name__.endswith("Test")]
+        self.assertEqual(len(grouped), len(set(grouped)))
+        self.assertEqual(set(grouped), set(defined))
+
+
+GROUPS = {
+    "determinism": [StripCodeTest, RuleTest, SuppressionTest, LiveTreeTest,
+                    CliTest, GroupsTest],
+    "phase": [WriteScanTest, PhaseModelTest, PhaseMutantTest,
+              PhaseSuppressionTest],
+    "reach": [ConfinementHelperTest, ConfinementVerdictTest,
+              ReachMutantTest, ReachSuppressionTest],
+}
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--group", choices=sorted(GROUPS),
+                        help="run one rule family's cases (default: all)")
+    args = parser.parse_args(argv)
+    names = [args.group] if args.group else sorted(GROUPS)
+    loader = unittest.defaultTestLoader
+    suite = unittest.TestSuite(loader.loadTestsFromTestCase(case)
+                               for name in names for case in GROUPS[name])
+    result = unittest.TextTestRunner(verbosity=2).run(suite)
+    return 0 if result.wasSuccessful() else 1
+
+
 if __name__ == "__main__":
-    unittest.main(verbosity=2)
+    sys.exit(main(sys.argv[1:]))
