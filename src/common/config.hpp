@@ -110,6 +110,8 @@ struct NocConfig
 
     /** Cycles one flit occupies an interposer channel (>= 1). */
     int interposerSerializationCycles() const;
+
+    bool operator==(const NocConfig &) const = default;
 };
 
 /** GPU core (SM) parameters. */
@@ -134,6 +136,8 @@ struct GpuConfig
     int dcl1CoresPerCluster = 8;  //!< DC-L1: 8 cores share one L1
     int dcl1Slices = 4;           //!< ... with 4 address-interleaved slices
     CtaSchedule ctaSchedule = CtaSchedule::RoundRobin;
+
+    bool operator==(const GpuConfig &) const = default;
 };
 
 /** CPU core parameters. */
@@ -144,6 +148,8 @@ struct CpuConfig
     int l1Assoc = 4;
     int lineBytes = 64;
     int maxOutstanding = 8;  //!< upper bound on per-core MLP
+
+    bool operator==(const CpuConfig &) const = default;
 };
 
 /** Memory-node (LLC slice + memory controller) parameters. */
@@ -181,6 +187,8 @@ struct MemConfig
      * deterministic placement search (tools/run_placement.py) sweeps.
      */
     std::vector<int> placement;
+
+    bool operator==(const MemConfig &) const = default;
 };
 
 /** Delegated Replies policy knobs. */
@@ -190,6 +198,8 @@ struct DrConfig
     bool delegateAlways = false;
     /** FRQ remote requests beat local accesses (deadlock avoidance). */
     bool frqRemotePriority = true;
+
+    bool operator==(const DrConfig &) const = default;
 };
 
 /** Realistic Probing configuration (best-performing per the authors). */
@@ -197,6 +207,8 @@ struct RpConfig
 {
     int probeCount = 2;        //!< remote L1s probed per predicted miss
     int predictorEntries = 512;//!< per-core sharing predictor table
+
+    bool operator==(const RpConfig &) const = default;
 };
 
 /** Correctness-toolkit knobs: progress watchdog + checked-build sweeps. */
@@ -214,6 +226,8 @@ struct DebugConfig
      * ignored entirely in non-checked builds.
      */
     Cycle sweepCycles = 4096;
+
+    bool operator==(const DebugConfig &) const = default;
 };
 
 /** Complete system configuration. */
@@ -262,6 +276,9 @@ struct SystemConfig
 
     /** The full Table I configuration. */
     static SystemConfig makePaper();
+
+    /** Field-wise: a config dump must parse back to an equal config. */
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /**

@@ -20,76 +20,86 @@ msgTypeName(MsgType t)
     return "Unknown";
 }
 
-const char *
-topologyName(TopologyKind t)
+// One row per value, in enum order: value, config name (written by the
+// dump), display name (returned by the *Name() helper), alias.
+
+SpellingTable<TopologyKind>
+spellings(TopologyKind)
 {
-    switch (t) {
-      case TopologyKind::Mesh: return "mesh";
-      case TopologyKind::Crossbar: return "crossbar";
-      case TopologyKind::FlattenedButterfly: return "flattened-butterfly";
-      case TopologyKind::Dragonfly: return "dragonfly";
-      case TopologyKind::ChipletMesh: return "chiplet-mesh";
-    }
-    return "unknown";
+    using enum TopologyKind;
+    static constexpr Spelling<TopologyKind> rows[] = {
+        {Mesh, "mesh", "mesh"},
+        {Crossbar, "crossbar", "crossbar"},
+        {FlattenedButterfly, "flattened-butterfly", "flattened-butterfly",
+         "flatfly"},
+        {Dragonfly, "dragonfly", "dragonfly"},
+        {ChipletMesh, "chiplet-mesh", "chiplet-mesh", "chiplet"},
+    };
+    return {"topology", rows};
 }
 
-const char *
-routingName(RoutingKind r)
+SpellingTable<RoutingKind>
+spellings(RoutingKind)
 {
-    switch (r) {
-      case RoutingKind::DimOrderXY: return "XY";
-      case RoutingKind::DimOrderYX: return "YX";
-      case RoutingKind::DyXY: return "DyXY";
-      case RoutingKind::Footprint: return "Footprint";
-      case RoutingKind::Hare: return "HARE";
-      case RoutingKind::TableMinimal: return "table-minimal";
-      case RoutingKind::ChipletHierarchical: return "chiplet";
-    }
-    return "unknown";
+    using enum RoutingKind;
+    static constexpr Spelling<RoutingKind> rows[] = {
+        {DimOrderXY, "XY", "XY", "xy"},
+        {DimOrderYX, "YX", "YX", "yx"},
+        {DyXY, "DyXY", "DyXY", "dyxy"},
+        {Footprint, "footprint", "Footprint"},
+        {Hare, "HARE", "HARE", "hare"},
+        {TableMinimal, "table", "table-minimal"},
+        {ChipletHierarchical, "chiplet", "chiplet", "chiplet-hierarchical"},
+    };
+    return {"routing", rows};
 }
 
-const char *
-layoutName(ChipLayout l)
+SpellingTable<ChipLayout>
+spellings(ChipLayout)
 {
-    switch (l) {
-      case ChipLayout::Baseline: return "Baseline";
-      case ChipLayout::LayoutB: return "B";
-      case ChipLayout::LayoutC: return "C";
-      case ChipLayout::LayoutD: return "D";
-    }
-    return "unknown";
+    using enum ChipLayout;
+    static constexpr Spelling<ChipLayout> rows[] = {
+        {Baseline, "baseline", "Baseline", "A"},
+        {LayoutB, "B", "B"},
+        {LayoutC, "C", "C"},
+        {LayoutD, "D", "D"},
+    };
+    return {"layout", rows};
 }
 
-const char *
-mechanismName(Mechanism m)
+SpellingTable<Mechanism>
+spellings(Mechanism)
 {
-    switch (m) {
-      case Mechanism::Baseline: return "Baseline";
-      case Mechanism::RealisticProbing: return "RP";
-      case Mechanism::DelegatedReplies: return "DelegatedReplies";
-    }
-    return "unknown";
+    using enum Mechanism;
+    static constexpr Spelling<Mechanism> rows[] = {
+        {Baseline, "baseline", "Baseline"},
+        {RealisticProbing, "realistic-probing", "RP", "rp"},
+        {DelegatedReplies, "delegated-replies", "DelegatedReplies", "dr"},
+    };
+    return {"mechanism", rows};
 }
 
-const char *
-l1OrganizationName(L1Organization o)
+SpellingTable<L1Organization>
+spellings(L1Organization)
 {
-    switch (o) {
-      case L1Organization::Private: return "private";
-      case L1Organization::DcL1: return "DC-L1";
-      case L1Organization::DynEB: return "DynEB";
-    }
-    return "unknown";
+    using enum L1Organization;
+    static constexpr Spelling<L1Organization> rows[] = {
+        {Private, "private", "private"},
+        {DcL1, "dc-l1", "DC-L1"},
+        {DynEB, "dyneb", "DynEB"},
+    };
+    return {"L1 organization", rows};
 }
 
-const char *
-ctaScheduleName(CtaSchedule c)
+SpellingTable<CtaSchedule>
+spellings(CtaSchedule)
 {
-    switch (c) {
-      case CtaSchedule::RoundRobin: return "round-robin";
-      case CtaSchedule::Distributed: return "distributed";
-    }
-    return "unknown";
+    using enum CtaSchedule;
+    static constexpr Spelling<CtaSchedule> rows[] = {
+        {RoundRobin, "round-robin", "round-robin", "rr"},
+        {Distributed, "distributed", "distributed"},
+    };
+    return {"CTA schedule", rows};
 }
 
 std::string

@@ -8,8 +8,11 @@
  * and the memory-system message vocabulary.
  */
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 namespace dr
 {
@@ -85,6 +88,52 @@ onRequestNetwork(MsgType t)
 /** Printable name of a message type. */
 const char *msgTypeName(MsgType t);
 
+/**
+ * Every spelling of one value of a config enum. Parsing accepts each
+ * of them; the config dump writes `config`, and the enum's *Name()
+ * helper (bench output, gtest parameter names) returns `display`.
+ */
+template <typename E>
+struct Spelling
+{
+    E value;
+    const char *config;
+    const char *display;
+    const char *alias = nullptr;  //!< one more accepted spelling, if any
+};
+
+/**
+ * One config enum's spellings: one row per value, in enum order. Each
+ * config enum `E` has an overload `SpellingTable<E> spellings(E)`.
+ */
+template <typename E>
+struct SpellingTable
+{
+    const char *noun;  //!< what a value names, for error messages
+    std::span<const Spelling<E>> rows;
+};
+
+/** The spelling row of `v`. */
+template <typename E>
+const Spelling<E> &
+spellingOf(E v)
+{
+    return spellings(v).rows[static_cast<std::size_t>(v)];
+}
+
+/** The row that spells `name` in any of its forms, or nullptr. */
+template <typename E>
+const Spelling<E> *
+findSpelling(std::string_view name)
+{
+    for (const Spelling<E> &row : spellings(E{}).rows) {
+        if (name == row.config || name == row.display ||
+            (row.alias && name == row.alias))
+            return &row;
+    }
+    return nullptr;
+}
+
 /** Supported NoC topologies (Section VII). */
 enum class TopologyKind : std::uint8_t
 {
@@ -95,7 +144,13 @@ enum class TopologyKind : std::uint8_t
     ChipletMesh,  //!< chiplet sub-meshes joined by interposer links
 };
 
-const char *topologyName(TopologyKind t);
+SpellingTable<TopologyKind> spellings(TopologyKind);
+
+inline const char *
+topologyName(TopologyKind t)
+{
+    return spellingOf(t).display;
+}
 
 /** Dimension order used by CDR routing within one network. */
 enum class DimOrder : std::uint8_t
@@ -116,7 +171,13 @@ enum class RoutingKind : std::uint8_t
     ChipletHierarchical,  //!< intra-chiplet XY + gateway transit phases
 };
 
-const char *routingName(RoutingKind r);
+SpellingTable<RoutingKind> spellings(RoutingKind);
+
+inline const char *
+routingName(RoutingKind r)
+{
+    return spellingOf(r).display;
+}
 
 /** Chip layouts from Figure 1 of the paper. */
 enum class ChipLayout : std::uint8_t
@@ -127,7 +188,13 @@ enum class ChipLayout : std::uint8_t
     LayoutD,   //!< distributed core types (Fig. 1d)
 };
 
-const char *layoutName(ChipLayout l);
+SpellingTable<ChipLayout> spellings(ChipLayout);
+
+inline const char *
+layoutName(ChipLayout l)
+{
+    return spellingOf(l).display;
+}
 
 /** The mechanism under evaluation. */
 enum class Mechanism : std::uint8_t
@@ -137,7 +204,13 @@ enum class Mechanism : std::uint8_t
     DelegatedReplies,  //!< this paper's contribution
 };
 
-const char *mechanismName(Mechanism m);
+SpellingTable<Mechanism> spellings(Mechanism);
+
+inline const char *
+mechanismName(Mechanism m)
+{
+    return spellingOf(m).display;
+}
 
 /** L1 organisation among GPU cores (Figure 15). */
 enum class L1Organization : std::uint8_t
@@ -147,7 +220,13 @@ enum class L1Organization : std::uint8_t
     DynEB,    //!< dynamic shared/private selection [29]
 };
 
-const char *l1OrganizationName(L1Organization o);
+SpellingTable<L1Organization> spellings(L1Organization);
+
+inline const char *
+l1OrganizationName(L1Organization o)
+{
+    return spellingOf(o).display;
+}
 
 /** CTA (thread block) scheduling policy (Figure 15). */
 enum class CtaSchedule : std::uint8_t
@@ -156,7 +235,13 @@ enum class CtaSchedule : std::uint8_t
     Distributed,
 };
 
-const char *ctaScheduleName(CtaSchedule c);
+SpellingTable<CtaSchedule> spellings(CtaSchedule);
+
+inline const char *
+ctaScheduleName(CtaSchedule c)
+{
+    return spellingOf(c).display;
+}
 
 /**
  * A memory-system message as carried end-to-end by the interconnect.

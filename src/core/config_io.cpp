@@ -1,14 +1,15 @@
 #include "core/config_io.hpp"
 
-#include <cerrno>
+#include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <map>
+#include <iterator>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
+#include "common/format.hpp"
 #include "common/log.hpp"
 
 namespace dr
@@ -27,42 +28,25 @@ trim(const std::string &s)
     return s.substr(begin, end - begin + 1);
 }
 
-// Malformed input is a user error, not a simulator bug: report through
-// fatal() like every other configuration problem instead of throwing.
-// std::from_chars / strtod never throw, so no try/catch is needed.
-int
-parseInt(const std::string &key, const std::string &value)
+/**
+ * A number of type T, or fatal() naming the key and what it `expects`.
+ * Malformed input is a user error, not a simulator bug, so it goes
+ * through fatal() like every other configuration problem. from_chars
+ * ignores the locale and takes no sign for unsigned T, so "-1" is an
+ * error there rather than a wrap to 2^64-1.
+ */
+template <typename T>
+T
+parseNumber(const std::string &key, const std::string &value,
+            const char *expects)
 {
-    int parsed = 0;
+    T parsed{};
     const char *first = value.data();
     const char *last = first + value.size();
     const auto [ptr, ec] = std::from_chars(first, last, parsed);
     if (ec != std::errc{} || ptr != last || value.empty())
-        fatal("config: '", key, "' expects an integer, got '", value, "'");
-    return parsed;
-}
-
-/** Cycle counts are unsigned: reject negatives instead of wrapping. */
-Cycle
-parseCycles(const std::string &key, const std::string &value)
-{
-    const int parsed = parseInt(key, value);
-    if (parsed < 0)
-        fatal("config: '", key, "' expects a non-negative cycle count, ",
-              "got '", value, "'");
-    return static_cast<Cycle>(parsed);
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    errno = 0;
-    char *parseEnd = nullptr;
-    const double parsed = std::strtod(value.c_str(), &parseEnd);
-    if (errno != 0 || value.empty() ||
-        parseEnd != value.c_str() + value.size()) {
-        fatal("config: '", key, "' expects a number, got '", value, "'");
-    }
+        fatal("config: '", key, "' expects ", expects, ", got '", value,
+              "'");
     return parsed;
 }
 
@@ -76,7 +60,7 @@ parseIntList(const std::string &key, const std::string &value)
     std::stringstream ss(value);
     std::string item;
     while (std::getline(ss, item, ','))
-        out.push_back(parseInt(key, trim(item)));
+        out.push_back(parseNumber<int>(key, trim(item), "an integer"));
     return out;
 }
 
@@ -90,89 +74,111 @@ parseBool(const std::string &key, const std::string &value)
     fatal("config: '", key, "' expects true/false, got '", value, "'");
 }
 
-Mechanism
-parseMechanism(const std::string &value)
+/** A config enum by any spelling in its row (common/types.cpp). */
+template <typename E>
+E
+parseEnum(const std::string &value)
 {
-    if (value == "baseline")
-        return Mechanism::Baseline;
-    if (value == "rp" || value == "realistic-probing")
-        return Mechanism::RealisticProbing;
-    if (value == "dr" || value == "delegated-replies")
-        return Mechanism::DelegatedReplies;
-    fatal("config: unknown mechanism '", value, "'");
+    if (const Spelling<E> *row = findSpelling<E>(value))
+        return row->value;
+    fatal("config: unknown ", spellings(E{}).noun, " '", value, "'");
 }
 
-ChipLayout
-parseLayout(const std::string &value)
+/** `seed` is any 64-bit value; the wrapper keeps it apart from Cycle. */
+struct Seed
 {
-    if (value == "baseline" || value == "A")
-        return ChipLayout::Baseline;
-    if (value == "B")
-        return ChipLayout::LayoutB;
-    if (value == "C")
-        return ChipLayout::LayoutC;
-    if (value == "D")
-        return ChipLayout::LayoutD;
-    fatal("config: unknown layout '", value, "'");
-}
+    std::uint64_t *value;
+};
 
-TopologyKind
-parseTopology(const std::string &value)
-{
-    if (value == "mesh")
-        return TopologyKind::Mesh;
-    if (value == "crossbar")
-        return TopologyKind::Crossbar;
-    if (value == "flattened-butterfly" || value == "flatfly")
-        return TopologyKind::FlattenedButterfly;
-    if (value == "dragonfly")
-        return TopologyKind::Dragonfly;
-    if (value == "chiplet-mesh" || value == "chiplet")
-        return TopologyKind::ChipletMesh;
-    fatal("config: unknown topology '", value, "'");
-}
+/** The SystemConfig field a key sets; its type picks the value codec. */
+using Field = std::variant<int *, Cycle *, Seed, double *, bool *,
+                           std::vector<int> *, Mechanism *, ChipLayout *,
+                           TopologyKind *, RoutingKind *, L1Organization *,
+                           CtaSchedule *>;
 
-RoutingKind
-parseRouting(const std::string &value)
+/** One config key: its name and the field it reads and writes. */
+struct Key
 {
-    if (value == "XY" || value == "xy")
-        return RoutingKind::DimOrderXY;
-    if (value == "YX" || value == "yx")
-        return RoutingKind::DimOrderYX;
-    if (value == "DyXY" || value == "dyxy")
-        return RoutingKind::DyXY;
-    if (value == "footprint" || value == "Footprint")
-        return RoutingKind::Footprint;
-    if (value == "HARE" || value == "hare")
-        return RoutingKind::Hare;
-    if (value == "table" || value == "table-minimal")
-        return RoutingKind::TableMinimal;
-    if (value == "chiplet" || value == "chiplet-hierarchical")
-        return RoutingKind::ChipletHierarchical;
-    fatal("config: unknown routing '", value, "'");
-}
+    const char *name;
+    Field (*field)(SystemConfig &);
+};
 
-L1Organization
-parseL1Org(const std::string &value)
-{
-    if (value == "private")
-        return L1Organization::Private;
-    if (value == "dc-l1" || value == "DC-L1")
-        return L1Organization::DcL1;
-    if (value == "dyneb" || value == "DynEB")
-        return L1Organization::DynEB;
-    fatal("config: unknown L1 organization '", value, "'");
-}
+#define DR_FIELD(member) [](SystemConfig &c) -> Field { return &c.member; }
 
-CtaSchedule
-parseCta(const std::string &value)
+/** Every config key, in the order writeConfig prints them. */
+const Key kKeys[] = {
+    {"mechanism", DR_FIELD(mechanism)},
+    {"layout", DR_FIELD(layout)},
+    {"seed", [](SystemConfig &c) -> Field { return Seed{&c.seed}; }},
+    {"sim.cycles", DR_FIELD(simCycles)},
+    {"sim.warmup", DR_FIELD(warmupCycles)},
+    {"sim.idleSkip", DR_FIELD(idleSkip)},
+    {"noc.topology", DR_FIELD(noc.topology)},
+    {"noc.meshWidth", DR_FIELD(noc.meshWidth)},
+    {"noc.meshHeight", DR_FIELD(noc.meshHeight)},
+    {"noc.chipletsX", DR_FIELD(noc.chipletsX)},
+    {"noc.chipletsY", DR_FIELD(noc.chipletsY)},
+    {"noc.chipletSubW", DR_FIELD(noc.chipletSubW)},
+    {"noc.chipletSubH", DR_FIELD(noc.chipletSubH)},
+    {"noc.chipletLinksPerEdge", DR_FIELD(noc.chipletLinksPerEdge)},
+    {"noc.interposerChannelBytes", DR_FIELD(noc.interposerChannelBytes)},
+    {"noc.interposerLatency", DR_FIELD(noc.interposerLatency)},
+    {"noc.channelBytes", DR_FIELD(noc.channelBytes)},
+    {"noc.vcsPerNet", DR_FIELD(noc.vcsPerNet)},
+    {"noc.vcDepthFlits", DR_FIELD(noc.vcDepthFlits)},
+    {"noc.routerStages", DR_FIELD(noc.routerStages)},
+    {"noc.threads", DR_FIELD(noc.threads)},
+    {"noc.sharedPhysical", DR_FIELD(noc.sharedPhysical)},
+    {"noc.sharedReqVcs", DR_FIELD(noc.sharedReqVcs)},
+    {"noc.sharedReplyVcs", DR_FIELD(noc.sharedReplyVcs)},
+    {"noc.vnets", DR_FIELD(noc.vnets)},
+    {"noc.vnetRequestVcs", DR_FIELD(noc.vnetRequestVcs)},
+    {"noc.vnetForwardVcs", DR_FIELD(noc.vnetForwardVcs)},
+    {"noc.vnetReplyVcs", DR_FIELD(noc.vnetReplyVcs)},
+    {"noc.vnetDelegatedVcs", DR_FIELD(noc.vnetDelegatedVcs)},
+    {"noc.requestRouting", DR_FIELD(noc.requestRouting)},
+    {"noc.replyRouting", DR_FIELD(noc.replyRouting)},
+    {"noc.memInjBufferFlits", DR_FIELD(noc.memInjBufferFlits)},
+    {"noc.coreInjBufferFlits", DR_FIELD(noc.coreInjBufferFlits)},
+    {"noc.ejBufferFlits", DR_FIELD(noc.ejBufferFlits)},
+    {"noc.bandwidthScale", DR_FIELD(noc.bandwidthScale)},
+    {"gpu.numCores", DR_FIELD(gpu.numCores)},
+    {"gpu.warpsPerCore", DR_FIELD(gpu.warpsPerCore)},
+    {"gpu.issueWidth", DR_FIELD(gpu.issueWidth)},
+    {"gpu.l1SizeKB", DR_FIELD(gpu.l1SizeKB)},
+    {"gpu.l1Assoc", DR_FIELD(gpu.l1Assoc)},
+    {"gpu.l1Mshrs", DR_FIELD(gpu.l1Mshrs)},
+    {"gpu.frqEntries", DR_FIELD(gpu.frqEntries)},
+    {"gpu.l1Org", DR_FIELD(gpu.l1Org)},
+    {"gpu.ctaSchedule", DR_FIELD(gpu.ctaSchedule)},
+    {"cpu.numCores", DR_FIELD(cpu.numCores)},
+    {"cpu.l1SizeKB", DR_FIELD(cpu.l1SizeKB)},
+    {"mem.numNodes", DR_FIELD(mem.numNodes)},
+    {"mem.llcSliceKB", DR_FIELD(mem.llcSliceKB)},
+    {"mem.llcAssoc", DR_FIELD(mem.llcAssoc)},
+    {"mem.llcLatency", DR_FIELD(mem.llcLatency)},
+    {"mem.llcMshrs", DR_FIELD(mem.llcMshrs)},
+    {"mem.banksPerMc", DR_FIELD(mem.banksPerMc)},
+    {"mem.burstCycles", DR_FIELD(mem.burstCycles)},
+    {"mem.placement", DR_FIELD(mem.placement)},
+    {"dr.delegateAlways", DR_FIELD(dr.delegateAlways)},
+    {"dr.frqRemotePriority", DR_FIELD(dr.frqRemotePriority)},
+    {"rp.probeCount", DR_FIELD(rp.probeCount)},
+    {"rp.predictorEntries", DR_FIELD(rp.predictorEntries)},
+    {"debug.watchdogCycles", DR_FIELD(debug.watchdogCycles)},
+    {"debug.watchdogAbort", DR_FIELD(debug.watchdogAbort)},
+    {"debug.mshrLeakCycles", DR_FIELD(debug.mshrLeakCycles)},
+    {"debug.sweepCycles", DR_FIELD(debug.sweepCycles)},
+};
+
+#undef DR_FIELD
+
+/** std::visit over a set of lambdas. */
+template <typename... Fs>
+struct Overloaded : Fs...
 {
-    if (value == "round-robin" || value == "rr")
-        return CtaSchedule::RoundRobin;
-    if (value == "distributed")
-        return CtaSchedule::Distributed;
-    fatal("config: unknown CTA schedule '", value, "'");
-}
+    using Fs::operator()...;
+};
 
 } // namespace
 
@@ -182,119 +188,33 @@ applyConfigOption(SystemConfig &cfg, const std::string &rawKey,
 {
     const std::string key = trim(rawKey);
     const std::string value = trim(rawValue);
-    using Handler = std::function<void()>;
-    const std::map<std::string, Handler> handlers = {
-        {"mechanism", [&] { cfg.mechanism = parseMechanism(value); }},
-        {"layout", [&] { cfg.layout = parseLayout(value); }},
-        {"seed", [&] { cfg.seed = parseInt(key, value); }},
-        {"sim.cycles", [&] { cfg.simCycles = parseCycles(key, value); }},
-        {"sim.warmup", [&] { cfg.warmupCycles = parseCycles(key, value); }},
-        {"sim.idleSkip", [&] { cfg.idleSkip = parseBool(key, value); }},
-
-        {"noc.topology", [&] { cfg.noc.topology = parseTopology(value); }},
-        {"noc.meshWidth", [&] { cfg.noc.meshWidth = parseInt(key, value); }},
-        {"noc.meshHeight",
-         [&] { cfg.noc.meshHeight = parseInt(key, value); }},
-        {"noc.chipletsX", [&] { cfg.noc.chipletsX = parseInt(key, value); }},
-        {"noc.chipletsY", [&] { cfg.noc.chipletsY = parseInt(key, value); }},
-        {"noc.chipletSubW",
-         [&] { cfg.noc.chipletSubW = parseInt(key, value); }},
-        {"noc.chipletSubH",
-         [&] { cfg.noc.chipletSubH = parseInt(key, value); }},
-        {"noc.chipletLinksPerEdge",
-         [&] { cfg.noc.chipletLinksPerEdge = parseInt(key, value); }},
-        {"noc.interposerChannelBytes",
-         [&] { cfg.noc.interposerChannelBytes = parseInt(key, value); }},
-        {"noc.interposerLatency",
-         [&] { cfg.noc.interposerLatency = parseInt(key, value); }},
-        {"noc.channelBytes",
-         [&] { cfg.noc.channelBytes = parseInt(key, value); }},
-        {"noc.vcsPerNet", [&] { cfg.noc.vcsPerNet = parseInt(key, value); }},
-        {"noc.vcDepthFlits",
-         [&] { cfg.noc.vcDepthFlits = parseInt(key, value); }},
-        {"noc.routerStages",
-         [&] { cfg.noc.routerStages = parseInt(key, value); }},
-        {"noc.threads", [&] { cfg.noc.threads = parseInt(key, value); }},
-        {"noc.sharedPhysical",
-         [&] { cfg.noc.sharedPhysical = parseBool(key, value); }},
-        {"noc.sharedReqVcs",
-         [&] { cfg.noc.sharedReqVcs = parseInt(key, value); }},
-        {"noc.sharedReplyVcs",
-         [&] { cfg.noc.sharedReplyVcs = parseInt(key, value); }},
-        {"noc.vnets", [&] { cfg.noc.vnets = parseBool(key, value); }},
-        {"noc.vnetRequestVcs",
-         [&] { cfg.noc.vnetRequestVcs = parseInt(key, value); }},
-        {"noc.vnetForwardVcs",
-         [&] { cfg.noc.vnetForwardVcs = parseInt(key, value); }},
-        {"noc.vnetReplyVcs",
-         [&] { cfg.noc.vnetReplyVcs = parseInt(key, value); }},
-        {"noc.vnetDelegatedVcs",
-         [&] { cfg.noc.vnetDelegatedVcs = parseInt(key, value); }},
-        {"noc.requestRouting",
-         [&] { cfg.noc.requestRouting = parseRouting(value); }},
-        {"noc.replyRouting",
-         [&] { cfg.noc.replyRouting = parseRouting(value); }},
-        {"noc.memInjBufferFlits",
-         [&] { cfg.noc.memInjBufferFlits = parseInt(key, value); }},
-        {"noc.coreInjBufferFlits",
-         [&] { cfg.noc.coreInjBufferFlits = parseInt(key, value); }},
-        {"noc.ejBufferFlits",
-         [&] { cfg.noc.ejBufferFlits = parseInt(key, value); }},
-        {"noc.bandwidthScale",
-         [&] { cfg.noc.bandwidthScale = parseDouble(key, value); }},
-
-        {"gpu.numCores", [&] { cfg.gpu.numCores = parseInt(key, value); }},
-        {"gpu.warpsPerCore",
-         [&] { cfg.gpu.warpsPerCore = parseInt(key, value); }},
-        {"gpu.issueWidth",
-         [&] { cfg.gpu.issueWidth = parseInt(key, value); }},
-        {"gpu.l1SizeKB", [&] { cfg.gpu.l1SizeKB = parseInt(key, value); }},
-        {"gpu.l1Assoc", [&] { cfg.gpu.l1Assoc = parseInt(key, value); }},
-        {"gpu.l1Mshrs", [&] { cfg.gpu.l1Mshrs = parseInt(key, value); }},
-        {"gpu.frqEntries",
-         [&] { cfg.gpu.frqEntries = parseInt(key, value); }},
-        {"gpu.l1Org", [&] { cfg.gpu.l1Org = parseL1Org(value); }},
-        {"gpu.ctaSchedule", [&] { cfg.gpu.ctaSchedule = parseCta(value); }},
-
-        {"cpu.numCores", [&] { cfg.cpu.numCores = parseInt(key, value); }},
-        {"cpu.l1SizeKB", [&] { cfg.cpu.l1SizeKB = parseInt(key, value); }},
-
-        {"mem.numNodes", [&] { cfg.mem.numNodes = parseInt(key, value); }},
-        {"mem.llcSliceKB",
-         [&] { cfg.mem.llcSliceKB = parseInt(key, value); }},
-        {"mem.llcAssoc", [&] { cfg.mem.llcAssoc = parseInt(key, value); }},
-        {"mem.llcLatency",
-         [&] { cfg.mem.llcLatency = parseInt(key, value); }},
-        {"mem.llcMshrs", [&] { cfg.mem.llcMshrs = parseInt(key, value); }},
-        {"mem.banksPerMc",
-         [&] { cfg.mem.banksPerMc = parseInt(key, value); }},
-        {"mem.burstCycles",
-         [&] { cfg.mem.burstCycles = parseInt(key, value); }},
-        {"mem.placement",
-         [&] { cfg.mem.placement = parseIntList(key, value); }},
-
-        {"dr.delegateAlways",
-         [&] { cfg.dr.delegateAlways = parseBool(key, value); }},
-        {"dr.frqRemotePriority",
-         [&] { cfg.dr.frqRemotePriority = parseBool(key, value); }},
-
-        {"rp.probeCount", [&] { cfg.rp.probeCount = parseInt(key, value); }},
-        {"rp.predictorEntries",
-         [&] { cfg.rp.predictorEntries = parseInt(key, value); }},
-
-        {"debug.watchdogCycles",
-         [&] { cfg.debug.watchdogCycles = parseCycles(key, value); }},
-        {"debug.watchdogAbort",
-         [&] { cfg.debug.watchdogAbort = parseBool(key, value); }},
-        {"debug.mshrLeakCycles",
-         [&] { cfg.debug.mshrLeakCycles = parseCycles(key, value); }},
-        {"debug.sweepCycles",
-         [&] { cfg.debug.sweepCycles = parseCycles(key, value); }},
-    };
-    const auto it = handlers.find(key);
-    if (it == handlers.end())
+    const Key *k = std::find_if(std::begin(kKeys), std::end(kKeys),
+                                [&](const Key &e) { return key == e.name; });
+    if (k == std::end(kKeys))
         fatal("config: unknown option '", key, "'");
-    it->second();
+    std::visit(
+        Overloaded{
+            [&](int *f) {
+                *f = parseNumber<int>(key, value, "an integer");
+            },
+            [&](Cycle *f) {
+                *f = parseNumber<Cycle>(key, value,
+                                        "a non-negative cycle count");
+            },
+            [&](Seed f) {
+                *f.value = parseNumber<std::uint64_t>(
+                    key, value, "an unsigned 64-bit whole number");
+            },
+            [&](double *f) {
+                *f = parseNumber<double>(key, value, "a number");
+            },
+            [&](bool *f) { *f = parseBool(key, value); },
+            [&](std::vector<int> *f) { *f = parseIntList(key, value); },
+            [&](auto *e) {
+                *e = parseEnum<std::remove_pointer_t<decltype(e)>>(value);
+            },
+        },
+        k->field(cfg));
 }
 
 void
@@ -329,117 +249,25 @@ parseConfigFile(SystemConfig &cfg, const std::string &path)
 void
 writeConfig(const SystemConfig &cfg, std::ostream &out)
 {
-    const char *mech =
-        cfg.mechanism == Mechanism::Baseline
-            ? "baseline"
-            : cfg.mechanism == Mechanism::RealisticProbing
-                  ? "realistic-probing"
-                  : "delegated-replies";
-    const char *layout = cfg.layout == ChipLayout::Baseline ? "baseline"
-                         : cfg.layout == ChipLayout::LayoutB ? "B"
-                         : cfg.layout == ChipLayout::LayoutC ? "C"
-                                                             : "D";
-    auto routingStr = [](RoutingKind k) {
-        switch (k) {
-          case RoutingKind::DimOrderXY: return "XY";
-          case RoutingKind::DimOrderYX: return "YX";
-          case RoutingKind::DyXY: return "DyXY";
-          case RoutingKind::Footprint: return "footprint";
-          case RoutingKind::Hare: return "HARE";
-          case RoutingKind::TableMinimal: return "table";
-          case RoutingKind::ChipletHierarchical: return "chiplet";
-        }
-        return "XY";
-    };
-    const char *topo =
-        cfg.noc.topology == TopologyKind::Mesh ? "mesh"
-        : cfg.noc.topology == TopologyKind::Crossbar ? "crossbar"
-        : cfg.noc.topology == TopologyKind::FlattenedButterfly
-              ? "flattened-butterfly"
-        : cfg.noc.topology == TopologyKind::ChipletMesh ? "chiplet-mesh"
-                                                        : "dragonfly";
-    const char *l1org =
-        cfg.gpu.l1Org == L1Organization::Private ? "private"
-        : cfg.gpu.l1Org == L1Organization::DcL1 ? "dc-l1"
-                                                : "dyneb";
-
-    out << "mechanism = " << mech << "\n";
-    out << "layout = " << layout << "\n";
-    out << "seed = " << cfg.seed << "\n";
-    out << "sim.cycles = " << cfg.simCycles << "\n";
-    out << "sim.warmup = " << cfg.warmupCycles << "\n";
-    out << "sim.idleSkip = " << (cfg.idleSkip ? "true" : "false") << "\n";
-    out << "noc.topology = " << topo << "\n";
-    out << "noc.meshWidth = " << cfg.noc.meshWidth << "\n";
-    out << "noc.meshHeight = " << cfg.noc.meshHeight << "\n";
-    out << "noc.chipletsX = " << cfg.noc.chipletsX << "\n";
-    out << "noc.chipletsY = " << cfg.noc.chipletsY << "\n";
-    out << "noc.chipletSubW = " << cfg.noc.chipletSubW << "\n";
-    out << "noc.chipletSubH = " << cfg.noc.chipletSubH << "\n";
-    out << "noc.chipletLinksPerEdge = " << cfg.noc.chipletLinksPerEdge
-        << "\n";
-    out << "noc.interposerChannelBytes = "
-        << cfg.noc.interposerChannelBytes << "\n";
-    out << "noc.interposerLatency = " << cfg.noc.interposerLatency << "\n";
-    out << "noc.channelBytes = " << cfg.noc.channelBytes << "\n";
-    out << "noc.vcsPerNet = " << cfg.noc.vcsPerNet << "\n";
-    out << "noc.vcDepthFlits = " << cfg.noc.vcDepthFlits << "\n";
-    out << "noc.routerStages = " << cfg.noc.routerStages << "\n";
-    out << "noc.threads = " << cfg.noc.threads << "\n";
-    out << "noc.sharedPhysical = "
-        << (cfg.noc.sharedPhysical ? "true" : "false") << "\n";
-    out << "noc.sharedReqVcs = " << cfg.noc.sharedReqVcs << "\n";
-    out << "noc.sharedReplyVcs = " << cfg.noc.sharedReplyVcs << "\n";
-    out << "noc.vnets = " << (cfg.noc.vnets ? "true" : "false") << "\n";
-    out << "noc.vnetRequestVcs = " << cfg.noc.vnetRequestVcs << "\n";
-    out << "noc.vnetForwardVcs = " << cfg.noc.vnetForwardVcs << "\n";
-    out << "noc.vnetReplyVcs = " << cfg.noc.vnetReplyVcs << "\n";
-    out << "noc.vnetDelegatedVcs = " << cfg.noc.vnetDelegatedVcs << "\n";
-    out << "noc.requestRouting = " << routingStr(cfg.noc.requestRouting)
-        << "\n";
-    out << "noc.replyRouting = " << routingStr(cfg.noc.replyRouting)
-        << "\n";
-    out << "noc.memInjBufferFlits = " << cfg.noc.memInjBufferFlits << "\n";
-    out << "noc.coreInjBufferFlits = " << cfg.noc.coreInjBufferFlits
-        << "\n";
-    out << "noc.ejBufferFlits = " << cfg.noc.ejBufferFlits << "\n";
-    out << "noc.bandwidthScale = " << cfg.noc.bandwidthScale << "\n";
-    out << "gpu.numCores = " << cfg.gpu.numCores << "\n";
-    out << "gpu.warpsPerCore = " << cfg.gpu.warpsPerCore << "\n";
-    out << "gpu.issueWidth = " << cfg.gpu.issueWidth << "\n";
-    out << "gpu.l1SizeKB = " << cfg.gpu.l1SizeKB << "\n";
-    out << "gpu.l1Assoc = " << cfg.gpu.l1Assoc << "\n";
-    out << "gpu.l1Mshrs = " << cfg.gpu.l1Mshrs << "\n";
-    out << "gpu.frqEntries = " << cfg.gpu.frqEntries << "\n";
-    out << "gpu.l1Org = " << l1org << "\n";
-    out << "gpu.ctaSchedule = "
-        << (cfg.gpu.ctaSchedule == CtaSchedule::RoundRobin ? "round-robin"
-                                                           : "distributed")
-        << "\n";
-    out << "cpu.numCores = " << cfg.cpu.numCores << "\n";
-    out << "cpu.l1SizeKB = " << cfg.cpu.l1SizeKB << "\n";
-    out << "mem.numNodes = " << cfg.mem.numNodes << "\n";
-    out << "mem.llcSliceKB = " << cfg.mem.llcSliceKB << "\n";
-    out << "mem.llcAssoc = " << cfg.mem.llcAssoc << "\n";
-    out << "mem.llcLatency = " << cfg.mem.llcLatency << "\n";
-    out << "mem.llcMshrs = " << cfg.mem.llcMshrs << "\n";
-    out << "mem.banksPerMc = " << cfg.mem.banksPerMc << "\n";
-    out << "mem.burstCycles = " << cfg.mem.burstCycles << "\n";
-    out << "mem.placement = ";
-    for (std::size_t i = 0; i < cfg.mem.placement.size(); ++i)
-        out << (i ? "," : "") << cfg.mem.placement[i];
-    out << "\n";
-    out << "dr.delegateAlways = "
-        << (cfg.dr.delegateAlways ? "true" : "false") << "\n";
-    out << "dr.frqRemotePriority = "
-        << (cfg.dr.frqRemotePriority ? "true" : "false") << "\n";
-    out << "rp.probeCount = " << cfg.rp.probeCount << "\n";
-    out << "rp.predictorEntries = " << cfg.rp.predictorEntries << "\n";
-    out << "debug.watchdogCycles = " << cfg.debug.watchdogCycles << "\n";
-    out << "debug.watchdogAbort = "
-        << (cfg.debug.watchdogAbort ? "true" : "false") << "\n";
-    out << "debug.mshrLeakCycles = " << cfg.debug.mshrLeakCycles << "\n";
-    out << "debug.sweepCycles = " << cfg.debug.sweepCycles << "\n";
+    SystemConfig fields = cfg;  // the key table hands out mutable fields
+    for (const Key &k : kKeys) {
+        out << k.name << " = ";
+        std::visit(
+            Overloaded{
+                [&](int *f) { out << *f; },
+                [&](Cycle *f) { out << *f; },
+                [&](Seed f) { out << *f.value; },
+                [&](double *f) { writeNumber(out, *f); },
+                [&](bool *f) { out << (*f ? "true" : "false"); },
+                [&](std::vector<int> *f) {
+                    for (std::size_t i = 0; i < f->size(); ++i)
+                        out << (i ? "," : "") << (*f)[i];
+                },
+                [&](auto *e) { out << spellingOf(*e).config; },
+            },
+            k.field(fields));
+        out << "\n";
+    }
 }
 
 } // namespace dr

@@ -14,11 +14,6 @@
  * staged cross-endpoint effects (locality-oracle queries, CTA refills)
  * in one canonical serial merge, so every thread count replays the
  * exact serial schedule — bit-identical by construction.
- *
- * When the configured L1 organization is not concurrency-safe (the
- * shared DC-L1 slices and DynEB mutate cross-core state on every
- * lookup), the engine collapses to a single domain ticked serially,
- * with the same staging and merge so the semantics stay uniform.
  */
 
 #include <vector>

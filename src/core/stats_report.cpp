@@ -1,41 +1,14 @@
 #include "core/stats_report.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 
+#include "common/format.hpp"
 #include "common/log.hpp"
 
 namespace dr
 {
-
-namespace
-{
-
-/**
- * One value, exactly: integral values (every counter) print as integers,
- * other doubles as the shortest text that parses back to the same bits
- * (at most max_digits10 digits). JSON has no NaN/inf literal, so it
- * passes `null` for those.
- */
-std::ostream &
-writeValue(std::ostream &out, double v, const char *nonFinite = nullptr)
-{
-    if (nonFinite && !std::isfinite(v)) {
-        out << nonFinite;
-    } else if (v == std::trunc(v) && std::fabs(v) < 0x1p53) {
-        out << static_cast<long long>(v);
-    } else {
-        char buf[32];
-        const char *end = std::to_chars(buf, buf + sizeof buf, v).ptr;
-        out.write(buf, end - buf);
-    }
-    return out;
-}
-
-} // namespace
 
 void
 StatsReport::add(std::string path, double value)
@@ -200,7 +173,7 @@ void
 StatsReport::writeText(std::ostream &out) const
 {
     for (const auto &e : entries_)
-        writeValue(out << e.path << " ", e.value) << "\n";
+        writeNumber(out << e.path << " ", e.value) << "\n";
 }
 
 void
@@ -208,7 +181,7 @@ StatsReport::writeCsv(std::ostream &out) const
 {
     out << "stat,value\n";
     for (const auto &e : entries_)
-        writeValue(out << e.path << ",", e.value) << "\n";
+        writeNumber(out << e.path << ",", e.value) << "\n";
 }
 
 void
@@ -216,8 +189,8 @@ StatsReport::writeJson(std::ostream &out) const
 {
     out << "{\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-        writeValue(out << "  \"" << entries_[i].path << "\": ",
-                   entries_[i].value, "null")
+        writeNumber(out << "  \"" << entries_[i].path << "\": ",
+                    entries_[i].value, "null")
             << (i + 1 < entries_.size() ? ",\n" : "\n");
     }
     out << "}\n";

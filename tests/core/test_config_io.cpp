@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "core/experiment.hpp"
@@ -154,35 +159,306 @@ TEST(ConfigIoDeath, MissingEqualsIsFatal)
     EXPECT_DEATH(parseConfig(cfg, in), "no '='");
 }
 
+/** Every config key with a value other than its makePaper() default. */
+const std::pair<const char *, const char *> kNonDefaultValues[] = {
+    {"mechanism", "delegated-replies"},
+    {"layout", "C"},
+    {"seed", "1099511627776"},  // 2^40
+    {"sim.cycles", "3000000000"},
+    {"sim.warmup", "123"},
+    {"sim.idleSkip", "false"},
+    {"noc.topology", "flattened-butterfly"},
+    {"noc.meshWidth", "6"},
+    {"noc.meshHeight", "5"},
+    {"noc.chipletsX", "2"},
+    {"noc.chipletsY", "3"},
+    {"noc.chipletSubW", "5"},
+    {"noc.chipletSubH", "6"},
+    {"noc.chipletLinksPerEdge", "1"},
+    {"noc.interposerChannelBytes", "8"},
+    {"noc.interposerLatency", "7"},
+    {"noc.channelBytes", "32"},
+    {"noc.vcsPerNet", "3"},
+    {"noc.vcDepthFlits", "5"},
+    {"noc.routerStages", "2"},
+    {"noc.threads", "4"},
+    {"noc.sharedPhysical", "true"},
+    {"noc.sharedReqVcs", "1"},
+    {"noc.sharedReplyVcs", "3"},
+    {"noc.vnets", "true"},
+    {"noc.vnetRequestVcs", "2"},
+    {"noc.vnetForwardVcs", "3"},
+    {"noc.vnetReplyVcs", "4"},
+    {"noc.vnetDelegatedVcs", "5"},
+    {"noc.requestRouting", "HARE"},
+    {"noc.replyRouting", "table"},
+    {"noc.memInjBufferFlits", "40"},
+    {"noc.coreInjBufferFlits", "41"},
+    {"noc.ejBufferFlits", "19"},
+    {"noc.bandwidthScale", "1.2345678"},
+    {"gpu.numCores", "41"},
+    {"gpu.warpsPerCore", "24"},
+    {"gpu.issueWidth", "1"},
+    {"gpu.l1SizeKB", "64"},
+    {"gpu.l1Assoc", "8"},
+    {"gpu.l1Mshrs", "16"},
+    {"gpu.frqEntries", "12"},
+    {"gpu.l1Org", "dc-l1"},
+    {"gpu.ctaSchedule", "distributed"},
+    {"cpu.numCores", "15"},
+    {"cpu.l1SizeKB", "16"},
+    {"mem.numNodes", "4"},
+    {"mem.llcSliceKB", "512"},
+    {"mem.llcAssoc", "8"},
+    {"mem.llcLatency", "25"},
+    {"mem.llcMshrs", "32"},
+    {"mem.banksPerMc", "8"},
+    {"mem.burstCycles", "4"},
+    {"mem.placement", "3,11,19,27"},
+    {"dr.delegateAlways", "true"},
+    {"dr.frqRemotePriority", "false"},
+    {"rp.probeCount", "4"},
+    {"rp.predictorEntries", "256"},
+    {"debug.watchdogCycles", "5000000000"},
+    {"debug.watchdogAbort", "false"},
+    {"debug.mshrLeakCycles", "4000000000"},
+    {"debug.sweepCycles", "3000000001"},
+};
+
+std::string
+dump(const SystemConfig &cfg)
+{
+    std::ostringstream out;
+    writeConfig(cfg, out);
+    return out.str();
+}
+
+std::vector<std::string>
+lines(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        out.push_back(line);
+    return out;
+}
+
+/** The value the dump writes for `key`. */
+std::string
+dumpedValue(const SystemConfig &cfg, const std::string &key)
+{
+    const std::string prefix = key + " = ";
+    for (const std::string &line : lines(dump(cfg))) {
+        if (line.rfind(prefix, 0) == 0)
+            return line.substr(prefix.size());
+    }
+    ADD_FAILURE() << "no key " << key << " in the dump";
+    return "";
+}
+
+/**
+ * The dump is lossless: a config with every key off its default parses
+ * back field for field. Comparing a dump with its re-dump would not
+ * catch a rounded double or a truncated seed.
+ */
 TEST(ConfigIo, RoundTripsEveryOption)
 {
     SystemConfig cfg = SystemConfig::makePaper();
-    cfg.mechanism = Mechanism::DelegatedReplies;
-    cfg.layout = ChipLayout::LayoutC;
-    cfg.noc.topology = TopologyKind::FlattenedButterfly;
-    cfg.noc.requestRouting = RoutingKind::Hare;
-    cfg.noc.bandwidthScale = 1.5;
-    cfg.noc.sharedPhysical = true;
-    cfg.gpu.l1Org = L1Organization::DcL1;
-    cfg.gpu.ctaSchedule = CtaSchedule::Distributed;
-    cfg.dr.delegateAlways = true;
-    cfg.rp.probeCount = 4;
-    cfg.seed = 99;
+    for (const auto &[key, value] : kNonDefaultValues)
+        applyConfigOption(cfg, key, value);
+    EXPECT_EQ(cfg.noc.bandwidthScale, 1.2345678);
+    EXPECT_EQ(cfg.seed, std::uint64_t{1} << 40);
 
-    std::ostringstream out;
-    writeConfig(cfg, out);
+    // Every dumped line changed, so the list above covers every key.
+    const auto defaults = lines(dump(SystemConfig::makePaper()));
+    const auto changed = lines(dump(cfg));
+    ASSERT_EQ(changed.size(), std::size(kNonDefaultValues));
+    ASSERT_EQ(defaults.size(), changed.size());
+    for (std::size_t i = 0; i < changed.size(); ++i)
+        EXPECT_NE(changed[i], defaults[i]);
+
     SystemConfig parsed = SystemConfig::makePaper();
-    std::istringstream in(out.str());
+    std::istringstream in(dump(cfg));
     parseConfig(parsed, in);
+    EXPECT_TRUE(parsed == cfg) << dump(parsed);
+    EXPECT_EQ(parsed.noc.bandwidthScale, 1.2345678);
+    EXPECT_EQ(parsed.seed, std::uint64_t{1} << 40);
+}
 
-    std::ostringstream out2;
-    writeConfig(parsed, out2);
-    EXPECT_EQ(out.str(), out2.str());
-    EXPECT_EQ(parsed.mechanism, cfg.mechanism);
-    EXPECT_EQ(parsed.layout, cfg.layout);
-    EXPECT_EQ(parsed.noc.topology, cfg.noc.topology);
-    EXPECT_EQ(parsed.rp.probeCount, cfg.rp.probeCount);
-    EXPECT_DOUBLE_EQ(parsed.noc.bandwidthScale, cfg.noc.bandwidthScale);
+TEST(ConfigIo, SeedTakesEvery64BitValue)
+{
+    SystemConfig cfg = SystemConfig::makePaper();
+    applyConfigOption(cfg, "seed", "4294967296");
+    EXPECT_EQ(cfg.seed, 4294967296u);
+    applyConfigOption(cfg, "seed", "18446744073709551615");
+    EXPECT_EQ(cfg.seed, ~std::uint64_t{0});
+    EXPECT_EQ(dumpedValue(cfg, "seed"), "18446744073709551615");
+}
+
+TEST(ConfigIoDeath, SignedSeedIsFatal)
+{
+    SystemConfig cfg = SystemConfig::makePaper();
+    EXPECT_DEATH(applyConfigOption(cfg, "seed", "-1"),
+                 "'seed' expects an unsigned 64-bit whole number");
+    EXPECT_DEATH(applyConfigOption(cfg, "seed", "+1"),
+                 "'seed' expects an unsigned 64-bit whole number");
+}
+
+TEST(ConfigIo, CycleKeysTakeMoreThanIntMax)
+{
+    SystemConfig cfg = SystemConfig::makePaper();
+    applyConfigOption(cfg, "sim.cycles", "3000000000");
+    applyConfigOption(cfg, "sim.warmup", "3000000001");
+    applyConfigOption(cfg, "debug.watchdogCycles", "3000000002");
+    applyConfigOption(cfg, "debug.mshrLeakCycles", "3000000003");
+    applyConfigOption(cfg, "debug.sweepCycles", "3000000004");
+    EXPECT_EQ(cfg.simCycles, 3000000000u);
+    EXPECT_EQ(cfg.warmupCycles, 3000000001u);
+    EXPECT_EQ(cfg.debug.watchdogCycles, 3000000002u);
+    EXPECT_EQ(cfg.debug.mshrLeakCycles, 3000000003u);
+    EXPECT_EQ(cfg.debug.sweepCycles, 3000000004u);
+}
+
+/**
+ * Every enum spelling the parser accepted before the spelling tables,
+ * with the name the dump writes for it: key, spelling, dumped name.
+ */
+const char *const kEarlierSpellings[][3] = {
+    {"mechanism", "baseline", "baseline"},
+    {"mechanism", "rp", "realistic-probing"},
+    {"mechanism", "realistic-probing", "realistic-probing"},
+    {"mechanism", "dr", "delegated-replies"},
+    {"mechanism", "delegated-replies", "delegated-replies"},
+    {"layout", "baseline", "baseline"},
+    {"layout", "A", "baseline"},
+    {"layout", "B", "B"},
+    {"layout", "C", "C"},
+    {"layout", "D", "D"},
+    {"noc.topology", "mesh", "mesh"},
+    {"noc.topology", "crossbar", "crossbar"},
+    {"noc.topology", "flattened-butterfly", "flattened-butterfly"},
+    {"noc.topology", "flatfly", "flattened-butterfly"},
+    {"noc.topology", "dragonfly", "dragonfly"},
+    {"noc.topology", "chiplet-mesh", "chiplet-mesh"},
+    {"noc.topology", "chiplet", "chiplet-mesh"},
+    {"noc.requestRouting", "XY", "XY"},
+    {"noc.requestRouting", "xy", "XY"},
+    {"noc.requestRouting", "YX", "YX"},
+    {"noc.requestRouting", "yx", "YX"},
+    {"noc.requestRouting", "DyXY", "DyXY"},
+    {"noc.requestRouting", "dyxy", "DyXY"},
+    {"noc.requestRouting", "footprint", "footprint"},
+    {"noc.requestRouting", "Footprint", "footprint"},
+    {"noc.requestRouting", "HARE", "HARE"},
+    {"noc.requestRouting", "hare", "HARE"},
+    {"noc.requestRouting", "table", "table"},
+    {"noc.requestRouting", "table-minimal", "table"},
+    {"noc.requestRouting", "chiplet", "chiplet"},
+    {"noc.requestRouting", "chiplet-hierarchical", "chiplet"},
+    {"noc.replyRouting", "yx", "YX"},
+    {"noc.replyRouting", "table-minimal", "table"},
+    {"gpu.l1Org", "private", "private"},
+    {"gpu.l1Org", "dc-l1", "dc-l1"},
+    {"gpu.l1Org", "DC-L1", "dc-l1"},
+    {"gpu.l1Org", "dyneb", "dyneb"},
+    {"gpu.l1Org", "DynEB", "dyneb"},
+    {"gpu.ctaSchedule", "round-robin", "round-robin"},
+    {"gpu.ctaSchedule", "rr", "round-robin"},
+    {"gpu.ctaSchedule", "distributed", "distributed"},
+};
+
+TEST(ConfigIo, AcceptsEveryEarlierSpelling)
+{
+    for (const auto &[key, spelling, dumped] : kEarlierSpellings) {
+        SystemConfig cfg = SystemConfig::makePaper();
+        applyConfigOption(cfg, key, spelling);
+        EXPECT_EQ(dumpedValue(cfg, key), dumped) << key << " = " << spelling;
+    }
+}
+
+/** Each row lists its value at its own index; every name reads back. */
+template <typename E>
+void
+expectSpellingsReadBack(const char *key)
+{
+    const auto rows = spellings(E{}).rows;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const Spelling<E> &row = rows[i];
+        EXPECT_EQ(static_cast<std::size_t>(row.value), i) << row.config;
+        for (const char *name : {row.config, row.display, row.alias}) {
+            if (!name)
+                continue;
+            SystemConfig cfg = SystemConfig::makePaper();
+            applyConfigOption(cfg, key, name);
+            EXPECT_EQ(dumpedValue(cfg, key), row.config) << name;
+        }
+    }
+}
+
+TEST(ConfigIo, EveryPrintedNameReadsBack)
+{
+    expectSpellingsReadBack<Mechanism>("mechanism");
+    expectSpellingsReadBack<ChipLayout>("layout");
+    expectSpellingsReadBack<TopologyKind>("noc.topology");
+    expectSpellingsReadBack<RoutingKind>("noc.replyRouting");
+    expectSpellingsReadBack<L1Organization>("gpu.l1Org");
+    expectSpellingsReadBack<CtaSchedule>("gpu.ctaSchedule");
+}
+
+/** Bench output and gtest parameter names print these display names. */
+TEST(ConfigIo, DisplayNamesAreStable)
+{
+    EXPECT_STREQ(mechanismName(Mechanism::Baseline), "Baseline");
+    EXPECT_STREQ(mechanismName(Mechanism::RealisticProbing), "RP");
+    EXPECT_STREQ(mechanismName(Mechanism::DelegatedReplies),
+                 "DelegatedReplies");
+    EXPECT_STREQ(layoutName(ChipLayout::Baseline), "Baseline");
+    EXPECT_STREQ(layoutName(ChipLayout::LayoutB), "B");
+    EXPECT_STREQ(layoutName(ChipLayout::LayoutC), "C");
+    EXPECT_STREQ(layoutName(ChipLayout::LayoutD), "D");
+    EXPECT_STREQ(topologyName(TopologyKind::Mesh), "mesh");
+    EXPECT_STREQ(topologyName(TopologyKind::Crossbar), "crossbar");
+    EXPECT_STREQ(topologyName(TopologyKind::FlattenedButterfly),
+                 "flattened-butterfly");
+    EXPECT_STREQ(topologyName(TopologyKind::Dragonfly), "dragonfly");
+    EXPECT_STREQ(topologyName(TopologyKind::ChipletMesh), "chiplet-mesh");
+    EXPECT_STREQ(routingName(RoutingKind::DimOrderXY), "XY");
+    EXPECT_STREQ(routingName(RoutingKind::DimOrderYX), "YX");
+    EXPECT_STREQ(routingName(RoutingKind::DyXY), "DyXY");
+    EXPECT_STREQ(routingName(RoutingKind::Footprint), "Footprint");
+    EXPECT_STREQ(routingName(RoutingKind::Hare), "HARE");
+    EXPECT_STREQ(routingName(RoutingKind::TableMinimal), "table-minimal");
+    EXPECT_STREQ(routingName(RoutingKind::ChipletHierarchical), "chiplet");
+    EXPECT_STREQ(l1OrganizationName(L1Organization::Private), "private");
+    EXPECT_STREQ(l1OrganizationName(L1Organization::DcL1), "DC-L1");
+    EXPECT_STREQ(l1OrganizationName(L1Organization::DynEB), "DynEB");
+    EXPECT_STREQ(ctaScheduleName(CtaSchedule::RoundRobin), "round-robin");
+    EXPECT_STREQ(ctaScheduleName(CtaSchedule::Distributed), "distributed");
+}
+
+/**
+ * The shipped experiment configs load, validate, and survive a dump,
+ * re-parse and second dump byte for byte.
+ */
+TEST(ConfigIo, ShippedExperimentConfigsRoundTrip)
+{
+    int files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(DR_EXPERIMENTS_DIR)) {
+        if (entry.path().extension() != ".cfg")
+            continue;
+        ++files;
+        SCOPED_TRACE(entry.path().string());
+        SystemConfig cfg = SystemConfig::makePaper();
+        parseConfigFile(cfg, entry.path().string());
+        cfg.validate();
+        SystemConfig reparsed = SystemConfig::makePaper();
+        std::istringstream in(dump(cfg));
+        parseConfig(reparsed, in);
+        EXPECT_EQ(dump(reparsed), dump(cfg));
+        EXPECT_TRUE(reparsed == cfg);
+    }
+    EXPECT_GE(files, 4);
 }
 
 TEST(ConfigIo, AppliesChipletOptions)

@@ -13,7 +13,8 @@
  *                         makes no forward progress for N cycles
  *     --check             run the invariant sweep (flit/credit
  *                         conservation, MSHR leaks) after the run
- *     --dump-config       print the effective configuration and exit
+ *     --dump-config       validate, print the effective configuration
+ *                         and exit
  *     --list              list benchmarks and exit
  *     --help
  *
@@ -53,7 +54,8 @@ usage()
         "  --watchdog N      abort with a state dump after N cycles of\n"
         "                    no forward progress\n"
         "  --check           run the invariant sweep after the run\n"
-        "  --dump-config     print the effective configuration and exit\n"
+        "  --dump-config     validate, print the effective configuration\n"
+        "                    and exit\n"
         "  --list            list benchmarks and exit\n");
 }
 
@@ -119,11 +121,11 @@ main(int argc, char **argv)
         }
     }
 
+    cfg.validate();
     if (dumpConfig) {
         writeConfig(cfg, std::cout);
         return 0;
     }
-    cfg.validate();
 
     HeteroSystem system(cfg, gpu, cpu);
     const RunResults r = system.run();
