@@ -92,9 +92,8 @@ Network::Network(const NetworkParams &params, const Topology &topo)
     // router<->ejection interaction stays domain-local. Node attach
     // order is monotone in every built-in topology, which makes the
     // node ranges contiguous too — the serial merge depends on that to
-    // replay delivery events in global NI order. If a future topology
-    // breaks monotonicity we fall back to one domain rather than give
-    // up bit-equality.
+    // replay delivery events in global NI order, so a topology that
+    // breaks monotonicity panics here.
     numDomains_ = std::min(resolveThreads(params_.threads),
                            topo_.routers());
     routerDomain_.resize(static_cast<std::size_t>(topo_.routers()));
@@ -120,17 +119,14 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         }
     }
     nodeDomain_.resize(static_cast<std::size_t>(topo_.nodes()));
-    bool monotone = true;
     for (NodeId n = 0; n < topo_.nodes(); ++n) {
         nodeDomain_[n] = routerDomain_[topo_.attachRouter(n)];
         if (n > 0 && nodeDomain_[n] < nodeDomain_[n - 1])
-            monotone = false;
-    }
-    if (!monotone) {
-        numDomains_ = 1;
-        std::fill(routerDomain_.begin(), routerDomain_.end(),
-                  std::int16_t{0});
-        std::fill(nodeDomain_.begin(), nodeDomain_.end(), std::int16_t{0});
+            panic("network ", params_.name, ": node ", n,
+                  " attaches in domain ", int(nodeDomain_[n]),
+                  " below node ", n - 1, "'s domain ",
+                  int(nodeDomain_[n - 1]),
+                  " (node attach order must follow router order)");
     }
 
     domains_.resize(static_cast<std::size_t>(numDomains_));

@@ -381,18 +381,6 @@ class Network : public RouterEnv, public CongestionProbe
     std::uint64_t totalLinkTraversals() const;
 
   private:
-    struct TimedCredit
-    {
-        Cycle when;
-        std::uint8_t vc;
-    };
-
-    struct TimedFlit
-    {
-        Cycle when;
-        Flit flit;
-    };
-
     /**
      * Per-node network interface. The whole structure is owned by the
      * spatial domain of the node's attach router: the parallel phases

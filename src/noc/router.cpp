@@ -10,6 +10,29 @@
 namespace dr
 {
 
+namespace
+{
+
+/** Bit of `key` within its 64-bit key-set word. */
+constexpr std::uint64_t
+keyBit(int key)
+{
+    return std::uint64_t{1} << (key % 64);
+}
+
+/** Whether any of a key set's `words` words has a bit set. */
+bool
+anyKey(const std::uint64_t *set, int words)
+{
+    for (int w = 0; w < words; ++w) {
+        if (set[w])
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
 Router::Router(int id, int numPorts, int numVcs, int vcDepth, int stages,
                RouterEnv &env,
                const std::vector<std::uint8_t> &portIsLink,
@@ -21,15 +44,16 @@ Router::Router(int id, int numPorts, int numVcs, int vcDepth, int stages,
       arrivals_(numPorts),
       out_(static_cast<std::size_t>(numPorts) * numVcs),
       creditArrivals_(numPorts),
+      keyWords_((numPorts * numVcs + 63) / 64),
       rrPtr_(numPorts, 0),
       saInUsed_(numPorts, 0),
-      saReq_(numPorts, 0),
+      saReq_(static_cast<std::size_t>(numPorts) * keyWords_, 0),
       portInterval_(numPorts, 1),
-      portNextFree_(numPorts, 0)
+      portNextFree_(numPorts, 0),
+      keySets_(3 * static_cast<std::size_t>(keyWords_), 0)
 {
     if (numVcs_ > 8)
         fatal("at most 8 VCs supported (VC masks are 8 bits)");
-    wide_ = numPorts_ * numVcs_ > 64;
     for (int p = 0; p < numPorts_; ++p) {
         for (int v = 0; v < numVcs_; ++v) {
             out_[p * numVcs_ + v].credits = vcDepth;
@@ -104,8 +128,7 @@ Router::applyArrivals(Cycle now)
                 "router ", id_, " port ", p, " vc ", int(flit.vc),
                 " input buffer overrun (upstream sent without credit)");
             in_[key].buf.push_back(flit);
-            if (!wide_)
-                occ_ |= std::uint64_t{1} << key;
+            keySets_[key / 64] |= keyBit(key);
             ++stats_.bufferWrites;
             queue.pop_front();
             --pendingArrivals_;
@@ -120,118 +143,76 @@ Router::applyArrivals(Cycle now)
     return applied;
 }
 
-bool
-Router::routeComputeWide()
-{
-    bool routed = false;
-    const int keys = numPorts_ * numVcs_;
-    for (int key = 0; key < keys; ++key) {
-        InVc &ivc = in_[key];
-        if (ivc.routed || ivc.buf.empty())
-            continue;
-        const Flit &head = ivc.buf.front();
-        if (!head.head)
-            panic("router ", id_, ": body flit at idle VC head");
-        ivc.outPort = env_.routeOutput(id_, head);
-        ivc.routed = true;
-        routed = true;
-    }
-    return routed;
-}
-
+template <int W>
 bool
 Router::routeCompute()
 {
-    if (wide_)
-        return routeComputeWide();
-    // Non-empty input VCs whose head has no output port yet.
-    std::uint64_t pending = occ_ & ~routed_;
-    if (!pending)
-        return false;
-    while (pending) {
-        const int key = std::countr_zero(pending);
-        pending &= pending - 1;
-        InVc &ivc = in_[key];
-        const Flit &head = ivc.buf.front();
-        if (!head.head)
-            panic("router ", id_, ": body flit at idle VC head");
-        ivc.outPort = env_.routeOutput(id_, head);
-        ivc.routed = true;
-        routed_ |= std::uint64_t{1} << key;
-    }
-    return true;
-}
-
-bool
-Router::vcAllocateWide()
-{
-    bool allocated = false;
-    const int keys = numPorts_ * numVcs_;
-    // Ranked passes: CPU before GPU, and within a class (vnPriority
-    // mode) downstream virtual networks before upstream ones.
-    for (int rank = 0; rank < arbRankCount(vnPriority_); ++rank) {
-        for (int key = 0; key < keys; ++key) {
+    const int words = W ? W : keyWords_;
+    const std::uint64_t *occ = keySets_.data();
+    std::uint64_t *routed = keySets_.data() + words;
+    bool any = false;
+    for (int w = 0; w < words; ++w) {
+        // Non-empty input VCs whose head has no output port yet.
+        std::uint64_t pending = occ[w] & ~routed[w];
+        if (!pending)
+            continue;
+        any = true;
+        routed[w] |= pending;
+        while (pending) {
+            const int key = w * 64 + std::countr_zero(pending);
+            pending &= pending - 1;
             InVc &ivc = in_[key];
-            if (!ivc.routed || ivc.active || ivc.buf.empty())
-                continue;
             const Flit &head = ivc.buf.front();
-            if (arbRank(head.cls, head.vnet, vnPriority_) != rank)
-                continue;
-            const std::uint8_t mask =
-                head.vcMask & env_.vcMaskForOutput(id_, ivc.outPort, head);
-            for (int ov = 0; ov < numVcs_; ++ov) {
-                if (!(mask & (1u << ov)))
-                    continue;
-                OutVc &ovc = out_[ivc.outPort * numVcs_ + ov];
-                if (ovc.ownerIn >= 0)
-                    continue;
-                ovc.ownerIn = key;
-                ivc.outVc = ov;
-                ivc.active = true;
-                allocated = true;
-                break;
-            }
+            if (!head.head)
+                panic("router ", id_, ": body flit at idle VC head");
+            ivc.outPort = env_.routeOutput(id_, head);
         }
     }
-    return allocated;
+    return any;
 }
 
+template <int W>
 bool
 Router::vcAllocate()
 {
-    if (wide_)
-        return vcAllocateWide();
+    const int words = W ? W : keyWords_;
+    const std::uint64_t *occ = keySets_.data();
+    const std::uint64_t *routed = occ + words;
+    std::uint64_t *active = keySets_.data() + 2 * words;
     // Routed, non-empty heads that still need an output VC.
-    std::uint64_t cand = routed_ & ~active_ & occ_;
-    if (!cand)
+    bool pending = false;
+    for (int w = 0; w < words && !pending; ++w)
+        pending = (routed[w] & ~active[w] & occ[w]) != 0;
+    if (!pending)
         return false;
     bool allocated = false;
     // Ranked passes: CPU before GPU, and within a class (vnPriority
     // mode) downstream virtual networks before upstream ones.
     for (int rank = 0; rank < arbRankCount(vnPriority_); ++rank) {
-        std::uint64_t m = cand;
-        while (m) {
-            const int key = std::countr_zero(m);
-            m &= m - 1;
-            InVc &ivc = in_[key];
-            const Flit &head = ivc.buf.front();
-            if (arbRank(head.cls, head.vnet, vnPriority_) != rank)
-                continue;
-            const std::uint8_t mask =
-                head.vcMask & env_.vcMaskForOutput(id_, ivc.outPort, head);
-            for (int ov = 0; ov < numVcs_; ++ov) {
-                if (!(mask & (1u << ov)))
+        for (int w = 0; w < words; ++w) {
+            std::uint64_t m = routed[w] & ~active[w] & occ[w];
+            while (m) {
+                const int key = w * 64 + std::countr_zero(m);
+                m &= m - 1;
+                InVc &ivc = in_[key];
+                const Flit &head = ivc.buf.front();
+                if (arbRank(head.cls, head.vnet, vnPriority_) != rank)
                     continue;
-                OutVc &ovc = out_[ivc.outPort * numVcs_ + ov];
-                if (ovc.ownerIn >= 0)
-                    continue;
-                ovc.ownerIn = key;
-                ivc.outVc = ov;
-                ivc.active = true;
-                active_ |= std::uint64_t{1} << key;
-                cand &= ~(std::uint64_t{1} << key);
-                allocated = true;
-                break;
+                const std::uint8_t mask =
+                    head.vcMask &
+                    env_.vcMaskForOutput(id_, ivc.outPort, head);
+                for (int ov = 0; ov < numVcs_; ++ov) {
+                    if (!(mask & (1u << ov)))
+                        continue;
+                    OutVc &ovc = out_[ivc.outPort * numVcs_ + ov];
+                    if (ovc.ownerIn >= 0)
+                        continue;
+                    ovc.ownerIn = key;
+                    ivc.outVc = ov;
+                    active[w] |= keyBit(key);
+                    allocated = true;
+                    break;
+                }
             }
         }
     }
@@ -246,6 +227,7 @@ Router::outVcHasSpace(int port, int vc, NodeId node) const
     return env_.nodeEjectFree(node) > 0;
 }
 
+template <int W>
 bool
 Router::switchAllocate(Cycle now)
 {
@@ -255,100 +237,51 @@ Router::switchAllocate(Cycle now)
     // single test. The best-candidate comparison (arbitration rank
     // first — CPU before GPU, then VN rank when vnPriority is on —
     // then rotation distance, unique per key) is order-independent, so
-    // the grants match the old exhaustive port x VC scan exactly.
-    if (wide_)
-        return switchAllocateWide(now);
-    bool granted = false;
-    const std::uint64_t req = active_ & occ_;
-    if (!req) {
+    // the grants match an exhaustive port x VC scan exactly.
+    const int words = W ? W : keyWords_;
+    const std::uint64_t *occ = keySets_.data();
+    const std::uint64_t *active = occ + 2 * words;
+    bool requests = false;
+    for (int w = 0; w < words && !requests; ++w)
+        requests = (active[w] & occ[w]) != 0;
+    if (!requests) {
         saOffset_ = (saOffset_ + 1) % numPorts_;
         return false;
     }
+    bool granted = false;
     std::fill(saInUsed_.begin(), saInUsed_.end(), 0);
     std::fill(saReq_.begin(), saReq_.end(), 0);
     std::uint8_t *inUsed = saInUsed_.data();
-    for (std::uint64_t m = req; m != 0; m &= m - 1) {
-        const int key = std::countr_zero(m);
-        saReq_[in_[key].outPort] |= std::uint64_t{1} << key;
+    for (int w = 0; w < words; ++w) {
+        for (std::uint64_t m = active[w] & occ[w]; m != 0; m &= m - 1) {
+            const int key = w * 64 + std::countr_zero(m);
+            saReq_[in_[key].outPort * words + w] |= keyBit(key);
+        }
     }
 
     for (int i = 0; i < numPorts_; ++i) {
         const int outPort = (i + saOffset_) % numPorts_;
+        const std::uint64_t *req = &saReq_[outPort * words];
         if (hasThrottle_ && now < portNextFree_[outPort]) {
             // Narrow link still serializing the previous flit. A pass
             // that only lost grants to throttling must stay awake: the
             // port frees by the passage of time alone.
-            if (saReq_[outPort] != 0)
+            if (anyKey(req, words))
                 throttledWait_ = true;
             continue;
         }
         int best = -1;
         int bestRank = 0;
         int bestDist = 0;
-        for (std::uint64_t m = saReq_[outPort]; m != 0; m &= m - 1) {
-            const int key = std::countr_zero(m);
-            if (inUsed[key / numVcs_])
-                continue;
-            const InVc &ivc = in_[key];
-            const Flit &flit = ivc.buf.front();
-            if (!outVcHasSpace(outPort, ivc.outVc, portNode_[outPort]))
-                continue;
-            const int rank = arbRank(flit.cls, flit.vnet, vnPriority_);
-            const int dist =
-                (key - rrPtr_[outPort] + numPorts_ * numVcs_) %
-                (numPorts_ * numVcs_);
-            if (best < 0 || rank < bestRank ||
-                (rank == bestRank && dist < bestDist)) {
-                best = key;
-                bestRank = rank;
-                bestDist = dist;
-            }
-        }
-        if (best < 0)
-            continue;
-
-        granted = true;
-        inUsed[best / numVcs_] = 1;
-        rrPtr_[outPort] = (best + 1) % (numPorts_ * numVcs_);
-        if (hasThrottle_ && portInterval_[outPort] > 1)
-            portNextFree_[outPort] =
-                now + static_cast<Cycle>(portInterval_[outPort]);
-        grantTraversal(best, outPort, now);
-    }
-    saOffset_ = (saOffset_ + 1) % numPorts_;
-    return granted;
-}
-
-bool
-Router::switchAllocateWide(Cycle now)
-{
-    bool granted = false;
-    std::fill(saInUsed_.begin(), saInUsed_.end(), 0);
-    std::uint8_t *inUsed = saInUsed_.data();
-
-    for (int i = 0; i < numPorts_; ++i) {
-        const int outPort = (i + saOffset_) % numPorts_;
-        if (hasThrottle_ && now < portNextFree_[outPort]) {
-            // Conservative: assume the skipped port had requesters so
-            // the quiescent fast path never latches while throttled.
-            throttledWait_ = true;
-            continue;
-        }
-        int best = -1;
-        int bestRank = 0;
-        int bestDist = 0;
-        for (int p = 0; p < numPorts_; ++p) {
-            if (inUsed[p])
-                continue;
-            for (int v = 0; v < numVcs_; ++v) {
-                const int key = p * numVcs_ + v;
-                const InVc &ivc = in_[key];
-                if (!ivc.active || ivc.outPort != outPort ||
-                    ivc.buf.empty()) {
+        for (int w = 0; w < words; ++w) {
+            for (std::uint64_t m = req[w]; m != 0; m &= m - 1) {
+                const int key = w * 64 + std::countr_zero(m);
+                if (inUsed[key / numVcs_])
                     continue;
-                }
+                const InVc &ivc = in_[key];
                 const Flit &flit = ivc.buf.front();
-                if (!outVcHasSpace(outPort, ivc.outVc, portNode_[outPort]))
+                if (!outVcHasSpace(outPort, ivc.outVc,
+                                   portNode_[outPort]))
                     continue;
                 const int rank =
                     arbRank(flit.cls, flit.vnet, vnPriority_);
@@ -384,8 +317,8 @@ Router::grantTraversal(int key, int outPort, Cycle now)
     InVc &ivc = in_[key];
     Flit flit = ivc.buf.front();
     ivc.buf.pop_front();
-    if (!wide_ && ivc.buf.empty())
-        occ_ &= ~(std::uint64_t{1} << key);
+    if (ivc.buf.empty())
+        keySets_[key / 64] &= ~keyBit(key);
     --bufferedCount_;
 
     // The flit leaves on the allocated output VC after traversing
@@ -414,15 +347,22 @@ Router::grantTraversal(int key, int outPort, Cycle now)
 
     if (flit.tail) {
         out_[outPort * numVcs_ + outVc].ownerIn = -1;
-        ivc.routed = false;
-        ivc.active = false;
         ivc.outPort = -1;
         ivc.outVc = -1;
-        if (!wide_) {
-            routed_ &= ~(std::uint64_t{1} << key);
-            active_ &= ~(std::uint64_t{1} << key);
-        }
+        keySets_[keyWords_ + key / 64] &= ~keyBit(key);
+        keySets_[2 * keyWords_ + key / 64] &= ~keyBit(key);
     }
+}
+
+template <int W>
+void
+Router::allocate(Cycle now)
+{
+    throttledWait_ = false;
+    const bool routed = routeCompute<W>();
+    const bool allocated = vcAllocate<W>();
+    const bool granted = switchAllocate<W>(now);
+    quiescent_ = !routed && !allocated && !granted && !throttledWait_;
 }
 
 void
@@ -444,11 +384,10 @@ Router::tick(Cycle now)
         saOffset_ = (saOffset_ + 1) % numPorts_;
         return;
     }
-    throttledWait_ = false;
-    const bool routed = routeCompute();
-    const bool allocated = vcAllocate();
-    const bool granted = switchAllocate(now);
-    quiescent_ = !routed && !allocated && !granted && !throttledWait_;
+    if (keyWords_ == 1)
+        allocate<1>(now);
+    else
+        allocate<0>(now);
 }
 
 void
@@ -477,12 +416,11 @@ Router::debugDump(std::ostream &os) const
     for (int p = 0; p < numPorts_; ++p) {
         for (int v = 0; v < numVcs_; ++v) {
             const InVc &ivc = in_[p * numVcs_ + v];
-            if (ivc.buf.empty() && !ivc.routed)
+            if (ivc.buf.empty() && ivc.outPort < 0)
                 continue;
             os << "R" << id_ << " in[" << p << "][" << v << "] buf="
-               << ivc.buf.size() << " routed=" << ivc.routed << " active="
-               << ivc.active << " outPort=" << ivc.outPort << " outVc="
-               << ivc.outVc;
+               << ivc.buf.size() << " outPort=" << ivc.outPort
+               << " outVc=" << ivc.outVc;
             if (!ivc.buf.empty()) {
                 os << " frontPkt=" << ivc.buf.front().pkt
                    << (ivc.buf.front().head ? "H" : "")
@@ -546,8 +484,8 @@ Router::blockedHeads() const
             head.router = id_;
             head.inPort = p;
             head.inVc = v;
-            head.outPort = ivc.routed ? ivc.outPort : -1;
-            head.outVc = ivc.active ? ivc.outVc : -1;
+            head.outPort = ivc.outPort;
+            head.outVc = ivc.outVc;
             head.pkt = ivc.buf.front().pkt;
             head.destRouter = ivc.buf.front().destRouter;
             head.buffered = static_cast<int>(ivc.buf.size());

@@ -197,22 +197,8 @@ class DR_DOMAIN_OWNED Router
     struct InVc
     {
         RingBuffer<Flit> buf;
-        bool routed = false;   //!< head has an output port
-        bool active = false;   //!< head has an output VC
-        int outPort = -1;
-        int outVc = -1;
-    };
-
-    struct TimedFlit
-    {
-        Cycle when;
-        Flit flit;
-    };
-
-    struct TimedCredit
-    {
-        Cycle when;
-        std::uint8_t vc;
+        int outPort = -1;  //!< -1 until the head is routed
+        int outVc = -1;    //!< -1 until the head holds an output VC
     };
 
     struct OutVc
@@ -223,21 +209,20 @@ class DR_DOMAIN_OWNED Router
 
     //!< returns whether anything applied
     bool applyArrivals(Cycle now) DR_COMPUTE_PHASE;
+
+    // The allocation passes are templated on the key-set word count: W
+    // = 1 for routers with at most 64 input VCs, where every word loop
+    // folds away, and W = 0 for keyWords_ words read at run time.
+    // tick() picks the instantiation once per cycle.
+    template <int W> void allocate(Cycle now) DR_COMPUTE_PHASE;
     //!< returns whether any head routed
-    bool routeCompute() DR_COMPUTE_PHASE;
+    template <int W> bool routeCompute() DR_COMPUTE_PHASE;
     //!< returns whether any VC allocated
-    bool vcAllocate() DR_COMPUTE_PHASE;
+    template <int W> bool vcAllocate() DR_COMPUTE_PHASE;
     //!< returns whether any flit granted
-    bool switchAllocate(Cycle now) DR_COMPUTE_PHASE;
+    template <int W> bool switchAllocate(Cycle now) DR_COMPUTE_PHASE;
     bool outVcHasSpace(int port, int vc, NodeId node) const
         DR_COMPUTE_PHASE;
-
-    // Fallbacks for routers with more than 64 input VCs (e.g. a full
-    // crossbar), where the occupancy bitmasks don't fit one word: the
-    // allocation passes scan every VC as the original kernel did.
-    bool routeComputeWide() DR_COMPUTE_PHASE;
-    bool vcAllocateWide() DR_COMPUTE_PHASE;
-    bool switchAllocateWide(Cycle now) DR_COMPUTE_PHASE;
 
     /** Grant one switch traversal to input VC `key` toward `outPort`. */
     void grantTraversal(int key, int outPort, Cycle now) DR_COMPUTE_PHASE;
@@ -263,20 +248,19 @@ class DR_DOMAIN_OWNED Router
     std::vector<OutVc> out_;                 //!< [port * numVcs + vc]
     std::vector<RingBuffer<TimedCredit>> creditArrivals_;  //!< per out port
 
-    // One bit per input VC key. The allocation passes iterate set bits
-    // instead of scanning every port x VC pair; with a handful of flits
-    // in a 5-port router that cuts each pass from dozens of probes to
-    // one or two. Ascending bit order equals the old loop order, so
-    // arbitration outcomes are unchanged.
-    std::uint64_t occ_ = 0;     //!< input VCs with buffered flits
-    std::uint64_t routed_ = 0;  //!< heads holding an output port
-    std::uint64_t active_ = 0;  //!< heads holding an output VC
-    bool wide_ = false;         //!< > 64 input VCs: masks unusable
+    // Sets of input VC keys, one bit per key in keyWords_ 64-bit words
+    // (key k is bit k % 64 of word k / 64). The allocation passes
+    // iterate set bits instead of scanning every port x VC pair; with a
+    // handful of flits in a 5-port router that cuts each pass from
+    // dozens of probes to one or two. Ascending key order across words
+    // equals the port-major scan order, so arbitration outcomes do not
+    // depend on the word count.
+    int keyWords_;  //!< words per key set: ceil(ports * VCs / 64)
 
     int saOffset_ = 0;                 //!< rotating output iteration start
     std::vector<int> rrPtr_;           //!< per output, input rotation
     std::vector<std::uint8_t> saInUsed_; //!< switch-allocation scratch
-    std::vector<std::uint64_t> saReq_;   //!< per output, requesting VC keys
+    std::vector<std::uint64_t> saReq_;   //!< [out * keyWords_ + word]
 
     /**
      * Stalled fast path: the last allocation pass routed, allocated and
@@ -302,6 +286,11 @@ class DR_DOMAIN_OWNED Router
     bool throttledWait_ = false;
     std::vector<int> portInterval_;    //!< per output port, cycles/flit
     std::vector<Cycle> portNextFree_;  //!< per output port
+
+    //! The key sets, keyWords_ words each, back to back: input VCs with
+    //! buffered flits, heads holding an output port, heads holding an
+    //! output VC.
+    std::vector<std::uint64_t> keySets_;
 
     // Activity tracking so idle routers can skip their tick entirely.
     int bufferedCount_ = 0;

@@ -172,6 +172,32 @@ TEST(WholeSystemDeterminism, ChipletScale256Nodes)
         << "4 threads + skip diverged";
 }
 
+/**
+ * The paper chip on one 64-port crossbar router (128 input-VC keys at
+ * the default 2 VCs), HS + bodytrack under the baseline and under DR.
+ * Committed literals, generated like the raw-network crossbar pins in
+ * tests/noc/test_kernel_regressions.cpp and for the same reason.
+ */
+TEST(WholeSystemDeterminism, CrossbarChipMatchesPinnedLiterals)
+{
+    SystemConfig cfg = SystemConfig::makePaper();
+    cfg.noc.topology = TopologyKind::Crossbar;
+    cfg.warmupCycles = 1500;
+    cfg.simCycles = 3500;
+    cfg.mechanism = Mechanism::Baseline;
+    EXPECT_EQ(fingerprint(runWorkload(cfg, "HS", "bodytrack")),
+              "3500|9.9359999999999999|0.18937499999999999|215.87163824169411|"
+              "0.15709285714285715|0.8332857142857143|5643|3476|0|0|0|0|0|0|"
+              "4274|30964|31005|30964|0.82887779083431257|"
+              "0.39290287177611122");
+    cfg.mechanism = Mechanism::DelegatedReplies;
+    EXPECT_EQ(fingerprint(runWorkload(cfg, "HS", "bodytrack")),
+              "3500|13.810571428571428|0.2494821428571429|166.87721539727016|"
+              "0.20242857142857146|0.52224999999999999|7171|4782|1500|1091|19|"
+              "366|0|0|7659|42882|42911|42882|0.75595614589921989|"
+              "0.45391517128874387");
+}
+
 /** Threads of this process, counted from /proc/self/task. */
 int
 processThreads()

@@ -10,7 +10,8 @@
  *  - NI send-VC round-robin: all attach-link VCs progress under
  *    saturation instead of the lowest-index VC monopolizing the link;
  *  - local delivery (src == dst): minimum-latency sample, no flit,
- *    link, or router activity.
+ *    link, or router activity;
+ *  - pinned 64-node crossbar schedules (multi-word VC-key sets).
  */
 
 #include <gtest/gtest.h>
@@ -225,6 +226,92 @@ TEST(KernelDeterminism, VnetEnabledRunIsDeterministicAndUsesEveryVn)
         EXPECT_GT(net.stats().vnPeakFlits[vn], 0u);
         EXPECT_EQ(net.vnFlitsInFabric(static_cast<VirtualNet>(vn)), 0);
     }
+}
+
+/**
+ * One fixed run on a raw 64-node crossbar: a single router with 64 node
+ * ports, so at 2, 4 and 8 VCs its 128-512 input-VC keys span two to
+ * eight 64-bit words of the allocators' key sets. A third of the nodes
+ * send CPU-class packets so the class rank decides contested outputs;
+ * with `vnets` the VCs are split two per VN, (class, VN) arbitration is
+ * on and traffic is spread over all four VNs.
+ */
+std::string
+crossbarFingerprint(int vcs, TrafficPattern pattern, bool vnets)
+{
+    const int nodes = 64;
+    const Topology topo = Topology::makeCrossbar(nodes);
+    NetworkParams params = paramsFor(topo, RoutingKind::TableMinimal);
+    params.seed = 42;
+    params.numVcs = vcs;
+    if (vnets) {
+        params.vnPriority = true;
+        params.layout.numVcs = vcs;
+        const int perVn = vcs / numVnets;
+        for (int vn = 0; vn < numVnets; ++vn)
+            params.layout.range[vn] = {
+                static_cast<std::uint8_t>(vn * perVn),
+                static_cast<std::uint8_t>(perVn)};
+    }
+    Network net(params, topo);
+
+    SyntheticTraffic traffic(pattern, nodes, 8, {0, 21, 42, 63});
+    Rng rng(59);
+    std::uint64_t id = 1;
+    for (Cycle now = 0; now < 3000; ++now) {
+        for (NodeId src = 0; src < nodes; ++src) {
+            if (!rng.chance(0.08) || !net.canInject(src, 5))
+                continue;
+            const VirtualNet vn =
+                vnets ? static_cast<VirtualNet>(rng.next() % numVnets)
+                      : VirtualNet::Reply;
+            const bool reqSide = vn == VirtualNet::Request ||
+                                 vn == VirtualNet::ForwardedRequest;
+            Message m =
+                makeMsg(src, traffic.dest(src, rng),
+                        reqSide ? MsgType::ReadReq : MsgType::ReadReply,
+                        (src % 3) ? TrafficClass::Gpu : TrafficClass::Cpu,
+                        id);
+            m.id = id++;
+            net.inject(m, reqSide ? 1 : 5, now, vn);
+        }
+        net.tick(now);
+        drainReady(net);
+    }
+    net.checkAllInvariants();
+
+    const NetworkStats &s = net.stats();
+    std::ostringstream os;
+    os << s.packetsInjected.value() << ' ' << s.packetsDelivered.value()
+       << ' ' << s.flitsDelivered.value() << ' ' << s.packetLatency.sum()
+       << ' ' << s.cpuPacketLatency.sum() << ' '
+       << s.gpuPacketLatency.sum() << ' ' << net.totalSwitchTraversals()
+       << ' ' << net.flitsInFlight();
+    for (int vn = 0; vn < numVnets; ++vn)
+        os << ' ' << s.vnFlitsDelivered[vn].value() << ' '
+           << s.vnInjectionStalls[vn].value();
+    return os.str();
+}
+
+/**
+ * Pinned crossbar schedules. Unlike the in-process goldens above
+ * (DESIGN.md §6), these are committed literals: they were generated by
+ * the exhaustive port x VC scan that allocated routers with more than
+ * 64 input VCs before the multi-word key sets replaced it, and with
+ * that reference path gone nothing in-process is left to compare
+ * against. Regenerate them only for a change meant to alter schedules.
+ */
+TEST(KernelDeterminism, CrossbarSchedulesMatchPinnedLiterals)
+{
+    EXPECT_EQ(crossbarFingerprint(2, TrafficPattern::UniformRandom, false),
+              "15493 15407 77134 218496 64286 154210 77245 229 0 0 0 0 77134 "
+              "439 0 0");
+    EXPECT_EQ(crossbarFingerprint(4, TrafficPattern::Hotspot, false),
+              "3025 2424 12153 316960 290784 26176 12173 996 0 0 0 0 12153 "
+              "162935 0 0");
+    EXPECT_EQ(crossbarFingerprint(8, TrafficPattern::UniformRandom, true),
+              "15429 15377 46117 134003 41161 92842 46195 111 3886 0 3815 0 "
+              "19105 0 19311 0");
 }
 
 TEST(WarmupBoundary, PacketsQueuedBeforeResetDropLatencySamples)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -262,6 +263,48 @@ TEST(ParallelEngine, ChipletDomainsAlignToChipletBoundaries)
     params.threads = 7;
     Network clamped(params, topo);
     EXPECT_EQ(clamped.numDomains(), 4);
+}
+
+/**
+ * Every built-in topology attaches nodes in router order, so the
+ * partition always gets the domains it asks for: min(threads, routers),
+ * and for chiplet meshes at most one per chiplet row. A topology that
+ * broke that order would make the constructor panic rather than fall
+ * back to one domain.
+ */
+TEST(ParallelEngine, EveryTopologyGetsTheRequestedDomains)
+{
+    std::vector<Topology> topos;
+    for (const int side : {4, 8, 16}) {
+        for (const TopologyKind kind :
+             {TopologyKind::Mesh, TopologyKind::Crossbar,
+              TopologyKind::FlattenedButterfly, TopologyKind::Dragonfly})
+            topos.push_back(Topology::make(kind, side * side, side, side));
+    }
+    topos.push_back(Topology::makeChipletMesh(2, 2, 2, 2, 1));
+    topos.push_back(Topology::makeChipletMesh(2, 4, 2, 2, 1));
+    topos.push_back(Topology::makeChipletMesh(4, 4, 4, 4, 2));
+
+    for (const Topology &topo : topos) {
+        const bool chiplet = topo.kind() == TopologyKind::ChipletMesh;
+        NetworkParams params;
+        params.numVcs = chiplet ? 3 : 2;
+        params.routing = topo.kind() == TopologyKind::Mesh
+                             ? RoutingKind::DimOrderXY
+                         : chiplet ? RoutingKind::ChipletHierarchical
+                                   : RoutingKind::TableMinimal;
+        params.injBufferFlits.assign(topo.nodes(), 8);
+        for (const int threads : {2, 3, 4, 8}) {
+            params.threads = threads;
+            Network net(params, topo);
+            int expected = std::min(threads, topo.routers());
+            if (chiplet)
+                expected = std::min(expected, topo.chipletsY());
+            EXPECT_EQ(net.numDomains(), expected)
+                << topologyName(topo.kind()) << ' ' << topo.nodes()
+                << " nodes, " << threads << " threads";
+        }
+    }
 }
 
 /**

@@ -83,6 +83,22 @@ class RouterUnit : public ::testing::Test
                                           nodes);
     }
 
+    /**
+     * Swap in a 33-port router (port 0 = node, 1..32 = links) with 2
+     * VCs: 66 input-VC keys, so port 32's keys 64 and 65 sit in the
+     * second 64-bit word of the allocators' key sets.
+     */
+    void
+    useTwoWordRouter()
+    {
+        std::vector<std::uint8_t> isLink(33, 1);
+        std::vector<NodeId> nodes(33, invalidNode);
+        isLink[0] = 0;
+        nodes[0] = 0;
+        router = std::make_unique<Router>(7, 33, 2, 4, 4, env, isLink,
+                                          nodes);
+    }
+
     Flit
     makeFlit(PacketId pkt, int seq, int packetLen, int outPort,
              TrafficClass cls = TrafficClass::Gpu, int vc = 0)
@@ -270,6 +286,54 @@ TEST_F(RouterUnit, FreeCreditsReflectConsumption)
     router->acceptCredit(2, 0, 1);
     router->tick(1);
     EXPECT_EQ(router->freeCredits(2), 8);
+}
+
+TEST_F(RouterUnit, KeyPastFirstWordRoutesAllocatesAndCrosses)
+{
+    useTwoWordRouter();
+    // Port 32, VC 1: key 65, bit 1 of word 1.
+    router->acceptFlit(32, makeFlit(1, 0, 1, 5, TrafficClass::Gpu, 1), 0);
+    router->tick(0);
+    ASSERT_EQ(env.linkDeliveries.size(), 1u);
+    EXPECT_EQ(env.linkDeliveries[0].port, 5);
+    EXPECT_EQ(env.linkDeliveries[0].when, 4u);
+    ASSERT_EQ(env.creditReturns.size(), 1u);
+    EXPECT_EQ(env.creditReturns[0].port, 32);
+    EXPECT_EQ(env.creditReturns[0].vc, 1);
+    EXPECT_EQ(router->bufferedFlits(), 0);
+}
+
+TEST_F(RouterUnit, KeysInBothWordsAlternateGrantsByRotation)
+{
+    useTwoWordRouter();
+    // Key 2 (port 1) and key 64 (port 32) each send a 4-flit packet to
+    // output 5. Each holds one of its two output VCs, and the rotation
+    // pointer hands the output back and forth across the word boundary.
+    for (int seq = 0; seq < 4; ++seq) {
+        router->acceptFlit(1, makeFlit(1, seq, 4, 5), 0);
+        router->acceptFlit(32, makeFlit(2, seq, 4, 5), 0);
+    }
+    for (Cycle c = 0; c < 8; ++c)
+        router->tick(c);
+    ASSERT_EQ(env.linkDeliveries.size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(env.linkDeliveries[i].flit.pkt, i % 2 ? 2u : 1u)
+            << "grant " << i;
+}
+
+TEST_F(RouterUnit, CpuInSecondWordBeatsGpuInFirstWord)
+{
+    useTwoWordRouter();
+    // GPU at key 2 would win on rotation distance alone; the CPU head
+    // at key 64 must still take the output first.
+    router->acceptFlit(1, makeFlit(1, 0, 1, 5, TrafficClass::Gpu), 0);
+    router->acceptFlit(32, makeFlit(2, 0, 1, 5, TrafficClass::Cpu), 0);
+    router->tick(0);
+    ASSERT_EQ(env.linkDeliveries.size(), 1u);
+    EXPECT_EQ(env.linkDeliveries[0].flit.cls, TrafficClass::Cpu);
+    router->tick(1);
+    ASSERT_EQ(env.linkDeliveries.size(), 2u);
+    EXPECT_EQ(env.linkDeliveries[1].flit.cls, TrafficClass::Gpu);
 }
 
 } // namespace

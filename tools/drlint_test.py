@@ -338,7 +338,7 @@ class PhaseModelTest(LiveTreeCase):
     def test_class_level_annotation_covers_members(self):
         router = self.classes["Router"]
         self.assertEqual(router.annotation, "domain")
-        self.assertEqual(router.classification("occ_"), "domain")
+        self.assertEqual(router.classification("keySets_"), "domain")
 
     def test_method_phases(self):
         net = self.classes["Network"]
