@@ -65,10 +65,39 @@ SystemConfig::validate() const
         fatal("need at least one VC with at least one flit of buffering");
     if (noc.threads < 0)
         fatal("noc.threads must be >= 0 (0 = auto via DR_NOC_THREADS)");
-    if (noc.memInjBufferFlits < flitsFor(MsgType::ReadReply,
-                                         TrafficClass::Gpu)) {
-        fatal("memory-node injection buffer smaller than one reply; "
-              "replies could never inject");
+    // Below these floors a run divides by zero, retires nothing, or (a
+    // zero-stage router) delivers flits in the cycle they were sent,
+    // which breaks bit-identity across noc.threads.
+    const struct
+    {
+        const char *key;
+        int value;
+        int min;
+    } floors[] = {
+        {"gpu.warpsPerCore", gpu.warpsPerCore, 1},
+        {"gpu.issueWidth", gpu.issueWidth, 1},
+        {"gpu.l1Assoc", gpu.l1Assoc, 1},
+        {"mem.llcAssoc", mem.llcAssoc, 1},
+        {"mem.llcLatency", mem.llcLatency, 0},
+        {"mem.burstCycles", mem.burstCycles, 1},
+        {"noc.routerStages", noc.routerStages, 1},
+    };
+    for (const auto &f : floors) {
+        if (f.value < f.min)
+            fatal(f.key, " must be >= ", f.min, ", got ", f.value);
+    }
+    // Memory nodes send GPU replies, and so do GPU cores under DR
+    // (delegated replies): both injection buffers must hold one.
+    const int reply = flitsFor(MsgType::ReadReply, TrafficClass::Gpu);
+    if (noc.memInjBufferFlits < reply) {
+        fatal("noc.memInjBufferFlits (", noc.memInjBufferFlits,
+              ") smaller than one reply (", reply,
+              " flits); replies could never inject");
+    }
+    if (noc.coreInjBufferFlits < reply) {
+        fatal("noc.coreInjBufferFlits (", noc.coreInjBufferFlits,
+              ") smaller than one reply (", reply,
+              " flits); replies could never inject");
     }
     if (noc.sharedPhysical && (noc.sharedReqVcs < 1 || noc.sharedReplyVcs < 1))
         fatal("shared network needs at least one VC per traffic type");

@@ -9,13 +9,10 @@
  * code touches only state owned by its spatial domain, every
  * cross-domain effect rides an SPSC staging queue, and the serial
  * commit/merge sections own everything else. The macros below make that
- * discipline *declared in the source* so it can be checked three ways:
+ * discipline *declared in the source* so it can be checked two ways:
  *
  *  1. statically by tools/drlint.py (token-level, no compiler needed),
- *  2. by clang's -Wthread-safety when building with -DDR_THREAD_SAFETY
- *     (the macros expand to capability/guarded_by/requires_capability
- *     attributes; they are no-ops under gcc and in release builds),
- *  3. dynamically in DR_CHECKED builds via writer-domain stamping
+ *  2. dynamically in DR_CHECKED builds via writer-domain stamping
  *     (DR_DOMAIN_STAMP and the DR_STAMP_* helpers), which panics on a
  *     cross-domain compute-phase write at runtime.
  *
@@ -39,50 +36,20 @@
  *                    ticks, or the merge after the second barrier); may
  *                    write anything.
  *
- * Public API boundaries don't carry DR_COMMIT_PHASE (that would force
- * annotations onto every caller in the simulator); they instead open
- * with DR_PHASE_ASSERT_COMMIT(), which asserts the capability for
- * clang's analysis and, in DR_CHECKED builds, panics if called from a
- * parallel phase.
+ * Every classification macro is an empty marker that drlint reads; none
+ * changes the compiled code. Public API boundaries don't carry
+ * DR_COMMIT_PHASE (that would force annotations onto every caller in
+ * the simulator); they instead open with DR_PHASE_ASSERT_COMMIT(),
+ * which drlint reads as a commit-phase declaration and which, in
+ * DR_CHECKED builds, panics if called from a parallel phase.
  */
 
 #include <cstdint>
 
 #include "common/log.hpp"
 
-// Thread-safety attribute plumbing: real attributes only under clang
-// with -DDR_THREAD_SAFETY (the opt-in -Wthread-safety configuration);
-// empty everywhere else so gcc and release builds see plain C++.
-#if defined(__clang__) && defined(DR_THREAD_SAFETY)
-#define DR_TS_ATTR(x) __attribute__((x))
-#else
-#define DR_TS_ATTR(x)
-#endif
-
 namespace dr
 {
-
-/**
- * A phase capability: a token clang's analysis tracks instead of a
- * lock. `computePhaseCap` is "I am a worker inside a parallel phase";
- * `serialPhaseCap` is "I am the serial section". Compute-phase code
- * holds computePhaseCap exclusively and serialPhaseCap shared (serial
- * state is frozen while workers run, so reading it is legal); serial
- * code holds serialPhaseCap exclusively.
- */
-class DR_TS_ATTR(capability("phase")) PhaseCapability
-{
-  public:
-    explicit constexpr PhaseCapability(const char *name) : name_(name) {}
-    const char *name() const { return name_; }
-
-  private:
-    const char *name_;
-};
-
-inline constexpr PhaseCapability computePhaseCap{"compute-phase"};
-inline constexpr PhaseCapability serialPhaseCap{"serial-phase"};
-
 namespace phase
 {
 
@@ -137,11 +104,9 @@ class ComputeScope
     ComputeScope &operator=(const ComputeScope &) = delete;
 };
 
-/** Clang: establish the serial capability; DR_CHECKED: panic if this
- *  thread is inside a parallel phase. */
+/** DR_CHECKED: panic if this thread is inside a parallel phase. */
 inline void
 assertCommitPhase(const char *what)
-    DR_TS_ATTR(assert_capability(::dr::serialPhaseCap))
 {
 #ifdef DR_CHECKED
     const State &t = tls();
@@ -154,13 +119,9 @@ assertCommitPhase(const char *what)
 #endif
 }
 
-/** Clang: establish the compute capability (plus shared serial, for
- *  reads of frozen serial state); DR_CHECKED: panic unless this thread
- *  is inside a ComputeScope. */
+/** DR_CHECKED: panic unless this thread is inside a ComputeScope. */
 inline void
 assertComputePhase(const char *what)
-    DR_TS_ATTR(assert_capability(::dr::computePhaseCap))
-    DR_TS_ATTR(assert_shared_capability(::dr::serialPhaseCap))
 {
 #ifdef DR_CHECKED
     if (tls().kind != Kind::Compute) {
@@ -181,7 +142,6 @@ assertComputePhase(const char *what)
  */
 inline void
 assertPhaseDomain(int domain, const char *what)
-    DR_TS_ATTR(assert_shared_capability(::dr::serialPhaseCap))
 {
 #ifdef DR_CHECKED
     const State &t = tls();
@@ -251,45 +211,37 @@ auditStamp(const DomainStamp &stamp, const char *what)
 } // namespace dr
 
 // --- member / struct classification ---------------------------------------
-// Trailing position on a member declaration (like clang's guarded_by):
+// Trailing position on a member declaration:
 //   NetworkStats stats_ DR_SERIAL_ONLY;
 // or between the struct keyword and the name to classify a whole type:
 //   struct DR_DOMAIN_OWNED Ni { ... };
 
 #define DR_DOMAIN_OWNED /* per-domain ownership: checked by drlint */
 #define DR_SHARED_SPSC  /* staged cross-domain hand-off: checked by drlint */
-#define DR_SERIAL_ONLY DR_TS_ATTR(guarded_by(::dr::serialPhaseCap))
+#define DR_SERIAL_ONLY  /* serial-phase writes only: checked by drlint */
 
 // --- method phase classification ------------------------------------------
 // Trailing position on a method declaration:
 //   void tickDomain(Domain &d, Cycle now) DR_COMPUTE_PHASE;
 
-#define DR_COMPUTE_PHASE                                                   \
-    DR_TS_ATTR(requires_capability(::dr::computePhaseCap))                 \
-    DR_TS_ATTR(requires_shared_capability(::dr::serialPhaseCap))
-#define DR_COMMIT_PHASE DR_TS_ATTR(requires_capability(::dr::serialPhaseCap))
+#define DR_COMPUTE_PHASE  /* parallel phase, domain-confined */
+#define DR_COMMIT_PHASE   /* serial sections only */
 
 /**
- * Read-only accessor of serial state callable from either phase:
- * serial code holds the capability exclusively, compute-phase code
- * holds it shared (the state is frozen while workers run).
+ * Read-only accessor of serial state callable from either phase (the
+ * state is frozen while workers run).
  */
-#define DR_PHASE_READ DR_TS_ATTR(requires_shared_capability(::dr::serialPhaseCap))
-
-/** Opt a function out of clang's analysis (mutant-injection hooks). */
-#define DR_PHASE_UNCHECKED DR_TS_ATTR(no_thread_safety_analysis)
+#define DR_PHASE_READ
 
 /**
  * Endpoint tick path (DESIGN.md §13): runs inside the endpoint compute
  * phase when the system-level engine is active, confined to the
  * endpoint's domain, or from plain serial code (unit tests drive
  * endpoints directly; serial code holds exclusive access). drlint
- * checks these bodies under the same rules as DR_COMPUTE_PHASE ones;
- * clang's analysis treats them as shared readers of frozen serial
- * state. Entry points open with DR_PHASE_ASSERT_DOMAIN(domain_).
+ * checks these bodies under the same rules as DR_COMPUTE_PHASE ones.
+ * Entry points open with DR_PHASE_ASSERT_DOMAIN(domain_).
  */
-#define DR_ENDPOINT_PHASE                                                  \
-    DR_TS_ATTR(requires_shared_capability(::dr::serialPhaseCap))
+#define DR_ENDPOINT_PHASE
 
 // --- phase assertions at API boundaries -----------------------------------
 

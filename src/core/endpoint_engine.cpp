@@ -53,8 +53,8 @@ EndpointEngine::tick(Cycle now)
 {
     DR_PHASE_ASSERT_COMMIT();
     if (numDomains_ == 1) {
-        // Serial mode (noc.threads == 1, or an L1 organization that is
-        // not concurrency-safe): same staging and merge, no compute scope.
+        // Serial mode (noc.threads == 1): same staging and merge, no
+        // compute scope.
         tickDomain(0, now);
         return;
     }

@@ -89,12 +89,6 @@ benchConfig(Mechanism mechanism)
     cfg.simCycles = benchCycles(30000);
     // The LLC needs to warm before the clogging regime is reached.
     cfg.warmupCycles = cfg.simCycles / 2;
-    // DR_BENCH_THREADS pins the NoC tick engine's thread count for a
-    // whole bench sweep (results are bit-identical for every value;
-    // only wall-clock changes). Leaving it unset keeps the network's
-    // own auto default (DR_NOC_THREADS, else 1).
-    cfg.noc.threads = static_cast<int>(
-        envWhole("DR_BENCH_THREADS", 1, 256, cfg.noc.threads));
     return cfg;
 }
 

@@ -492,10 +492,6 @@ void
 Network::tickDomain(Domain &d, Cycle now)
 {
     DR_STAMP_WRITE(d);
-#ifdef DR_CHECKED
-    if (debugPhaseMutant_ != PhaseMutant::None)
-        applyPhaseMutant(d, now);
-#endif
     // Active-set scheduling: only NIs and routers holding work are
     // visited; everything else is skipped outright. Members re-register
     // through the flit/credit delivery hooks, and sweep order is
@@ -524,25 +520,7 @@ Network::commitStaged(int consumer)
     // sequence the sequential engine builds.
     Domain &d = domains_[consumer];
     DR_STAMP_WRITE(d);
-#ifdef DR_CHECKED
-    int lastDrained = -1;
-#endif
-    for (int i = 0; i < numDomains_; ++i) {
-        int p = i;
-#ifdef DR_CHECKED
-        if (debugPhaseMutant_ == PhaseMutant::SpscOutOfOrder)
-            // drlint-allow(spsc-drain-order): seeded mutant — the
-            // ascending-order assertion below must trap this at runtime.
-            p = numDomains_ - 1 - i;
-        // Ascending producer order is part of the determinism contract:
-        // it equals the order the sequential engine applies these
-        // arrivals in, so a reordering bug shows up here, not as a
-        // mysteriously different fingerprint.
-        DR_ASSERT_MSG(p > lastDrained, "network ", params_.name,
-                      ": SPSC staging drained out of order (producer ",
-                      p, " after ", lastDrained, ")");
-        lastDrained = p;
-#endif
+    for (int p = 0; p < numDomains_; ++p) {
         auto &flits = stagedFlits_[static_cast<std::size_t>(p) *
                                        numDomains_ + consumer];
         for (const StagedFlit &s : flits) {
@@ -671,17 +649,6 @@ Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
         routers_[conn.peerRouter]->acceptFlit(conn.peerPort, flit, when);
         domains_[consumer].activeRouters.add(conn.peerRouter);
     } else {
-#ifdef DR_CHECKED
-        if (debugPhaseMutant_ == PhaseMutant::UnstagedCross) {
-            // Seeded mutant: commit the cross-domain hop directly from
-            // the producer's worker instead of staging it. The receiving
-            // router's stamp check must trap this.
-            routers_[conn.peerRouter]->acceptFlit(conn.peerPort, flit,
-                                                  when);
-            domains_[consumer].activeRouters.add(conn.peerRouter);
-            return;
-        }
-#endif
         stagedFlits_[static_cast<std::size_t>(producer) * numDomains_ +
                      consumer]
             .push_back({static_cast<std::int16_t>(conn.peerRouter),
@@ -785,43 +752,6 @@ std::uint64_t
 Network::flitsEjectedAt(NodeId node) const
 {
     return nis_[node].flitsEjected;
-}
-
-void
-Network::applyPhaseMutant(Domain &d, Cycle now)
-{
-#ifdef DR_CHECKED
-    // Mutants needing a foreign domain fire from domain 0's worker
-    // against the last domain's state; they are inert on the serial
-    // engine (numDomains_ == 1), where no ownership boundary exists.
-    if (numDomains_ < 2 || &d != &domains_[0])
-        return;
-    const NodeId victim = static_cast<NodeId>(topo_.nodes() - 1);
-    switch (debugPhaseMutant_) {
-    case PhaseMutant::CrossDomainWrite:
-        // drlint-allow(cross-domain-commit): seeded mutant — the NI
-        // stamp check inside niEject must trap this foreign-domain call.
-        niEject(d, nis_[victim], victim, now);
-        break;
-    case PhaseMutant::SerialInCompute:
-        // drlint-allow(compute-calls-commit): seeded mutant — the
-        // pool's commit-phase assertion must trap this.
-        // drlint-allow(phase-escape): same mutant, transitive view.
-        pool_.release(pool_.alloc());
-        break;
-    case PhaseMutant::StampBypass:
-        // A write path that updates state without passing a checked
-        // entry point leaves a writer record the audit rejects.
-        nis_[victim].drStamp_.writer =
-            static_cast<std::int16_t>(nodeDomain_[victim] + 1);
-        break;
-    default:
-        break;
-    }
-#else
-    (void)d;
-    (void)now;
-#endif
 }
 
 void

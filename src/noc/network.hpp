@@ -294,12 +294,6 @@ class Network : public RouterEnv, public CongestionProbe
         return routers_[router]->blockedHeads();
     }
 
-    /** Fault injection (tests only): leak one credit on a router link. */
-    void debugLeakCredit(int router, int port, int vc)
-    {
-        routers_[router]->debugLeakCredit(port, vc);
-    }
-
     /** Spatial domain that owns a router (watchdog attribution). */
     int domainOfRouter(int router) const { return routerDomain_[router]; }
 
@@ -323,30 +317,6 @@ class Network : public RouterEnv, public CongestionProbe
             if (d.hasWork())
                 return false;
         return true;
-    }
-
-    /**
-     * Seeded phase-discipline violations (tests only; see DESIGN.md
-     * §12). Each mutant makes the engine break one ownership rule so
-     * the DR_CHECKED stamp/phase checks can prove they catch it. The
-     * hooks compile away outside DR_CHECKED builds — tests gate on
-     * checkedBuild().
-     */
-    enum class PhaseMutant
-    {
-        None,
-        CrossDomainWrite,   //!< compute-phase write to a foreign NI
-        UnstagedCross,      //!< cross-domain flit skips the SPSC staging
-        SerialInCompute,    //!< serial-only pool mutated in compute phase
-        SpscOutOfOrder,     //!< staging drained in descending order
-        StampBypass,        //!< write path dodging the stamp checks
-    };
-
-    void
-    debugInjectPhaseMutant(PhaseMutant m)
-    {
-        DR_PHASE_ASSERT_COMMIT();
-        debugPhaseMutant_ = m;
     }
 
     /** Audit every writer-domain stamp (DR_CHECKED; no-op otherwise). */
@@ -381,6 +351,8 @@ class Network : public RouterEnv, public CongestionProbe
     std::uint64_t totalLinkTraversals() const;
 
   private:
+    friend struct NetworkTestAccess;
+
     /**
      * Per-node network interface. The whole structure is owned by the
      * spatial domain of the node's attach router: the parallel phases
@@ -513,10 +485,6 @@ class Network : public RouterEnv, public CongestionProbe
     void commitStaged(int consumer) DR_COMPUTE_PHASE;
     /** Merge per-domain scratch into global stats (main thread only). */
     void mergeTick() DR_COMMIT_PHASE;
-    /** Apply the seeded phase-discipline mutant, if armed (DR_CHECKED
-     *  tests; deliberately violates the rules the checks enforce). */
-    void applyPhaseMutant(Domain &d, Cycle now)
-        DR_COMPUTE_PHASE DR_PHASE_UNCHECKED;
 
     const Topology &topo_;
     NetworkParams params_ DR_SERIAL_ONLY;
@@ -556,7 +524,6 @@ class Network : public RouterEnv, public CongestionProbe
      *  phase 2; the barrier between the phases is the synchronization. */
     std::vector<std::vector<StagedFlit>> stagedFlits_ DR_SHARED_SPSC;
     std::vector<std::vector<StagedCredit>> stagedCredits_ DR_SHARED_SPSC;
-    PhaseMutant debugPhaseMutant_ DR_SERIAL_ONLY = PhaseMutant::None;
     std::unique_ptr<TickPool> tickPool_;  //!< standalone tick() only
 };
 

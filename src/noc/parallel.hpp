@@ -61,10 +61,8 @@ class SpinBarrier
   public:
     explicit SpinBarrier(int parties = 1) : parties_(parties) {}
 
-    // The barrier *is* the synchronization between phases, so it sits
-    // outside the phase model clang is asked to check.
     void
-    arriveAndWait() DR_PHASE_UNCHECKED
+    arriveAndWait()
     {
         // Reading the generation before arriving is race-free: no new
         // round can complete until this party arrives too.
@@ -144,8 +142,8 @@ class TickPool
     using Job = void (*)(const void *, int);
 
     void start();
-    void publish() DR_PHASE_UNCHECKED;
-    void workerLoop(int domain) DR_PHASE_UNCHECKED;
+    void publish();
+    void workerLoop(int domain);
     /** Spin (then sleep) until the epoch leaves `seen`; false on stop. */
     bool awaitRun(std::uint64_t seen);
 

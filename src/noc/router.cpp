@@ -54,6 +54,8 @@ Router::Router(int id, int numPorts, int numVcs, int vcDepth, int stages,
 {
     if (numVcs_ > 8)
         fatal("at most 8 VCs supported (VC masks are 8 bits)");
+    if (stages_ < 1)
+        fatal("router pipeline needs at least one stage, got ", stages_);
     for (int p = 0; p < numPorts_; ++p) {
         for (int v = 0; v < numVcs_; ++v) {
             out_[p * numVcs_ + v].credits = vcDepth;
@@ -493,15 +495,6 @@ Router::blockedHeads() const
         }
     }
     return heads;
-}
-
-void
-Router::debugLeakCredit(int port, int vc)
-{
-    if (out_[port * numVcs_ + vc].credits <= 0)
-        panic("debugLeakCredit: no credit to leak on router ", id_,
-              " port ", port, " vc ", vc);
-    --out_[port * numVcs_ + vc].credits;
 }
 
 } // namespace dr

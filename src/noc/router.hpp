@@ -186,14 +186,9 @@ class DR_DOMAIN_OWNED Router
     /** Input VCs whose head flit is waiting on a downstream resource. */
     std::vector<BlockedHead> blockedHeads() const;
 
-    /**
-     * Fault injection (tests only): discard one downstream credit of an
-     * output VC, as a buggy allocator double-decrement would. The credit
-     * conservation checker must detect the resulting leak.
-     */
-    void debugLeakCredit(int port, int vc);
-
   private:
+    friend struct NetworkTestAccess;
+
     struct InVc
     {
         RingBuffer<Flit> buf;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/config.hpp"
 
 namespace dr
@@ -91,6 +93,43 @@ TEST(ConfigDeath, MismatchedLineSizesFail)
     SystemConfig cfg = SystemConfig::makePaper();
     cfg.gpu.l1LineBytes = 64;
     EXPECT_DEATH(cfg.validate(), "line sizes");
+}
+
+/**
+ * Settings validate() must reject, naming the key: each used to crash
+ * the run (SIGFPE), retire nothing, or break bit-identity across
+ * noc.threads instead of failing as a config error.
+ */
+struct BadSetting
+{
+    const char *key;
+    void (*apply)(SystemConfig &);
+};
+
+const BadSetting kBadSettings[] = {
+    {"gpu.warpsPerCore", [](SystemConfig &c) { c.gpu.warpsPerCore = 0; }},
+    {"gpu.issueWidth", [](SystemConfig &c) { c.gpu.issueWidth = 0; }},
+    {"gpu.l1Assoc", [](SystemConfig &c) { c.gpu.l1Assoc = 0; }},
+    {"mem.llcAssoc", [](SystemConfig &c) { c.mem.llcAssoc = 0; }},
+    {"mem.llcLatency", [](SystemConfig &c) { c.mem.llcLatency = -1; }},
+    {"mem.burstCycles", [](SystemConfig &c) { c.mem.burstCycles = 0; }},
+    {"noc.routerStages", [](SystemConfig &c) { c.noc.routerStages = 0; }},
+    {"noc.coreInjBufferFlits",
+     [](SystemConfig &c) { c.noc.coreInjBufferFlits = 0; }},
+    // One flit short of a 9-flit GPU reply.
+    {"noc.coreInjBufferFlits",
+     [](SystemConfig &c) { c.noc.coreInjBufferFlits = 8; }},
+};
+
+TEST(ConfigDeath, SettingsThatBreakARunAreFatal)
+{
+    for (const BadSetting &bad : kBadSettings) {
+        SystemConfig cfg = SystemConfig::makePaper();
+        bad.apply(cfg);
+        EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                    std::string("fatal: ") + bad.key)
+            << bad.key;
+    }
 }
 
 TEST(Config, VnetPartitionValidates)

@@ -556,7 +556,6 @@ struct EnvKnob
 const EnvKnob kEnvKnobs[] = {
     {"DR_NOC_THREADS",
      [] { HeteroSystem sys(SystemConfig::makeSmall(), "HS", "vips"); }},
-    {"DR_BENCH_THREADS", [] { (void)benchConfig(Mechanism::Baseline); }},
     {"DR_BENCH_CYCLES", [] { (void)benchCycles(100); }},
 };
 
@@ -607,16 +606,12 @@ TEST(EnvKnob, EmptyValueMeansUnset)
     }
     const ScopedEnv cycles("DR_BENCH_CYCLES", "");
     EXPECT_EQ(benchCycles(123), 123u);
-    const ScopedEnv threads("DR_BENCH_THREADS", "");
-    EXPECT_EQ(benchConfig(Mechanism::Baseline).noc.threads, 0);
 }
 
 TEST(EnvKnob, WholeNumbersInRangeApply)
 {
     const ScopedEnv cycles("DR_BENCH_CYCLES", "4000");
     EXPECT_EQ(benchCycles(123), 4000u);
-    const ScopedEnv threads("DR_BENCH_THREADS", "3");
-    EXPECT_EQ(benchConfig(Mechanism::Baseline).noc.threads, 3);
 }
 
 } // namespace

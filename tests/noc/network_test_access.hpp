@@ -1,0 +1,66 @@
+#ifndef DR_TESTS_NOC_NETWORK_TEST_ACCESS_HPP
+#define DR_TESTS_NOC_NETWORK_TEST_ACCESS_HPP
+
+/**
+ * @file
+ * The one test seam into Network and Router internals (DESIGN.md §12).
+ * Fault-injection and phase-ownership tests break the engine's rules
+ * through these calls, so the engine itself carries no test-only paths.
+ */
+
+#include <cstdint>
+
+#include "common/log.hpp"
+#include "noc/network.hpp"
+
+namespace dr
+{
+
+struct NetworkTestAccess
+{
+    /** Run niEject on `node`'s NI as `domain`'s worker would. */
+    static void
+    niEject(Network &net, int domain, NodeId node, Cycle now)
+    {
+        net.niEject(net.domains_[domain], net.nis_[node], node, now);
+    }
+
+    /** Hand a flit straight to a router, skipping the SPSC staging. */
+    static void
+    acceptFlit(Network &net, int router, int port, const Flit &flit,
+               Cycle when)
+    {
+        net.routers_[router]->acceptFlit(port, flit, when);
+    }
+
+    /** Take a packet-pool slot (a serial-only structural mutation). */
+    static PacketHandle allocPacket(Network &net) { return net.pool_.alloc(); }
+
+    /** Record `writer` as the last writer of `node`'s NI without a
+     *  checked write: what a path that dodged DR_STAMP_WRITE leaves. */
+    static void
+    forgeNiWriter(Network &net, NodeId node, int writer)
+    {
+        net.nis_[node].drStamp_.writer = static_cast<std::int16_t>(writer);
+    }
+
+    /**
+     * Discard one downstream credit of a router output VC, as a buggy
+     * allocator double-decrement would; panics when none is left. The
+     * credit conservation checker must detect the resulting leak.
+     */
+    static void
+    leakCredit(Network &net, int router, int port, int vc)
+    {
+        Router &r = *net.routers_[router];
+        int &credits = r.out_[port * r.numVcs_ + vc].credits;
+        if (credits <= 0)
+            panic("leakCredit: no credit to leak on router ", router,
+                  " port ", port, " vc ", vc);
+        --credits;
+    }
+};
+
+} // namespace dr
+
+#endif // DR_TESTS_NOC_NETWORK_TEST_ACCESS_HPP

@@ -2,6 +2,7 @@
 
 #include "noc/network.hpp"
 #include "noc/topology.hpp"
+#include "network_test_access.hpp"
 
 namespace dr
 {
@@ -107,7 +108,7 @@ TEST(FaultInjectionDeath, SeededCreditLeakIsCaught)
     const Topology topo = Topology::makeMesh(4, 4);
     Network net(faultParams(topo), topo);
     // Router 5 is interior: its east port is a router-router link.
-    net.debugLeakCredit(5, meshEast, 0);
+    NetworkTestAccess::leakCredit(net, 5, meshEast, 0);
     EXPECT_DEATH(net.checkCreditConservation(),
                  "credit conservation violated");
 }
@@ -119,7 +120,7 @@ TEST(FaultInjectionDeath, CreditLeakCaughtEvenUnderTraffic)
     net.inject(faultMsg(0, 15, 1), 1, 0);
     net.inject(faultMsg(12, 3, 2, MsgType::ReadReply), 9, 0);
     tickRange(net, 0, 20);
-    net.debugLeakCredit(9, meshNorth, 1);
+    NetworkTestAccess::leakCredit(net, 9, meshNorth, 1);
     EXPECT_DEATH(net.checkCreditConservation(),
                  "credit conservation violated");
 }
@@ -128,19 +129,20 @@ TEST(FaultInjectionDeath, LeakOnEmptyLinkPanicsImmediately)
 {
     const Topology topo = Topology::makeMesh(4, 4);
     Network net(faultParams(topo), topo);
-    net.debugLeakCredit(0, meshEast, 0);
-    net.debugLeakCredit(0, meshEast, 0);
-    net.debugLeakCredit(0, meshEast, 0);
-    net.debugLeakCredit(0, meshEast, 0);
+    NetworkTestAccess::leakCredit(net, 0, meshEast, 0);
+    NetworkTestAccess::leakCredit(net, 0, meshEast, 0);
+    NetworkTestAccess::leakCredit(net, 0, meshEast, 0);
+    NetworkTestAccess::leakCredit(net, 0, meshEast, 0);
     // All four credits gone; a fifth leak has nothing left to take.
-    EXPECT_DEATH(net.debugLeakCredit(0, meshEast, 0), "");
+    EXPECT_DEATH(NetworkTestAccess::leakCredit(net, 0, meshEast, 0),
+                 "no credit to leak");
 }
 
 TEST(FaultInjection, FlitConservationUnaffectedByCreditLeak)
 {
     const Topology topo = Topology::makeMesh(4, 4);
     Network net(faultParams(topo), topo);
-    net.debugLeakCredit(5, meshEast, 0);
+    NetworkTestAccess::leakCredit(net, 5, meshEast, 0);
     // The leak starves throughput but loses no flits: the flit law must
     // still hold while the credit law is violated.
     net.checkFlitConservation();

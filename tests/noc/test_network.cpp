@@ -91,6 +91,17 @@ TEST(Network, ZeroLoadLatencyMatchesPipeline)
                 static_cast<double>(delivered), 1.0);
 }
 
+TEST(NetworkDeath, ZeroStageRouterIsFatal)
+{
+    // A zero-stage router would forward a flit in the cycle it arrived,
+    // making schedules depend on the domain partition.
+    const Topology topo = Topology::makeMesh(2, 2);
+    NetworkParams p = paramsFor(topo);
+    p.routerStages = 0;
+    EXPECT_EXIT({ Network net(p, topo); }, testing::ExitedWithCode(1),
+                "at least one stage");
+}
+
 TEST(Network, LatencyGrowsWithDistance)
 {
     const Topology topo = Topology::makeMesh(8, 8);

@@ -211,7 +211,6 @@ PHASE_TOKENS = (
     ("DR_COMPUTE_PHASE", "compute"),
     ("DR_ENDPOINT_PHASE", "compute"),
     ("DR_COMMIT_PHASE", "commit"),
-    ("DR_PHASE_UNCHECKED", "unchecked"),
     ("DR_PHASE_READ", "read"),
 )
 
@@ -436,7 +435,7 @@ class Method:
         self.name = name
         self.virtual = False
         self.pure = False
-        self.phase: str | None = None  # compute/commit/read/unchecked
+        self.phase: str | None = None  # compute/commit/read
         self.ret = ""
         self.bodies: list[Body] = []
 
@@ -467,13 +466,11 @@ class Cls:
 
 
 def phase_of(text: str) -> str | None:
-    """Declared phase from trailing DR_* tokens; an unchecked marker
-    wins over the compute phase it opts out of."""
-    found = [phase for tok, phase in PHASE_TOKENS
-             if re.search(r"\b%s\b" % tok, text)]
-    if "unchecked" in found:
-        return "unchecked"
-    return found[0] if found else None
+    """Declared phase from trailing DR_* tokens."""
+    for tok, phase in PHASE_TOKENS:
+        if re.search(r"\b%s\b" % tok, text):
+            return phase
+    return None
 
 
 class Program:
@@ -565,13 +562,10 @@ class Program:
         return found[1].type if found else ""
 
     def effective_phase(self, cls: str, method: Method) -> str:
-        text = " ".join(b.text for b in method.bodies)
-        if "DR_PHASE_UNCHECKED" in text:
-            return "unchecked"
         phase = self.declared_phase(cls, method.name)
         if phase:
             return phase
-        if "DR_PHASE_ASSERT_COMMIT()" in text:
+        if any("DR_PHASE_ASSERT_COMMIT()" in b.text for b in method.bodies):
             return "commit"
         return "serial"
 
@@ -1093,7 +1087,7 @@ def edge_taints(prog: Program, cls: str, body: Body, ctx: str, label: str,
                 continue
             method = found[1]
             phase = prog.effective_phase(tcls, method)
-            if phase in ("compute", "read", "unchecked") or \
+            if phase in ("compute", "read") or \
                     prog.allowed(rel, lineno, "phase-escape"):
                 continue
             if phase == "commit":

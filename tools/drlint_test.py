@@ -344,7 +344,6 @@ class PhaseModelTest(LiveTreeCase):
         net = self.classes["Network"]
         self.assertEqual(net.phase("niInject"), "compute")
         self.assertEqual(net.phase("mergeTick"), "commit")
-        self.assertEqual(net.phase("applyPhaseMutant"), "unchecked")
         self.assertEqual(self.classes["PacketPool"].phase("alloc"),
                          "commit")
 
@@ -392,7 +391,7 @@ class MutantCase(unittest.TestCase):
                             % (rule, contains, [str(f) for f in hits]))
 
 
-class PhaseMutantTest(MutantCase):
+class PhaseRuleMutantTest(MutantCase):
     def test_mutant_wrong_phase_write(self):
         # niEject (compute) bumps a DR_SERIAL_ONLY global counter.
         prog = scan_mutated([
@@ -441,10 +440,8 @@ class PhaseMutantTest(MutantCase):
         # commitStaged walks producers backwards.
         prog = scan_mutated([(
             NETWORK_CPP,
-            "    for (int i = 0; i < numDomains_; ++i) {\n"
-            "        int p = i;",
-            "    for (int i = numDomains_ - 1; i >= 0; --i) {\n"
-            "        int p = i;")])
+            "    for (int p = 0; p < numDomains_; ++p) {",
+            "    for (int p = numDomains_ - 1; p >= 0; --p) {")])
         self.assert_rule(prog.findings, "spsc-drain-order", NETWORK_CPP)
 
     def test_mutant_mid_tick_oracle_call(self):
@@ -632,7 +629,7 @@ class GroupsTest(unittest.TestCase):
 GROUPS = {
     "determinism": [StripCodeTest, RuleTest, SuppressionTest, LiveTreeTest,
                     CliTest, GroupsTest],
-    "phase": [WriteScanTest, PhaseModelTest, PhaseMutantTest,
+    "phase": [WriteScanTest, PhaseModelTest, PhaseRuleMutantTest,
               PhaseSuppressionTest],
     "reach": [ConfinementHelperTest, ConfinementVerdictTest,
               ReachMutantTest, ReachSuppressionTest],

@@ -19,7 +19,7 @@ concatenated in deterministic (alphabetical) order into
 OUT_DIR/bench_output.txt, byte-identical to a `for b in build/bench/*`
 serial sweep's tee output modulo interleaving.
 
-Environment (DR_BENCH_CYCLES, DR_BENCH_CPUS, DR_BENCH_THREADS, ...) is
+Environment (DR_BENCH_CYCLES, DR_BENCH_CPUS, DR_NOC_THREADS, ...) is
 passed through to every bench. Exit status is non-zero if any bench
 fails, with the failing benches listed.
 """
