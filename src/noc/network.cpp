@@ -1,6 +1,7 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 
 #include "common/invariant.hpp"
@@ -31,6 +32,12 @@ Network::Network(const NetworkParams &params, const Topology &topo)
     if (static_cast<int>(params_.injBufferFlits.size()) != topo_.nodes())
         fatal("network ", params_.name, ": injBufferFlits must have one "
               "entry per node");
+    if (params_.interposerLatency < 0)
+        fatal("network ", params_.name, ": interposerLatency must be >= 0, "
+              "got ", params_.interposerLatency);
+    if (params_.interposerSerialization < 1)
+        fatal("network ", params_.name, ": interposerSerialization must "
+              "be >= 1, got ", params_.interposerSerialization);
 
     routers_.reserve(topo_.routers());
     for (int r = 0; r < topo_.routers(); ++r) {
@@ -129,15 +136,19 @@ Network::Network(const NetworkParams &params, const Topology &topo)
                   " (node attach order must follow router order)");
     }
 
+    // The longest arrival delay is a flit hop over an interposer link:
+    // routerStages + interposerLatency cycles. A wheel with more slots
+    // than that never holds arrivals of two cycles in one slot.
+    const std::size_t wheelSlots = std::bit_ceil(
+        static_cast<std::size_t>(params_.routerStages) +
+        static_cast<std::size_t>(params_.interposerLatency) + 1);
     domains_.resize(static_cast<std::size_t>(numDomains_));
     for (Domain &d : domains_) {
         d.activeNis = ActiveSet(topo_.nodes());
         d.activeRouters = ActiveSet(topo_.routers());
+        d.wheel.resize(wheelSlots);
     }
-    stagedFlits_.resize(
-        static_cast<std::size_t>(numDomains_) * numDomains_);
-    stagedCredits_.resize(
-        static_cast<std::size_t>(numDomains_) * numDomains_);
+    staged_.resize(static_cast<std::size_t>(numDomains_) * numDomains_);
 
     // Writer-domain stamps: record each structure's owning domain so the
     // DR_CHECKED phase checks can validate every compute-phase write.
@@ -367,8 +378,9 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
     const int vnIdx = static_cast<int>(pkt.vnet);
     if (++d.vnDelta[vnIdx] > d.vnMaxPrefix[vnIdx])
         d.vnMaxPrefix[vnIdx] = d.vnDelta[vnIdx];
-    routers_[attachRouter]->acceptFlit(attachPort, flit, now + 1);
-    d.activeRouters.add(attachRouter);
+    scheduleArrival(d, {now + 1, static_cast<std::int16_t>(attachRouter),
+                        static_cast<std::int16_t>(attachPort), false,
+                        flit});
     --ni.credits[sendVc];
     --ni.queuedFlits;
     DR_ASSERT(ni.queuedFlits >= 0);
@@ -455,7 +467,7 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now)
     // previous-cycle state, and cross-domain flits/credits are staged
     // in SPSC buffers instead of delivered. Phase 2 — after a barrier —
     // commits the staged movements into the receiving domains' arrival
-    // queues. A final serial merge replays the order-sensitive
+    // wheels. A final serial merge replays the order-sensitive
     // completion effects so the result is bit-identical to
     // noc.threads=1 by construction.
     //
@@ -465,6 +477,16 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now)
     bool idle = true;
     for (Network *net : nets) {
         DR_ASSERT(net->numDomains_ == pool.size());
+        // Wheel slots are due cycles modulo the wheel size: a tick that
+        // skipped or repeated a cycle would apply arrivals on the wrong
+        // one.
+        std::size_t pending = 0;
+        for (const Domain &d : net->domains_)
+            pending += d.wheelArrivals;
+        if (pending > 0 && now != net->now_ + 1)
+            panic("network ", net->params_.name, ": tick(", now,
+                  ") does not follow tick(", net->now_, ") with ",
+                  pending, " arrivals in flight");
         net->now_ = now;
         idle = idle && net->quiescent();
     }
@@ -492,9 +514,29 @@ void
 Network::tickDomain(Domain &d, Cycle now)
 {
     DR_STAMP_WRITE(d);
+    // Apply this cycle's router arrivals before any NI or router ticks.
+    // Every arrival was scheduled at least one cycle ahead, so nothing
+    // this cycle can observe the difference from applying them inside
+    // each router's tick; and a slot holds at most one flit and one
+    // credit per (router, port), so the order within it changes no
+    // state. A router whose only work is an arrival in flight stays out
+    // of the active set until the arrival is due.
+    std::vector<Arrival> &due = d.wheel[now & (d.wheel.size() - 1)];
+    for (const Arrival &a : due) {
+        DR_ASSERT(a.when == now);
+        Router &router = *routers_[a.router];
+        if (a.credit)
+            router.applyCredit(a.port, a.flit.vc);
+        else
+            router.applyFlit(a.port, a.flit);
+        d.activeRouters.add(a.router);
+    }
+    d.wheelArrivals -= due.size();
+    due.clear();
+
     // Active-set scheduling: only NIs and routers holding work are
     // visited; everything else is skipped outright. Members re-register
-    // through the flit/credit delivery hooks, and sweep order is
+    // through the delivery hooks and the wheel drain, and sweep order is
     // ascending-index — identical to the old tick-everything loop, on
     // which the skipped entities were no-ops.
     d.activeNis.sweep([&](int n) {
@@ -511,30 +553,28 @@ Network::tickDomain(Domain &d, Cycle now)
 }
 
 void
+Network::scheduleArrival(Domain &d, const Arrival &a)
+{
+    DR_STAMP_WRITE(d);
+    DR_ASSERT(a.when > now_ && a.when - now_ < d.wheel.size());
+    d.wheel[a.when & (d.wheel.size() - 1)].push_back(a);
+    ++d.wheelArrivals;
+}
+
+void
 Network::commitStaged(int consumer)
 {
-    // Drain producers in ascending order. Every router arrival queue
-    // has exactly one feeder (the upstream router of that link), so the
-    // relative order across queues is irrelevant and the order within a
-    // queue equals the producer's deterministic push order — the same
-    // sequence the sequential engine builds.
+    // Drain producers in ascending order, so every wheel slot fills in
+    // the same order on every run (the order within a slot changes no
+    // state, see tickDomain).
     Domain &d = domains_[consumer];
     DR_STAMP_WRITE(d);
     for (int p = 0; p < numDomains_; ++p) {
-        auto &flits = stagedFlits_[static_cast<std::size_t>(p) *
-                                       numDomains_ + consumer];
-        for (const StagedFlit &s : flits) {
-            routers_[s.router]->acceptFlit(s.port, s.flit, s.when);
-            d.activeRouters.add(s.router);
-        }
-        flits.clear();
-        auto &credits = stagedCredits_[static_cast<std::size_t>(p) *
-                                           numDomains_ + consumer];
-        for (const StagedCredit &s : credits) {
-            routers_[s.router]->acceptCredit(s.port, s.vc, s.when);
-            d.activeRouters.add(s.router);
-        }
-        credits.clear();
+        auto &staged =
+            staged_[static_cast<std::size_t>(p) * numDomains_ + consumer];
+        for (const Arrival &a : staged)
+            scheduleArrival(d, a);
+        staged.clear();
     }
 }
 
@@ -645,16 +685,13 @@ Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
         when += static_cast<Cycle>(params_.interposerLatency);
     }
     const int consumer = routerDomain_[conn.peerRouter];
-    if (producer == consumer) {
-        routers_[conn.peerRouter]->acceptFlit(conn.peerPort, flit, when);
-        domains_[consumer].activeRouters.add(conn.peerRouter);
-    } else {
-        stagedFlits_[static_cast<std::size_t>(producer) * numDomains_ +
-                     consumer]
-            .push_back({static_cast<std::int16_t>(conn.peerRouter),
-                        static_cast<std::int16_t>(conn.peerPort), when,
-                        flit});
-    }
+    const Arrival a{when, static_cast<std::int16_t>(conn.peerRouter),
+                    static_cast<std::int16_t>(conn.peerPort), false, flit};
+    if (producer == consumer)
+        scheduleArrival(domains_[consumer], a);
+    else
+        staged_[static_cast<std::size_t>(producer) * numDomains_ + consumer]
+            .push_back(a);
 }
 
 void
@@ -700,18 +737,15 @@ Network::creditToFeeder(int router, int inputPort, int vc, Cycle when)
             --domains_[producer].ipDelta;
             when += static_cast<Cycle>(params_.interposerLatency);
         }
-        if (producer == consumer) {
-            routers_[conn.peerRouter]->acceptCredit(conn.peerPort, vc,
-                                                    when);
-            domains_[consumer].activeRouters.add(conn.peerRouter);
-        } else {
-            stagedCredits_[static_cast<std::size_t>(producer) *
-                               numDomains_ +
-                           consumer]
-                .push_back({static_cast<std::int16_t>(conn.peerRouter),
-                            static_cast<std::int16_t>(conn.peerPort),
-                            static_cast<std::uint8_t>(vc), when});
-        }
+        Arrival a{when, static_cast<std::int16_t>(conn.peerRouter),
+                  static_cast<std::int16_t>(conn.peerPort), true, {}};
+        a.flit.vc = static_cast<std::uint8_t>(vc);
+        if (producer == consumer)
+            scheduleArrival(domains_[consumer], a);
+        else
+            staged_[static_cast<std::size_t>(producer) * numDomains_ +
+                    consumer]
+                .push_back(a);
     } else if (conn.kind == PortConn::Kind::Node) {
         // Attach links are domain-local by construction.
         Ni &ni = nis_[conn.node];
@@ -849,7 +883,13 @@ Network::flitsInFlight() const
 {
     int total = 0;
     for (const auto &router : routers_)
-        total += router->bufferedFlits() + router->pendingArrivalFlits();
+        total += router->bufferedFlits();
+    for (const Domain &d : domains_) {
+        for (const auto &slot : d.wheel) {
+            for (const Arrival &a : slot)
+                total += a.credit ? 0 : 1;
+        }
+    }
     for (const auto &ni : nis_)
         total += static_cast<int>(ni.ejArrivals.size());
     return total;
@@ -873,6 +913,21 @@ Network::checkCreditConservation() const
 {
     DR_PHASE_ASSERT_COMMIT();
     const int depth = params_.vcDepthFlits;
+    const int vcs = params_.numVcs;
+
+    // Arrivals still in the wheels, per (router, port, VC): flits bound
+    // for an input VC and credits bound for an output VC.
+    std::vector<int> firstKey(static_cast<std::size_t>(topo_.routers()) + 1);
+    for (int r = 0; r < topo_.routers(); ++r)
+        firstKey[r + 1] = firstKey[r] + topo_.radix(r) * vcs;
+    std::vector<int> flitsDue(firstKey.back()), creditsDue(firstKey.back());
+    for (const Domain &d : domains_) {
+        for (const auto &slot : d.wheel) {
+            for (const Arrival &a : slot)
+                ++(a.credit ? creditsDue : flitsDue)
+                    [firstKey[a.router] + a.port * vcs + a.flit.vc];
+        }
+    }
 
     // Router-to-router links: credits held upstream + flits occupying
     // (or in flight toward) the downstream buffer + credit returns in
@@ -882,12 +937,14 @@ Network::checkCreditConservation() const
             const auto &conn = topo_.port(r, p);
             if (conn.kind != PortConn::Kind::Link)
                 continue;
-            for (int v = 0; v < params_.numVcs; ++v) {
+            for (int v = 0; v < vcs; ++v) {
                 const int held = routers_[r]->outVcCredits(p, v);
                 const int downstream =
                     routers_[conn.peerRouter]->inVcOccupancy(conn.peerPort,
-                                                             v);
-                const int returning = routers_[r]->pendingCreditsFor(p, v);
+                                                             v) +
+                    flitsDue[firstKey[conn.peerRouter] +
+                             conn.peerPort * vcs + v];
+                const int returning = creditsDue[firstKey[r] + p * vcs + v];
                 if (held + downstream + returning != depth) {
                     panic("network ", params_.name,
                           ": credit conservation violated on link R", r,
@@ -909,10 +966,11 @@ Network::checkCreditConservation() const
         const Ni &ni = nis_[n];
         const int attachRouter = topo_.attachRouter(n);
         const int attachPort = topo_.attachPort(n);
-        for (int v = 0; v < params_.numVcs; ++v) {
+        for (int v = 0; v < vcs; ++v) {
             const int held = ni.credits[v];
             const int downstream =
-                routers_[attachRouter]->inVcOccupancy(attachPort, v);
+                routers_[attachRouter]->inVcOccupancy(attachPort, v) +
+                flitsDue[firstKey[attachRouter] + attachPort * vcs + v];
             int returning = 0;
             for (std::size_t i = 0; i < ni.creditArrivals.size(); ++i) {
                 if (ni.creditArrivals[i].vc == v)

@@ -252,8 +252,8 @@ class Network : public RouterEnv, public CongestionProbe
 
     /**
      * Flit conservation: every flit handed to a router by an NI is
-     * either ejected or still in flight (router buffers, arrival queues,
-     * or ejection staging). panic()s on mismatch.
+     * either ejected or still in flight (router buffers, arrival
+     * wheels, or ejection staging). panic()s on mismatch.
      */
     void checkFlitConservation() const;
 
@@ -305,9 +305,9 @@ class Network : public RouterEnv, public CongestionProbe
 
     /**
      * All-domains quiescence: no NI or router anywhere needs per-cycle
-     * service. With every endpoint watermark also in the future this
-     * proves a stretch of cycles dead, enabling the idle-skip fast
-     * path (DESIGN.md §13). Serial-phase read: the vote is only
+     * service and no router arrival is in flight. With every endpoint
+     * watermark also in the future this proves a stretch of cycles
+     * dead, enabling the idle-skip fast path (DESIGN.md §13). Serial-phase read: the vote is only
      * meaningful between ticks.
      */
     bool
@@ -419,22 +419,19 @@ class Network : public RouterEnv, public CongestionProbe
         Cycle latency;
     };
 
-    /** Cross-domain flit hop staged for the commit phase. */
-    struct StagedFlit
+    /**
+     * A flit reaching a router input port, or a credit returning to a
+     * router output VC, on cycle `when`. Cross-domain arrivals are
+     * staged for the commit phase; every arrival then waits in its
+     * receiving domain's wheel until it is due.
+     */
+    struct Arrival
     {
+        Cycle when;
         std::int16_t router;  //!< receiving router (global index)
         std::int16_t port;
-        Cycle when;
+        bool credit;          //!< credit for VC flit.vc, else a flit
         Flit flit;
-    };
-
-    /** Cross-domain credit return staged for the commit phase. */
-    struct StagedCredit
-    {
-        std::int16_t router;
-        std::int16_t port;
-        std::uint8_t vc;
-        Cycle when;
     };
 
     /**
@@ -467,11 +464,20 @@ class Network : public RouterEnv, public CongestionProbe
          *  domain composition reconstructs the serial event order). */
         int ipDelta = 0;
         int ipMaxPrefix = 0;
+        /**
+         * Timing wheel of this domain's router arrivals, one slot per
+         * due cycle modulo its power-of-two size. The size exceeds the
+         * longest arrival delay (routerStages + interposerLatency), so
+         * a slot only ever holds arrivals due on one cycle.
+         */
+        std::vector<std::vector<Arrival>> wheel;
+        std::size_t wheelArrivals = 0;  //!< arrivals across all slots
 
         bool
         hasWork() const
         {
-            return !activeNis.empty() || !activeRouters.empty();
+            return wheelArrivals > 0 || !activeNis.empty() ||
+                   !activeRouters.empty();
         }
     };
 
@@ -479,6 +485,8 @@ class Network : public RouterEnv, public CongestionProbe
         DR_COMPUTE_PHASE;
     void niEject(Domain &d, Ni &ni, NodeId node, Cycle now)
         DR_COMPUTE_PHASE;
+    /** Queue an arrival in its receiving domain's wheel. */
+    void scheduleArrival(Domain &d, const Arrival &a) DR_COMPUTE_PHASE;
     /** Phase 1: sweep one domain's NIs and routers (parallel). */
     void tickDomain(Domain &d, Cycle now) DR_COMPUTE_PHASE;
     /** Phase 2: commit flits/credits staged for this domain (parallel). */
@@ -522,8 +530,7 @@ class Network : public RouterEnv, public CongestionProbe
     /** SPSC staging buffers, indexed [producer * numDomains_ + consumer].
      *  The producer appends during phase 1, the consumer drains during
      *  phase 2; the barrier between the phases is the synchronization. */
-    std::vector<std::vector<StagedFlit>> stagedFlits_ DR_SHARED_SPSC;
-    std::vector<std::vector<StagedCredit>> stagedCredits_ DR_SHARED_SPSC;
+    std::vector<std::vector<Arrival>> staged_ DR_SHARED_SPSC;
     std::unique_ptr<TickPool> tickPool_;  //!< standalone tick() only
 };
 

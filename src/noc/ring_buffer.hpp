@@ -14,8 +14,8 @@
  *
  * Ownership (DESIGN.md §12): a RingBuffer carries no annotation of its
  * own — every instance is embedded in an annotated structure (router
- * input VCs and arrival queues inside DR_DOMAIN_OWNED Router, NI queues
- * inside DR_DOMAIN_OWNED Ni) and inherits that structure's phase/domain
+ * input VCs inside DR_DOMAIN_OWNED Router, NI queues inside
+ * DR_DOMAIN_OWNED Ni) and inherits that structure's phase/domain
  * classification.
  */
 

@@ -41,12 +41,10 @@ Router::Router(int id, int numPorts, int numVcs, int vcDepth, int stages,
       stages_(stages), vnPriority_(vnPriority),
       env_(env), portIsLink_(portIsLink), portNode_(portNode),
       in_(static_cast<std::size_t>(numPorts) * numVcs),
-      arrivals_(numPorts),
       out_(static_cast<std::size_t>(numPorts) * numVcs),
-      creditArrivals_(numPorts),
       keyWords_((numPorts * numVcs + 63) / 64),
       rrPtr_(numPorts, 0),
-      saInUsed_(numPorts, 0),
+      saUsed_(static_cast<std::size_t>(keyWords_), 0),
       saReq_(static_cast<std::size_t>(numPorts) * keyWords_, 0),
       portInterval_(numPorts, 1),
       portNextFree_(numPorts, 0),
@@ -62,87 +60,38 @@ Router::Router(int id, int numPorts, int numVcs, int vcDepth, int stages,
             in_[p * numVcs_ + v].buf.reserve(
                 static_cast<std::size_t>(vcDepth));
         }
-        // Arrivals are bounded by the upstream credits on the link
-        // (one slot per downstream buffer entry, across all VCs).
-        arrivals_[p].reserve(static_cast<std::size_t>(numVcs) *
-                             static_cast<std::size_t>(vcDepth));
-        creditArrivals_[p].reserve(static_cast<std::size_t>(numVcs) *
-                                   static_cast<std::size_t>(vcDepth));
     }
 }
 
 void
-Router::acceptFlit(int port, const Flit &flit, Cycle when)
+Router::applyFlit(int port, const Flit &flit)
 {
     DR_STAMP_WRITE(*this);
-    arrivals_[port].push_back({when, flit});
-    ++pendingArrivals_;
-    if (when < nextApplyCycle_)
-        nextApplyCycle_ = when;
+    DR_ASSERT_MSG(flit.vc < numVcs_, "router ", id_,
+                  ": arriving flit names VC ", int(flit.vc));
+    const int key = port * numVcs_ + flit.vc;
+    DR_INVARIANT(static_cast<int>(in_[key].buf.size()) < vcDepth_,
+                 "router ", id_, " port ", port, " vc ", int(flit.vc),
+                 " input buffer overrun (upstream sent without credit)");
+    in_[key].buf.push_back(flit);
+    keySets_[key / 64] |= keyBit(key);
+    ++stats_.bufferWrites;
+    ++bufferedCount_;
+    quiescent_ = false;
 }
 
 void
-Router::acceptCredit(int port, int vc, Cycle when)
+Router::applyCredit(int port, int vc)
 {
     DR_STAMP_WRITE(*this);
-    creditArrivals_[port].push_back({when, static_cast<std::uint8_t>(vc)});
-    ++pendingCredits_;
-    if (when < nextApplyCycle_)
-        nextApplyCycle_ = when;
-}
-
-bool
-Router::applyArrivals(Cycle now)
-{
-    if (pendingCredits_ == 0 && pendingArrivals_ == 0)
-        return false;
-    if (now < nextApplyCycle_)
-        return false;
-    bool applied = false;
-    Cycle next = ~Cycle{0};
-    for (int p = 0; p < numPorts_; ++p) {
-        auto &credits = creditArrivals_[p];
-        while (!credits.empty() && credits.front().when <= now) {
-            // Credit conservation: returns can never push a VC's credit
-            // count past the buffer depth (that would be a duplicated
-            // credit, letting the upstream router overrun the buffer).
-            DR_INVARIANT(
-                out_[p * numVcs_ + credits.front().vc].credits < vcDepth_,
-                "router ", id_, " port ", p, " vc ",
-                int(credits.front().vc),
-                " credit return exceeds buffer depth ", vcDepth_);
-            ++out_[p * numVcs_ + credits.front().vc].credits;
-            credits.pop_front();
-            --pendingCredits_;
-            applied = true;
-            DR_ASSERT(pendingCredits_ >= 0);
-        }
-        if (!credits.empty() && credits.front().when < next)
-            next = credits.front().when;
-        auto &queue = arrivals_[p];
-        while (!queue.empty() && queue.front().when <= now) {
-            const Flit &flit = queue.front().flit;
-            DR_ASSERT_MSG(flit.vc < numVcs_, "router ", id_,
-                          ": arriving flit names VC ", int(flit.vc));
-            const int key = p * numVcs_ + flit.vc;
-            DR_INVARIANT(
-                static_cast<int>(in_[key].buf.size()) < vcDepth_,
-                "router ", id_, " port ", p, " vc ", int(flit.vc),
-                " input buffer overrun (upstream sent without credit)");
-            in_[key].buf.push_back(flit);
-            keySets_[key / 64] |= keyBit(key);
-            ++stats_.bufferWrites;
-            queue.pop_front();
-            --pendingArrivals_;
-            ++bufferedCount_;
-            applied = true;
-            DR_ASSERT(pendingArrivals_ >= 0);
-        }
-        if (!queue.empty() && queue.front().when < next)
-            next = queue.front().when;
-    }
-    nextApplyCycle_ = next;
-    return applied;
+    // Credit conservation: returns can never push a VC's credit count
+    // past the buffer depth (that would be a duplicated credit, letting
+    // the upstream router overrun the buffer).
+    DR_INVARIANT(out_[port * numVcs_ + vc].credits < vcDepth_, "router ",
+                 id_, " port ", port, " vc ", vc,
+                 " credit return exceeds buffer depth ", vcDepth_);
+    ++out_[port * numVcs_ + vc].credits;
+    quiescent_ = false;
 }
 
 template <int W>
@@ -247,13 +196,13 @@ Router::switchAllocate(Cycle now)
     for (int w = 0; w < words && !requests; ++w)
         requests = (active[w] & occ[w]) != 0;
     if (!requests) {
-        saOffset_ = (saOffset_ + 1) % numPorts_;
+        rotateSaOffset();
         return false;
     }
     bool granted = false;
-    std::fill(saInUsed_.begin(), saInUsed_.end(), 0);
     std::fill(saReq_.begin(), saReq_.end(), 0);
-    std::uint8_t *inUsed = saInUsed_.data();
+    std::fill(saUsed_.begin(), saUsed_.end(), 0);
+    std::uint64_t *used = saUsed_.data();
     for (int w = 0; w < words; ++w) {
         for (std::uint64_t m = active[w] & occ[w]; m != 0; m &= m - 1) {
             const int key = w * 64 + std::countr_zero(m);
@@ -261,8 +210,10 @@ Router::switchAllocate(Cycle now)
         }
     }
 
-    for (int i = 0; i < numPorts_; ++i) {
-        const int outPort = (i + saOffset_) % numPorts_;
+    const int keys = numPorts_ * numVcs_;
+    for (int i = 0, outPort = saOffset_; i < numPorts_; ++i) {
+        if (i > 0 && ++outPort == numPorts_)
+            outPort = 0;
         const std::uint64_t *req = &saReq_[outPort * words];
         if (hasThrottle_ && now < portNextFree_[outPort]) {
             // Narrow link still serializing the previous flit. A pass
@@ -276,10 +227,8 @@ Router::switchAllocate(Cycle now)
         int bestRank = 0;
         int bestDist = 0;
         for (int w = 0; w < words; ++w) {
-            for (std::uint64_t m = req[w]; m != 0; m &= m - 1) {
+            for (std::uint64_t m = req[w] & ~used[w]; m != 0; m &= m - 1) {
                 const int key = w * 64 + std::countr_zero(m);
-                if (inUsed[key / numVcs_])
-                    continue;
                 const InVc &ivc = in_[key];
                 const Flit &flit = ivc.buf.front();
                 if (!outVcHasSpace(outPort, ivc.outVc,
@@ -287,9 +236,9 @@ Router::switchAllocate(Cycle now)
                     continue;
                 const int rank =
                     arbRank(flit.cls, flit.vnet, vnPriority_);
-                const int dist =
-                    (key - rrPtr_[outPort] + numPorts_ * numVcs_) %
-                    (numPorts_ * numVcs_);
+                int dist = key - rrPtr_[outPort];
+                if (dist < 0)
+                    dist += keys;
                 if (best < 0 || rank < bestRank ||
                     (rank == bestRank && dist < bestDist)) {
                     best = key;
@@ -302,14 +251,20 @@ Router::switchAllocate(Cycle now)
             continue;
 
         granted = true;
-        inUsed[best / numVcs_] = 1;
-        rrPtr_[outPort] = (best + 1) % (numPorts_ * numVcs_);
+        // The granted input port sends nothing else this cycle: mark
+        // all its VC keys (numVcs_ <= 8 bits, possibly across a word).
+        const int first = best - best % numVcs_;
+        const std::uint64_t portKeys = (std::uint64_t{1} << numVcs_) - 1;
+        used[first / 64] |= portKeys << (first % 64);
+        if (first % 64 + numVcs_ > 64)
+            used[first / 64 + 1] |= portKeys >> (64 - first % 64);
+        rrPtr_[outPort] = best + 1 == keys ? 0 : best + 1;
         if (hasThrottle_ && portInterval_[outPort] > 1)
             portNextFree_[outPort] =
                 now + static_cast<Cycle>(portInterval_[outPort]);
         grantTraversal(best, outPort, now);
     }
-    saOffset_ = (saOffset_ + 1) % numPorts_;
+    rotateSaOffset();
     return granted;
 }
 
@@ -371,19 +326,16 @@ void
 Router::tick(Cycle now)
 {
     DR_STAMP_WRITE(*this);
-    // Idle fast path: nothing buffered and nothing arriving.
+    // Idle fast path: nothing buffered (this cycle's arrivals are
+    // already applied).
     if (idle())
-        return;
-    if (applyArrivals(now))
-        quiescent_ = false;
-    if (bufferedCount_ == 0)
         return;
     if (quiescent_) {
         // Stalled: the last pass changed nothing and no input has
         // changed since, so this pass would also change nothing. Only
         // the rotating arbitration offset advances (as a grant-less
         // switchAllocate would have advanced it).
-        saOffset_ = (saOffset_ + 1) % numPorts_;
+        rotateSaOffset();
         return;
     }
     if (keyWords_ == 1)
@@ -446,30 +398,6 @@ Router::bufferedFlits() const
     int total = 0;
     for (const InVc &vc : in_)
         total += static_cast<int>(vc.buf.size());
-    return total;
-}
-
-int
-Router::inVcOccupancy(int port, int vc) const
-{
-    int total = static_cast<int>(in_[port * numVcs_ + vc].buf.size());
-    const auto &queue = arrivals_[port];
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (queue[i].flit.vc == vc)
-            ++total;
-    }
-    return total;
-}
-
-int
-Router::pendingCreditsFor(int port, int vc) const
-{
-    int total = 0;
-    const auto &queue = creditArrivals_[port];
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (queue[i].vc == vc)
-            ++total;
-    }
     return total;
 }
 

@@ -79,8 +79,8 @@ struct BlockedHead
 };
 
 /**
- * A single router. The enclosing Network calls tick() once per cycle
- * after scheduling all arrivals for that cycle.
+ * A single router. The enclosing Network applies every flit and credit
+ * due in a cycle (applyFlit/applyCredit), then calls tick() once.
  *
  * The whole object is owned by one spatial domain of the parallel tick
  * engine (DESIGN.md §12): during the parallel phases only that domain's
@@ -101,12 +101,13 @@ class DR_DOMAIN_OWNED Router
            const std::vector<std::uint8_t> &portIsLink,
            const std::vector<NodeId> &portNode, bool vnPriority = false);
 
-    /** Queue a flit arriving at an input port (takes effect at `when`). */
-    void acceptFlit(int port, const Flit &flit, Cycle when)
-        DR_COMPUTE_PHASE;
+    /** Write a flit arriving at an input port into its input VC. The
+     *  Network calls this on the flit's due cycle, before any tick. */
+    void applyFlit(int port, const Flit &flit) DR_COMPUTE_PHASE;
 
-    /** Queue a credit for an output VC (takes effect at `when`). */
-    void acceptCredit(int port, int vc, Cycle when) DR_COMPUTE_PHASE;
+    /** Return one downstream credit to an output VC (due cycle, before
+     *  any tick, like applyFlit). */
+    void applyCredit(int port, int vc) DR_COMPUTE_PHASE;
 
     /** One simulation cycle: route computation, VC and switch alloc. */
     void tick(Cycle now) DR_COMPUTE_PHASE;
@@ -165,23 +166,18 @@ class DR_DOMAIN_OWNED Router
         return out_[port * numVcs_ + vc].credits;
     }
 
-    /** Flits occupying one input VC, including undelivered arrivals. */
-    int inVcOccupancy(int port, int vc) const;
-
-    /** Credit returns queued on `port` for `vc` not yet applied. */
-    int pendingCreditsFor(int port, int vc) const;
-
-    /** Flits in arrival queues not yet written into input VCs. */
-    int pendingArrivalFlits() const { return pendingArrivals_; }
-
-    /** Whether the router holds no work at all (active-set scheduling:
-     *  idle routers leave the Network's work list and skip tick()). */
-    bool
-    idle() const
+    /** Flits buffered in one input VC (arrivals still in flight are
+     *  the Network's to count). */
+    int
+    inVcOccupancy(int port, int vc) const
     {
-        return pendingArrivals_ == 0 && pendingCredits_ == 0 &&
-               bufferedCount_ == 0;
+        return static_cast<int>(in_[port * numVcs_ + vc].buf.size());
     }
+
+    /** Whether the router holds no flit (active-set scheduling: idle
+     *  routers leave the Network's work list and skip tick() until an
+     *  arrival is due). */
+    bool idle() const { return bufferedCount_ == 0; }
 
     /** Input VCs whose head flit is waiting on a downstream resource. */
     std::vector<BlockedHead> blockedHeads() const;
@@ -202,9 +198,6 @@ class DR_DOMAIN_OWNED Router
         int ownerIn = -1;  //!< encoded input (port * numVcs + vc) or -1
     };
 
-    //!< returns whether anything applied
-    bool applyArrivals(Cycle now) DR_COMPUTE_PHASE;
-
     // The allocation passes are templated on the key-set word count: W
     // = 1 for routers with at most 64 input VCs, where every word loop
     // folds away, and W = 0 for keyWords_ words read at run time.
@@ -218,6 +211,14 @@ class DR_DOMAIN_OWNED Router
     template <int W> bool switchAllocate(Cycle now) DR_COMPUTE_PHASE;
     bool outVcHasSpace(int port, int vc, NodeId node) const
         DR_COMPUTE_PHASE;
+
+    /** Advance the rotating output start by one port. */
+    void
+    rotateSaOffset()
+    {
+        if (++saOffset_ == numPorts_)
+            saOffset_ = 0;
+    }
 
     /** Grant one switch traversal to input VC `key` toward `outPort`. */
     void grantTraversal(int key, int outPort, Cycle now) DR_COMPUTE_PHASE;
@@ -239,9 +240,7 @@ class DR_DOMAIN_OWNED Router
     // `port * numVcs + vc` — the same encoding OutVc::ownerIn and the
     // switch-allocation rotation already use.
     std::vector<InVc> in_;                   //!< [port * numVcs + vc]
-    std::vector<RingBuffer<TimedFlit>> arrivals_;    //!< per input port
     std::vector<OutVc> out_;                 //!< [port * numVcs + vc]
-    std::vector<RingBuffer<TimedCredit>> creditArrivals_;  //!< per out port
 
     // Sets of input VC keys, one bit per key in keyWords_ 64-bit words
     // (key k is bit k % 64 of word k / 64). The allocation passes
@@ -254,7 +253,7 @@ class DR_DOMAIN_OWNED Router
 
     int saOffset_ = 0;                 //!< rotating output iteration start
     std::vector<int> rrPtr_;           //!< per output, input rotation
-    std::vector<std::uint8_t> saInUsed_; //!< switch-allocation scratch
+    std::vector<std::uint64_t> saUsed_;  //!< keys of granted input ports
     std::vector<std::uint64_t> saReq_;   //!< [out * keyWords_ + word]
 
     /**
@@ -289,17 +288,6 @@ class DR_DOMAIN_OWNED Router
 
     // Activity tracking so idle routers can skip their tick entirely.
     int bufferedCount_ = 0;
-    int pendingArrivals_ = 0;
-    int pendingCredits_ = 0;
-
-    /**
-     * Earliest cycle at which any queued flit or credit matures. Every
-     * arrival queue is FIFO-ordered by maturity time (each has a single
-     * feeder with a fixed latency), so the minimum over queue fronts is
-     * exact; applyArrivals() skips its scan while now is below it.
-     * Pushes lower the watermark, scans recompute it from the fronts.
-     */
-    Cycle nextApplyCycle_ = 0;
 
     RouterStats stats_;
 };

@@ -25,12 +25,23 @@ struct NetworkTestAccess
         net.niEject(net.domains_[domain], net.nis_[node], node, now);
     }
 
-    /** Hand a flit straight to a router, skipping the SPSC staging. */
+    /** Push a flit straight into the receiving router's domain wheel,
+     *  skipping the SPSC staging. */
     static void
-    acceptFlit(Network &net, int router, int port, const Flit &flit,
-               Cycle when)
+    scheduleFlit(Network &net, int router, int port, const Flit &flit,
+                 Cycle when)
     {
-        net.routers_[router]->acceptFlit(port, flit, when);
+        net.scheduleArrival(net.domains_[net.routerDomain_[router]],
+                            {when, static_cast<std::int16_t>(router),
+                             static_cast<std::int16_t>(port), false, flit});
+    }
+
+    /** Whether a router is in its domain's active set. */
+    static bool
+    routerActive(const Network &net, int router)
+    {
+        return net.domains_[net.routerDomain_[router]].activeRouters
+            .contains(router);
     }
 
     /** Take a packet-pool slot (a serial-only structural mutation). */

@@ -58,7 +58,7 @@ TEST(FaultInjection, CheckersPassWithTrafficInFlight)
     const Topology topo = Topology::makeMesh(4, 4);
     Network net(faultParams(topo), topo);
     // Multi-flit replies crossing single-flit requests: enough traffic
-    // to occupy buffers, arrival queues, and ejection staging at once.
+    // to occupy buffers, arrival wheels, and ejection staging at once.
     std::uint64_t id = 1;
     for (NodeId src = 0; src < 8; ++src) {
         net.inject(faultMsg(src, 15 - src, id++), 1, 0);

@@ -11,7 +11,8 @@
  *    saturation instead of the lowest-index VC monopolizing the link;
  *  - local delivery (src == dst): minimum-latency sample, no flit,
  *    link, or router activity;
- *  - pinned 64-node crossbar schedules (multi-word VC-key sets).
+ *  - pinned 64-node crossbar schedules (multi-word VC-key sets);
+ *  - pinned schedules at the arrival wheel's sizing boundaries.
  */
 
 #include <gtest/gtest.h>
@@ -312,6 +313,92 @@ TEST(KernelDeterminism, CrossbarSchedulesMatchPinnedLiterals)
     EXPECT_EQ(crossbarFingerprint(8, TrafficPattern::UniformRandom, true),
               "15429 15377 46117 134003 41161 92842 46195 111 3886 0 3815 0 "
               "19105 0 19311 0");
+}
+
+/**
+ * One fixed run on a network whose arrival wheel (DESIGN.md §9) sits on
+ * a sizing boundary: a wheel has the power of two above routerStages +
+ * interposerLatency slots, so a 4-stage chiplet mesh with interposer
+ * latency 3 uses all 8 of its slots, latency 4 gets 16, and a 1-stage
+ * mesh runs on 2. A wheel smaller than the longest delay files
+ * arrivals under the wrong cycle, which the 8-slot case catches. Interposer links serialize each flit over 2 cycles,
+ * and with `threads` = 2 every interposer hop crosses a domain boundary
+ * through the staged path. Invariants are checked every 100 cycles, and
+ * the run stops with traffic in flight so flitsInFlight() counts
+ * undelivered arrivals.
+ */
+std::string
+wheelFingerprint(const Topology &topo, int stages, int ipLatency,
+                 int threads)
+{
+    const bool chiplet = topo.kind() == TopologyKind::ChipletMesh;
+    NetworkParams params = paramsFor(
+        topo, chiplet ? RoutingKind::ChipletHierarchical
+                      : RoutingKind::DimOrderXY);
+    params.seed = 42;
+    params.numVcs = chiplet ? 3 : 2;
+    params.routerStages = stages;
+    params.interposerLatency = ipLatency;
+    params.interposerSerialization = chiplet ? 2 : 1;
+    params.threads = threads;
+    Network net(params, topo);
+
+    const int nodes = topo.nodes();
+    SyntheticTraffic traffic(TrafficPattern::UniformRandom, nodes,
+                             topo.meshWidth());
+    Rng rng(61);
+    std::uint64_t id = 1;
+    for (Cycle now = 0; now < 1500; ++now) {
+        for (NodeId src = 0; src < nodes; ++src) {
+            if (!rng.chance(0.06) || !net.canInject(src, 5))
+                continue;
+            const bool reply = rng.chance(0.5);
+            Message m = makeMsg(
+                src, traffic.dest(src, rng),
+                reply ? MsgType::ReadReply : MsgType::ReadReq,
+                (src % 3) ? TrafficClass::Gpu : TrafficClass::Cpu, id);
+            m.id = id++;
+            net.inject(m, reply ? 5 : 1, now);
+        }
+        net.tick(now);
+        drainReady(net);
+        if (now % 100 == 99)
+            net.checkAllInvariants();
+    }
+
+    const NetworkStats &s = net.stats();
+    std::ostringstream os;
+    os << s.packetsInjected.value() << ' ' << s.packetsDelivered.value()
+       << ' ' << s.flitsDelivered.value() << ' ' << s.packetLatency.sum()
+       << ' ' << s.cpuPacketLatency.sum() << ' '
+       << s.gpuPacketLatency.sum() << ' ' << net.totalSwitchTraversals()
+       << ' ' << net.totalBufferWrites() << ' '
+       << s.interposerFlits.value() << ' ' << s.interposerPeakFlits
+       << ' ' << net.flitsInFlight();
+    return os.str();
+}
+
+/**
+ * Pinned wheel-boundary schedules: committed literals generated by the
+ * per-router arrival rings the wheel replaced (the same exception to
+ * DESIGN.md §6 as the crossbar pins). Regenerate them only for a change
+ * meant to alter schedules.
+ */
+TEST(KernelDeterminism, WheelBoundarySchedulesMatchPinnedLiterals)
+{
+    const Topology chiplet = Topology::makeChipletMesh(2, 2, 4, 4, 2);
+    const Topology mesh = Topology::makeMesh(4, 4);
+    for (const int threads : {1, 2}) {
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(wheelFingerprint(chiplet, 4, 3, threads),
+                  "3153 2397 7172 535309 213773 321536 52015 52544 6872 "
+                  "65 694");
+        EXPECT_EQ(wheelFingerprint(chiplet, 4, 4, threads),
+                  "2988 2171 6435 507669 197394 310275 45844 46449 6116 "
+                  "62 741");
+        EXPECT_EQ(wheelFingerprint(mesh, 1, 0, threads),
+                  "1457 1450 4309 11303 4148 7155 15183 15183 0 0 9");
+    }
 }
 
 TEST(WarmupBoundary, PacketsQueuedBeforeResetDropLatencySamples)

@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
+#include "network_test_access.hpp"
 
 namespace dr
 {
@@ -100,6 +101,65 @@ TEST(NetworkDeath, ZeroStageRouterIsFatal)
     p.routerStages = 0;
     EXPECT_EXIT({ Network net(p, topo); }, testing::ExitedWithCode(1),
                 "at least one stage");
+}
+
+TEST(NetworkDeath, NegativeInterposerLatencyIsFatal)
+{
+    // Raw NetworkParams skip SystemConfig::validate(); a negative
+    // latency would schedule interposer arrivals in the past.
+    const Topology topo = Topology::makeMesh(2, 2);
+    NetworkParams p = paramsFor(topo);
+    p.interposerLatency = -1;
+    EXPECT_EXIT({ Network net(p, topo); }, testing::ExitedWithCode(1),
+                "network net: interposerLatency must be >= 0, got -1");
+}
+
+TEST(NetworkDeath, ZeroInterposerSerializationIsFatal)
+{
+    const Topology topo = Topology::makeMesh(2, 2);
+    NetworkParams p = paramsFor(topo);
+    p.interposerSerialization = 0;
+    EXPECT_EXIT({ Network net(p, topo); }, testing::ExitedWithCode(1),
+                "network net: interposerSerialization must be >= 1, got 0");
+}
+
+TEST(NetworkDeath, TickSkippingCyclesWithArrivalsInFlightPanics)
+{
+    // Arrivals wait in wheel slots by due cycle, so ticks must stay
+    // contiguous while any is in flight.
+    const Topology topo = Topology::makeMesh(2, 2);
+    NetworkParams p = paramsFor(topo);
+    p.threads = 1;
+    Network net(p, topo);
+    net.inject(makeMsg(0, 3), 1, 0);
+    net.tick(0);  // the head flit reaches router 0 on cycle 1
+    EXPECT_DEATH(net.tick(2), "tick\\(2\\) does not follow tick\\(0\\)");
+}
+
+TEST(ArrivalWheel, DormantRouterWakesOnTheDueCycle)
+{
+    // Router 0 forwards a flit on cycle 1; with 4 stages it reaches
+    // router 1 on cycle 5. Until then router 1 has nothing but that
+    // arrival in flight and stays out of the active set; on cycle 5 it
+    // is swept and forwards the flit toward router 2 at once.
+    const Topology topo = Topology::makeMesh(4, 4);
+    NetworkParams p = paramsFor(topo);
+    p.threads = 1;
+    Network net(p, topo);
+    net.inject(makeMsg(0, 3), 1, 0);
+    net.tick(0);
+    net.tick(1);
+    ASSERT_EQ(net.routerStats(0).switchTraversals, 1u);
+    for (Cycle c = 2; c <= 5; ++c) {
+        EXPECT_FALSE(NetworkTestAccess::routerActive(net, 1))
+            << "before cycle " << c;
+        EXPECT_EQ(net.routerStats(1).bufferWrites, 0u);
+        EXPECT_EQ(net.flitsInFlight(), 1);
+        net.checkAllInvariants();
+        net.tick(c);
+    }
+    EXPECT_EQ(net.routerStats(1).bufferWrites, 1u);
+    EXPECT_EQ(net.routerStats(1).switchTraversals, 1u);
 }
 
 TEST(Network, LatencyGrowsWithDistance)

@@ -101,15 +101,15 @@ TEST(PhaseOwnershipDeath, CrossDomainWriteTrapped)
 TEST(PhaseOwnershipDeath, UnstagedCrossDomainFlitTrapped)
 {
     DR_REQUIRE_CHECKED();
-    // A cross-domain hop that skips the SPSC staging commits into the
-    // consumer's router from the producer's worker; the router's stamp
-    // must trap it.
+    // A cross-domain hop that skips the SPSC staging pushes into the
+    // consumer's arrival wheel from the producer's worker; the consumer
+    // domain's stamp must trap it.
     TwoDomainMesh m;
     EXPECT_DEATH(
         {
             phase::ComputeScope cs(0);
-            NetworkTestAccess::acceptFlit(m.net, m.lastRouter, 0, Flit{},
-                                          1);
+            NetworkTestAccess::scheduleFlit(m.net, m.lastRouter, 0,
+                                            Flit{}, 1);
         },
         "phase violation: compute-phase write");
 }

@@ -122,7 +122,7 @@ class RouterUnit : public ::testing::Test
 
 TEST_F(RouterUnit, ForwardsSingleFlitAfterPipeline)
 {
-    router->acceptFlit(1, makeFlit(1, 0, 1, /*outPort=*/2), 0);
+    router->applyFlit(1, makeFlit(1, 0, 1, /*outPort=*/2));
     router->tick(0);
     ASSERT_EQ(env.linkDeliveries.size(), 1u);
     EXPECT_EQ(env.linkDeliveries[0].port, 2);
@@ -132,7 +132,7 @@ TEST_F(RouterUnit, ForwardsSingleFlitAfterPipeline)
 
 TEST_F(RouterUnit, ReturnsCreditToFeeder)
 {
-    router->acceptFlit(1, makeFlit(1, 0, 1, 2), 0);
+    router->applyFlit(1, makeFlit(1, 0, 1, 2));
     router->tick(0);
     ASSERT_EQ(env.creditReturns.size(), 1u);
     EXPECT_EQ(env.creditReturns[0].port, 1);
@@ -144,8 +144,8 @@ TEST_F(RouterUnit, OneFlitPerOutputPerCycle)
 {
     // Two packets from different inputs to the same output: one flit
     // per cycle crosses.
-    router->acceptFlit(1, makeFlit(1, 0, 1, 2), 0);
-    router->acceptFlit(3, makeFlit(2, 0, 1, 2), 0);
+    router->applyFlit(1, makeFlit(1, 0, 1, 2));
+    router->applyFlit(3, makeFlit(2, 0, 1, 2));
     router->tick(0);
     EXPECT_EQ(env.linkDeliveries.size(), 1u);
     router->tick(1);
@@ -154,8 +154,8 @@ TEST_F(RouterUnit, OneFlitPerOutputPerCycle)
 
 TEST_F(RouterUnit, DistinctOutputsCrossInParallel)
 {
-    router->acceptFlit(1, makeFlit(1, 0, 1, 2), 0);
-    router->acceptFlit(3, makeFlit(2, 0, 1, 1), 0);
+    router->applyFlit(1, makeFlit(1, 0, 1, 2));
+    router->applyFlit(3, makeFlit(2, 0, 1, 1));
     router->tick(0);
     EXPECT_EQ(env.linkDeliveries.size(), 2u);
 }
@@ -163,8 +163,8 @@ TEST_F(RouterUnit, DistinctOutputsCrossInParallel)
 TEST_F(RouterUnit, CpuFlitBeatsGpuFlit)
 {
     // GPU on VC0 of port 1, CPU on VC0 of port 3, both to output 2.
-    router->acceptFlit(1, makeFlit(1, 0, 1, 2, TrafficClass::Gpu), 0);
-    router->acceptFlit(3, makeFlit(2, 0, 1, 2, TrafficClass::Cpu), 0);
+    router->applyFlit(1, makeFlit(1, 0, 1, 2, TrafficClass::Gpu));
+    router->applyFlit(3, makeFlit(2, 0, 1, 2, TrafficClass::Cpu));
     router->tick(0);
     ASSERT_EQ(env.linkDeliveries.size(), 1u);
     EXPECT_EQ(env.linkDeliveries[0].flit.cls, TrafficClass::Cpu);
@@ -173,7 +173,7 @@ TEST_F(RouterUnit, CpuFlitBeatsGpuFlit)
 TEST_F(RouterUnit, WormholeKeepsPacketOnOneOutputVc)
 {
     for (int seq = 0; seq < 3; ++seq)
-        router->acceptFlit(1, makeFlit(1, seq, 3, 2), 0);
+        router->applyFlit(1, makeFlit(1, seq, 3, 2));
     for (Cycle c = 0; c < 5; ++c)
         router->tick(c);
     ASSERT_EQ(env.linkDeliveries.size(), 3u);
@@ -194,17 +194,17 @@ TEST_F(RouterUnit, CreditsLimitInFlightFlits)
     // after the input buffer drains — a real upstream holds just 4
     // credits, and DR_CHECKED builds assert that law.
     for (int seq = 0; seq < 4; ++seq)
-        router->acceptFlit(1, makeFlit(1, seq, 8, 2), 0);
+        router->applyFlit(1, makeFlit(1, seq, 8, 2));
     for (Cycle c = 0; c < 10; ++c)
         router->tick(c);
     for (int seq = 4; seq < 8; ++seq)
-        router->acceptFlit(1, makeFlit(1, seq, 8, 2), 10);
+        router->applyFlit(1, makeFlit(1, seq, 8, 2));
     for (Cycle c = 10; c < 20; ++c)
         router->tick(c);
     EXPECT_EQ(env.linkDeliveries.size(), 4u);
     // Returning credits releases the rest.
     for (int i = 0; i < 4; ++i)
-        router->acceptCredit(2, 0, 21);
+        router->applyCredit(2, 0);
     for (Cycle c = 21; c < 40; ++c)
         router->tick(c);
     EXPECT_EQ(env.linkDeliveries.size(), 8u);
@@ -214,7 +214,7 @@ TEST_F(RouterUnit, EjectionRespectsNodeBufferSpace)
 {
     env.ejFree = 2;
     for (int seq = 0; seq < 4; ++seq)
-        router->acceptFlit(1, makeFlit(1, seq, 4, /*outPort=*/0), 0);
+        router->applyFlit(1, makeFlit(1, seq, 4, /*outPort=*/0));
     for (Cycle c = 0; c < 10; ++c)
         router->tick(c);
     EXPECT_EQ(env.nodeDeliveries.size(), 2u);
@@ -234,17 +234,17 @@ TEST_F(RouterUnit, VcOwnershipBlocksSecondPacketUntilTail)
     // output. With 2 VCs, B takes VC1 and interleaves; a third packet C
     // must wait for a tail to free a VC.
     for (int seq = 0; seq < 4; ++seq)
-        router->acceptFlit(1, makeFlit(1, seq, 4, 2, TrafficClass::Gpu, 0), 0);
+        router->applyFlit(1, makeFlit(1, seq, 4, 2, TrafficClass::Gpu, 0));
     for (int seq = 0; seq < 4; ++seq)
-        router->acceptFlit(3, makeFlit(2, seq, 4, 2, TrafficClass::Gpu, 0), 0);
-    router->acceptFlit(1, makeFlit(3, 0, 1, 2, TrafficClass::Gpu, 1), 0);
+        router->applyFlit(3, makeFlit(2, seq, 4, 2, TrafficClass::Gpu, 0));
+    router->applyFlit(1, makeFlit(3, 0, 1, 2, TrafficClass::Gpu, 1));
     // Give ample credits back as flits drain.
     for (Cycle c = 0; c < 30; ++c) {
         router->tick(c);
         while (!env.linkDeliveries.empty() &&
                env.linkDeliveries.size() > creditsReturned) {
-            router->acceptCredit(
-                2, env.linkDeliveries[creditsReturned].flit.vc, c + 1);
+            router->applyCredit(
+                2, env.linkDeliveries[creditsReturned].flit.vc);
             ++creditsReturned;
         }
     }
@@ -267,7 +267,7 @@ TEST_F(RouterUnit, IdleFastPathDeliversNothing)
 
 TEST_F(RouterUnit, StatsCountTraversalsAndBufferWrites)
 {
-    router->acceptFlit(1, makeFlit(1, 0, 1, 2), 0);
+    router->applyFlit(1, makeFlit(1, 0, 1, 2));
     router->tick(0);
     EXPECT_EQ(router->stats().bufferWrites, 1u);
     EXPECT_EQ(router->stats().switchTraversals, 1u);
@@ -280,10 +280,10 @@ TEST_F(RouterUnit, StatsCountTraversalsAndBufferWrites)
 TEST_F(RouterUnit, FreeCreditsReflectConsumption)
 {
     EXPECT_EQ(router->freeCredits(2), 8);  // 2 VCs x 4 flits
-    router->acceptFlit(1, makeFlit(1, 0, 1, 2), 0);
+    router->applyFlit(1, makeFlit(1, 0, 1, 2));
     router->tick(0);
     EXPECT_EQ(router->freeCredits(2), 7);
-    router->acceptCredit(2, 0, 1);
+    router->applyCredit(2, 0);
     router->tick(1);
     EXPECT_EQ(router->freeCredits(2), 8);
 }
@@ -292,7 +292,7 @@ TEST_F(RouterUnit, KeyPastFirstWordRoutesAllocatesAndCrosses)
 {
     useTwoWordRouter();
     // Port 32, VC 1: key 65, bit 1 of word 1.
-    router->acceptFlit(32, makeFlit(1, 0, 1, 5, TrafficClass::Gpu, 1), 0);
+    router->applyFlit(32, makeFlit(1, 0, 1, 5, TrafficClass::Gpu, 1));
     router->tick(0);
     ASSERT_EQ(env.linkDeliveries.size(), 1u);
     EXPECT_EQ(env.linkDeliveries[0].port, 5);
@@ -310,8 +310,8 @@ TEST_F(RouterUnit, KeysInBothWordsAlternateGrantsByRotation)
     // output 5. Each holds one of its two output VCs, and the rotation
     // pointer hands the output back and forth across the word boundary.
     for (int seq = 0; seq < 4; ++seq) {
-        router->acceptFlit(1, makeFlit(1, seq, 4, 5), 0);
-        router->acceptFlit(32, makeFlit(2, seq, 4, 5), 0);
+        router->applyFlit(1, makeFlit(1, seq, 4, 5));
+        router->applyFlit(32, makeFlit(2, seq, 4, 5));
     }
     for (Cycle c = 0; c < 8; ++c)
         router->tick(c);
@@ -326,8 +326,8 @@ TEST_F(RouterUnit, CpuInSecondWordBeatsGpuInFirstWord)
     useTwoWordRouter();
     // GPU at key 2 would win on rotation distance alone; the CPU head
     // at key 64 must still take the output first.
-    router->acceptFlit(1, makeFlit(1, 0, 1, 5, TrafficClass::Gpu), 0);
-    router->acceptFlit(32, makeFlit(2, 0, 1, 5, TrafficClass::Cpu), 0);
+    router->applyFlit(1, makeFlit(1, 0, 1, 5, TrafficClass::Gpu));
+    router->applyFlit(32, makeFlit(2, 0, 1, 5, TrafficClass::Cpu));
     router->tick(0);
     ASSERT_EQ(env.linkDeliveries.size(), 1u);
     EXPECT_EQ(env.linkDeliveries[0].flit.cls, TrafficClass::Cpu);

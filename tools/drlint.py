@@ -220,7 +220,8 @@ PHASE_TOKENS = (
 MUTATING_CALLS = {
     "push_back", "emplace_back", "push_front", "pop_back", "pop_front",
     "clear", "insert", "erase", "resize", "reserve", "reset", "sample",
-    "add", "release", "alloc", "acceptFlit", "acceptCredit", "tick",
+    "add", "release", "alloc", "scheduleArrival", "applyFlit",
+    "applyCredit", "tick",
     "wakeEjectSpace", "sweep", "setDomain", "resetStats", "onDelivered",
     "flush", "access", "evict", "next",
 }
@@ -911,10 +912,12 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
                 if target and target.phase(callee) == "commit":
                     add(lineno, "compute-calls-commit", line)
                     break
-        # Direct mutation of a router owned by a resolved foreign
-        # domain (the staged path is the legal alternative).
-        if re.search(r"\brouters_\s*\[[^\]]*\]\s*->\s*"
-                     r"(?:acceptFlit|acceptCredit)\s*\(", line):
+        # Direct arrival into a resolved foreign domain: a push into
+        # its wheel or an apply on its router (the staged path is the
+        # legal alternative).
+        if re.search(r"\bscheduleArrival\s*\(\s*domains_\s*\[|"
+                     r"\brouters_\s*\[[^\]]*\]\s*->\s*"
+                     r"(?:applyFlit|applyCredit)\s*\(", line):
             direct_router_mutation = (lineno, line)
         if spsc_members and (DESCENDING_FOR_RE.search(line) or
                              DESCENDING_IDX_RE.search(line)):

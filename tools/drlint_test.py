@@ -332,7 +332,7 @@ class PhaseModelTest(LiveTreeCase):
         net = self.classes["Network"]
         self.assertEqual(net.classification("stats_"), "serial")
         self.assertEqual(net.classification("nis_"), "domain")
-        self.assertEqual(net.classification("stagedFlits_"), "spsc")
+        self.assertEqual(net.classification("staged_"), "spsc")
         self.assertIsNone(net.classification("barrier_"))  # type-exempt
 
     def test_class_level_annotation_covers_members(self):
@@ -401,22 +401,17 @@ class PhaseRuleMutantTest(MutantCase):
                          NETWORK_CPP)
 
     def test_mutant_unstaged_cross_domain(self):
-        # deliverToRouter commits the cross-domain hop directly instead
-        # of staging it through the SPSC buffer.
+        # deliverToRouter pushes the cross-domain hop straight into the
+        # consumer's wheel instead of staging it through the SPSC buffer.
         prog = scan_mutated([(
             NETWORK_CPP,
-            "        stagedFlits_[static_cast<std::size_t>(producer) *"
-            " numDomains_ +\n"
-            "                     consumer]\n"
-            "            .push_back({static_cast<std::int16_t>"
-            "(conn.peerRouter),\n"
-            "                        static_cast<std::int16_t>"
-            "(conn.peerPort), when,\n"
-            "                        flit});",
-            "        routers_[conn.peerRouter]->acceptFlit("
-            "conn.peerPort, flit, when);\n"
-            "        domains_[consumer].activeRouters.add("
-            "conn.peerRouter);")])
+            "    if (producer == consumer)\n"
+            "        scheduleArrival(domains_[consumer], a);\n"
+            "    else\n"
+            "        staged_[static_cast<std::size_t>(producer) *"
+            " numDomains_ + consumer]\n"
+            "            .push_back(a);",
+            "    scheduleArrival(domains_[consumer], a);")])
         self.assert_rule(prog.findings, "cross-domain-commit", NETWORK_CPP)
 
     def test_mutant_missing_annotation(self):
