@@ -66,15 +66,6 @@ class DR_DOMAIN_OWNED ActiveSet
         return true;
     }
 
-    std::size_t
-    size() const
-    {
-        std::size_t total = 0;
-        for (const std::uint64_t w : words_)
-            total += static_cast<std::size_t>(std::popcount(w));
-        return total;
-    }
-
     /**
      * Visit every member in ascending index order. `fn(idx)` returns
      * whether the entity still has work; entities returning false are

@@ -50,20 +50,6 @@ struct Flit
     VirtualNet vnet = VirtualNet::Request; //!< message class (VN)
 };
 
-/** A flit in flight toward a buffer it enters at cycle `when`. */
-struct TimedFlit
-{
-    Cycle when;
-    Flit flit;
-};
-
-/** A credit for VC `vc` in flight back to its sender, applied at `when`. */
-struct TimedCredit
-{
-    Cycle when;
-    std::uint8_t vc;
-};
-
 /**
  * A packet: a message plus its NoC-level framing. The Network owns the
  * packet table; flits reference packets by id.

@@ -79,16 +79,8 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         ni.ejFree = params_.ejBufferFlits;
         ni.assembling.assign(params_.numVcs, 0);
         ni.assembledFlits.assign(params_.numVcs, 0);
-        // Ring capacities sized to the structural bounds so the queues
-        // never grow in steady state: credits outstanding are bounded
-        // by the attach link's VC buffers, staged ejections by the
-        // ejection buffer, queued packets by the injection buffer
-        // (every packet is at least one flit).
-        ni.creditArrivals.reserve(
-            static_cast<std::size_t>(params_.numVcs) *
-            static_cast<std::size_t>(params_.vcDepthFlits));
-        ni.ejArrivals.reserve(
-            static_cast<std::size_t>(params_.ejBufferFlits));
+        // Queued packets are bounded by the injection buffer (every
+        // packet is at least one flit), so the queues never grow.
         ni.queue[0].reserve(static_cast<std::size_t>(ni.capacity));
         ni.queue[1].reserve(static_cast<std::size_t>(ni.capacity));
     }
@@ -137,11 +129,12 @@ Network::Network(const NetworkParams &params, const Topology &topo)
     }
 
     // The longest arrival delay is a flit hop over an interposer link:
-    // routerStages + interposerLatency cycles. A wheel with more slots
-    // than that never holds arrivals of two cycles in one slot.
+    // routerStages + interposerLatency cycles. A cycle drains its slot
+    // before anything is pushed, so that many slots never hold
+    // arrivals of two cycles in one slot.
     const std::size_t wheelSlots = std::bit_ceil(
         static_cast<std::size_t>(params_.routerStages) +
-        static_cast<std::size_t>(params_.interposerLatency) + 1);
+        static_cast<std::size_t>(params_.interposerLatency));
     domains_.resize(static_cast<std::size_t>(numDomains_));
     for (Domain &d : domains_) {
         d.activeNis = ActiveSet(topo_.nodes());
@@ -272,12 +265,6 @@ void
 Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
 {
     DR_STAMP_WRITE(ni);
-    while (!ni.creditArrivals.empty() &&
-           ni.creditArrivals.front().when <= now) {
-        ++ni.credits[ni.creditArrivals.front().vc];
-        ni.creditArrivals.pop_front();
-    }
-
     const int attachRouter = topo_.attachRouter(node);
     const int attachPort = topo_.attachPort(node);
 
@@ -379,7 +366,7 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
     if (++d.vnDelta[vnIdx] > d.vnMaxPrefix[vnIdx])
         d.vnMaxPrefix[vnIdx] = d.vnDelta[vnIdx];
     scheduleArrival(d, {now + 1, static_cast<std::int16_t>(attachRouter),
-                        static_cast<std::int16_t>(attachPort), false,
+                        static_cast<std::int16_t>(attachPort), false, false,
                         flit});
     --ni.credits[sendVc];
     --ni.queuedFlits;
@@ -394,58 +381,56 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
 }
 
 void
-Network::niEject(Domain &d, Ni &ni, NodeId node, Cycle now)
+Network::niEject(Domain &d, Ni &ni, Cycle now)
 {
-    (void)node;
     DR_STAMP_WRITE(ni);
-    while (!ni.ejArrivals.empty() && ni.ejArrivals.front().when <= now) {
-        const Flit flit = ni.ejArrivals.front().flit;
-        ni.ejArrivals.pop_front();
-        ++ni.flitsEjected;
-        ++d.conservEjected;
-        ++d.flitsDelivered;
-        ++d.vnFlitsDelivered[static_cast<int>(flit.vnet)];
-        --d.vnDelta[static_cast<int>(flit.vnet)];
+    if (!ni.ejDue)
+        return;
+    ni.ejDue = false;
+    const Flit &flit = ni.ejFlit;
+    ++ni.flitsEjected;
+    ++d.conservEjected;
+    ++d.flitsDelivered;
+    ++d.vnFlitsDelivered[static_cast<int>(flit.vnet)];
+    --d.vnDelta[static_cast<int>(flit.vnet)];
 
-        const int v = flit.vc;
-        if (flit.head) {
-            ni.assembling[v] = flit.pkt;
-            ni.assembledFlits[v] = 0;
-        }
-        if (ni.assembling[v] != flit.pkt)
-            panic("network ", params_.name, ": interleaved packets on one "
-                  "ejection VC");
-        ++ni.assembledFlits[v];
-        if (!flit.tail)
-            continue;
-
-        if (!pool_.isLive(flit.slot) || pool_[flit.slot].id != flit.pkt)
-            panic("network ", params_.name, ": unknown packet ejected");
-        const Packet &pkt = pool_[flit.slot];
-        if (ni.assembledFlits[v] != pkt.flits)
-            panic("network ", params_.name, ": flit count mismatch at "
-                  "reassembly");
-
-        // The order-sensitive completion effects — floating-point
-        // latency sampling, the HARE history update, the packet-pool
-        // release (free-list order decides future handle reuse) — are
-        // recorded here and replayed serially by mergeTick() in global
-        // NI order, so they happen in exactly the sequential schedule's
-        // order no matter which worker ran this NI. A packet queued
-        // before the warmup/measurement boundary straddles both phases;
-        // its latency is dropped from the averages at merge time and
-        // counted in warmupStraddlers instead.
-        const Cycle latency = now - pkt.queuedAt;
-        d.delivered.push_back({flit.slot, pkt.srcRouter, pkt.destRouter,
-                               pkt.order, pkt.cls,
-                               pkt.queuedAt < statsResetAt_, latency});
-
-        const int kindIdx = onRequestNetwork(pkt.msg.type) ? 0 : 1;
-        ni.ready[kindIdx].push_back({pkt.msg, pkt.flits});
-        // The completed packet's ejection slots are now accounted
-        // against the ready-queue entry (returned by popMessage).
+    const int v = flit.vc;
+    if (flit.head) {
+        ni.assembling[v] = flit.pkt;
         ni.assembledFlits[v] = 0;
     }
+    if (ni.assembling[v] != flit.pkt)
+        panic("network ", params_.name, ": interleaved packets on one "
+              "ejection VC");
+    ++ni.assembledFlits[v];
+    if (!flit.tail)
+        return;
+
+    if (!pool_.isLive(flit.slot) || pool_[flit.slot].id != flit.pkt)
+        panic("network ", params_.name, ": unknown packet ejected");
+    const Packet &pkt = pool_[flit.slot];
+    if (ni.assembledFlits[v] != pkt.flits)
+        panic("network ", params_.name, ": flit count mismatch at "
+              "reassembly");
+
+    // The order-sensitive completion effects — floating-point latency
+    // sampling, the HARE history update, the packet-pool release
+    // (free-list order decides future handle reuse) — are recorded here
+    // and replayed serially by mergeTick() in global NI order, so they
+    // happen in exactly the sequential schedule's order no matter which
+    // worker ran this NI. A packet queued before the warmup/measurement
+    // boundary straddles both phases; its latency is dropped from the
+    // averages at merge time and counted in warmupStraddlers instead.
+    const Cycle latency = now - pkt.queuedAt;
+    d.delivered.push_back({flit.slot, pkt.srcRouter, pkt.destRouter,
+                           pkt.order, pkt.cls,
+                           pkt.queuedAt < statsResetAt_, latency});
+
+    const int kindIdx = onRequestNetwork(pkt.msg.type) ? 0 : 1;
+    ni.ready[kindIdx].push_back({pkt.msg, pkt.flits});
+    // The completed packet's ejection slots are now accounted against
+    // the ready-queue entry (returned by popMessage).
+    ni.assembledFlits[v] = 0;
 }
 
 void
@@ -514,22 +499,38 @@ void
 Network::tickDomain(Domain &d, Cycle now)
 {
     DR_STAMP_WRITE(d);
-    // Apply this cycle's router arrivals before any NI or router ticks.
-    // Every arrival was scheduled at least one cycle ahead, so nothing
-    // this cycle can observe the difference from applying them inside
-    // each router's tick; and a slot holds at most one flit and one
-    // credit per (router, port), so the order within it changes no
-    // state. A router whose only work is an arrival in flight stays out
-    // of the active set until the arrival is due.
+    // Apply this cycle's arrivals before any NI or router ticks. Every
+    // arrival was scheduled at least one cycle ahead, so nothing this
+    // cycle can observe the difference from applying them inside each
+    // router's or NI's tick; and a slot holds at most one flit and one
+    // credit per (router, port) and per NI, so the order within it
+    // changes no state. A router or NI whose only work is an arrival in
+    // flight stays out of the active set until the arrival is due. An
+    // NI credit needs no sweep (a credit alone sends nothing); an
+    // ejected flit waits in the NI's slot for the ascending-NI sweep.
     std::vector<Arrival> &due = d.wheel[now & (d.wheel.size() - 1)];
     for (const Arrival &a : due) {
         DR_ASSERT(a.when == now);
-        Router &router = *routers_[a.router];
+        if (a.toNi) {
+            Ni &ni = nis_[a.to];
+            DR_STAMP_WRITE(ni);
+            if (a.credit) {
+                ++ni.credits[a.flit.vc];
+                continue;
+            }
+            DR_ASSERT_MSG(!ni.ejDue, "network ", params_.name, ": NI",
+                          a.to, " ejects two flits on cycle ", now);
+            ni.ejDue = true;
+            ni.ejFlit = a.flit;
+            d.activeNis.add(a.to);
+            continue;
+        }
+        Router &router = *routers_[a.to];
         if (a.credit)
             router.applyCredit(a.port, a.flit.vc);
         else
             router.applyFlit(a.port, a.flit);
-        d.activeRouters.add(a.router);
+        d.activeRouters.add(a.to);
     }
     d.wheelArrivals -= due.size();
     due.clear();
@@ -542,9 +543,9 @@ Network::tickDomain(Domain &d, Cycle now)
     d.activeNis.sweep([&](int n) {
         Ni &ni = nis_[n];
         const NodeId node = static_cast<NodeId>(n);
-        niEject(d, ni, node, now);
+        niEject(d, ni, now);
         niInject(d, ni, node, now);
-        return ni.busy();
+        return ni.queuedFlits > 0;
     });
     d.activeRouters.sweep([&](int r) {
         routers_[r]->tick(now);
@@ -556,7 +557,7 @@ void
 Network::scheduleArrival(Domain &d, const Arrival &a)
 {
     DR_STAMP_WRITE(d);
-    DR_ASSERT(a.when > now_ && a.when - now_ < d.wheel.size());
+    DR_ASSERT(a.when > now_ && a.when - now_ <= d.wheel.size());
     d.wheel[a.when & (d.wheel.size() - 1)].push_back(a);
     ++d.wheelArrivals;
 }
@@ -662,16 +663,32 @@ Network::vcMaskForOutput(int router, int port, const Flit &flit) const
 }
 
 void
-Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
+Network::sendArrival(int producer, const Arrival &a)
 {
     // Called from phase 1 on the sending router's worker. Same-domain
-    // hops commit directly (the arrival is future-timestamped, so the
-    // receiver cannot consume it this cycle either way); cross-domain
-    // hops are staged and committed after the barrier.
+    // arrivals commit directly (they are future-timestamped, so the
+    // receiver cannot consume them this cycle either way); cross-domain
+    // ones are staged and committed after the barrier. Attach links
+    // never cross a domain boundary: an NI lives in its router's domain.
+    const int consumer = a.toNi ? nodeDomain_[a.to] : routerDomain_[a.to];
+    if (producer == consumer)
+        scheduleArrival(domains_[consumer], a);
+    else
+        staged_[static_cast<std::size_t>(producer) * numDomains_ + consumer]
+            .push_back(a);
+}
+
+void
+Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
+{
     const auto &conn = topo_.port(router, port);
     const int producer = routerDomain_[router];
     ++domains_[producer].linkTraversals;
-    if (conn.interposer) {
+    Arrival a{when, conn.peerRouter, conn.peerPort, false, false, flit};
+    if (conn.kind == PortConn::Kind::Node) {
+        a.to = static_cast<std::int16_t>(conn.node);
+        a.toNi = true;
+    } else if (conn.interposer) {
         // Interposer link class: extra hop latency, plus occupancy
         // tracking (a flit occupies the downstream interposer buffer
         // until its credit crosses back). Both touches are events of
@@ -682,29 +699,9 @@ Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
         ++pd.interposerFlits;
         if (++pd.ipDelta > pd.ipMaxPrefix)
             pd.ipMaxPrefix = pd.ipDelta;
-        when += static_cast<Cycle>(params_.interposerLatency);
+        a.when += static_cast<Cycle>(params_.interposerLatency);
     }
-    const int consumer = routerDomain_[conn.peerRouter];
-    const Arrival a{when, static_cast<std::int16_t>(conn.peerRouter),
-                    static_cast<std::int16_t>(conn.peerPort), false, flit};
-    if (producer == consumer)
-        scheduleArrival(domains_[consumer], a);
-    else
-        staged_[static_cast<std::size_t>(producer) * numDomains_ + consumer]
-            .push_back(a);
-}
-
-void
-Network::deliverToNode(NodeId node, const Flit &flit, Cycle when)
-{
-    // An NI shares its attach router's domain, so ejection never
-    // crosses a domain boundary.
-    Domain &d = domains_[nodeDomain_[node]];
-    Ni &ni = nis_[node];
-    DR_STAMP_WRITE(ni);
-    ni.ejArrivals.push_back({when, flit});
-    d.activeNis.add(node);
-    ++d.linkTraversals;
+    sendArrival(producer, a);
 }
 
 int
@@ -727,35 +724,22 @@ void
 Network::creditToFeeder(int router, int inputPort, int vc, Cycle when)
 {
     const auto &conn = topo_.port(router, inputPort);
-    if (conn.kind == PortConn::Kind::Link) {
-        const int producer = routerDomain_[router];
-        const int consumer = routerDomain_[conn.peerRouter];
-        if (conn.interposer) {
-            // Credit return crosses the interposer too: same added
-            // latency, and the freed buffer slot ends the flit's
-            // interposer occupancy (an event of this router's tick).
-            --domains_[producer].ipDelta;
-            when += static_cast<Cycle>(params_.interposerLatency);
-        }
-        Arrival a{when, static_cast<std::int16_t>(conn.peerRouter),
-                  static_cast<std::int16_t>(conn.peerPort), true, {}};
-        a.flit.vc = static_cast<std::uint8_t>(vc);
-        if (producer == consumer)
-            scheduleArrival(domains_[consumer], a);
-        else
-            staged_[static_cast<std::size_t>(producer) * numDomains_ +
-                    consumer]
-                .push_back(a);
-    } else if (conn.kind == PortConn::Kind::Node) {
-        // Attach links are domain-local by construction.
-        Ni &ni = nis_[conn.node];
-        DR_STAMP_WRITE(ni);
-        ni.creditArrivals.push_back(
-            {when, static_cast<std::uint8_t>(vc)});
-        domains_[nodeDomain_[conn.node]].activeNis.add(conn.node);
-    } else {
+    const int producer = routerDomain_[router];
+    Arrival a{when, conn.peerRouter, conn.peerPort, true, false, {}};
+    a.flit.vc = static_cast<std::uint8_t>(vc);
+    if (conn.kind == PortConn::Kind::Node) {
+        a.to = static_cast<std::int16_t>(conn.node);
+        a.toNi = true;
+    } else if (conn.kind != PortConn::Kind::Link) {
         panic("credit to unconnected port");
+    } else if (conn.interposer) {
+        // Credit return crosses the interposer too: same added latency,
+        // and the freed buffer slot ends the flit's interposer
+        // occupancy (an event of this router's tick).
+        --domains_[producer].ipDelta;
+        a.when += static_cast<Cycle>(params_.interposerLatency);
     }
+    sendArrival(producer, a);
 }
 
 int
@@ -890,8 +874,6 @@ Network::flitsInFlight() const
                 total += a.credit ? 0 : 1;
         }
     }
-    for (const auto &ni : nis_)
-        total += static_cast<int>(ni.ejArrivals.size());
     return total;
 }
 
@@ -915,17 +897,25 @@ Network::checkCreditConservation() const
     const int depth = params_.vcDepthFlits;
     const int vcs = params_.numVcs;
 
-    // Arrivals still in the wheels, per (router, port, VC): flits bound
-    // for an input VC and credits bound for an output VC.
+    // Arrivals still in the wheels: per (router, port, VC), flits bound
+    // for an input VC and credits bound for an output VC; per (node,
+    // VC), credits bound for an NI; per node, flits bound for ejection.
     std::vector<int> firstKey(static_cast<std::size_t>(topo_.routers()) + 1);
     for (int r = 0; r < topo_.routers(); ++r)
         firstKey[r + 1] = firstKey[r] + topo_.radix(r) * vcs;
     std::vector<int> flitsDue(firstKey.back()), creditsDue(firstKey.back());
+    std::vector<int> niCreditsDue(nis_.size() * vcs), ejectionsDue(nis_.size());
     for (const Domain &d : domains_) {
         for (const auto &slot : d.wheel) {
-            for (const Arrival &a : slot)
-                ++(a.credit ? creditsDue : flitsDue)
-                    [firstKey[a.router] + a.port * vcs + a.flit.vc];
+            for (const Arrival &a : slot) {
+                if (a.toNi && a.credit)
+                    ++niCreditsDue[a.to * vcs + a.flit.vc];
+                else if (a.toNi)
+                    ++ejectionsDue[a.to];
+                else
+                    ++(a.credit ? creditsDue : flitsDue)
+                        [firstKey[a.to] + a.port * vcs + a.flit.vc];
+            }
         }
     }
 
@@ -971,11 +961,7 @@ Network::checkCreditConservation() const
             const int downstream =
                 routers_[attachRouter]->inVcOccupancy(attachPort, v) +
                 flitsDue[firstKey[attachRouter] + attachPort * vcs + v];
-            int returning = 0;
-            for (std::size_t i = 0; i < ni.creditArrivals.size(); ++i) {
-                if (ni.creditArrivals[i].vc == v)
-                    ++returning;
-            }
+            const int returning = niCreditsDue[n * vcs + v];
             if (held + downstream + returning != depth) {
                 panic("network ", params_.name,
                       ": credit conservation violated on NI", n, " vc ", v,
@@ -984,7 +970,7 @@ Network::checkCreditConservation() const
             }
         }
 
-        int staged = static_cast<int>(ni.ejArrivals.size());
+        int staged = ejectionsDue[n];
         for (int v = 0; v < params_.numVcs; ++v)
             staged += ni.assembledFlits[v];
         for (const auto &kind : ni.ready) {

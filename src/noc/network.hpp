@@ -178,8 +178,6 @@ class Network : public RouterEnv, public CongestionProbe
         DR_COMPUTE_PHASE;
     void deliverToRouter(int router, int port, const Flit &flit,
                          Cycle when) override DR_COMPUTE_PHASE;
-    void deliverToNode(NodeId node, const Flit &flit, Cycle when) override
-        DR_COMPUTE_PHASE;
     int nodeEjectFree(NodeId node) const override DR_COMPUTE_PHASE;
     void nodeEjectReserve(NodeId node) override DR_COMPUTE_PHASE;
     void creditToFeeder(int router, int inputPort, int vc,
@@ -252,8 +250,8 @@ class Network : public RouterEnv, public CongestionProbe
 
     /**
      * Flit conservation: every flit handed to a router by an NI is
-     * either ejected or still in flight (router buffers, arrival
-     * wheels, or ejection staging). panic()s on mismatch.
+     * either ejected or still in flight (router buffers or arrival
+     * wheels). panic()s on mismatch.
      */
     void checkFlitConservation() const;
 
@@ -305,7 +303,7 @@ class Network : public RouterEnv, public CongestionProbe
 
     /**
      * All-domains quiescence: no NI or router anywhere needs per-cycle
-     * service and no router arrival is in flight. With every endpoint
+     * service and no flit or credit is in flight. With every endpoint
      * watermark also in the future this proves a stretch of cycles
      * dead, enabling the idle-skip fast path (DESIGN.md §13). Serial-phase read: the vote is only
      * meaningful between ticks.
@@ -354,11 +352,14 @@ class Network : public RouterEnv, public CongestionProbe
     friend struct NetworkTestAccess;
 
     /**
-     * Per-node network interface. The whole structure is owned by the
-     * spatial domain of the node's attach router: the parallel phases
-     * only touch it from that domain's worker (validated by the
-     * DR_CHECKED stamp below), and serial code (inject/popMessage,
-     * between ticks) has exclusive access by construction.
+     * Per-node network interface. Its attach-link credits and ejected
+     * flits arrive through its domain's wheel, so the NI is only swept
+     * while it has packets to send or a flit to take on the due cycle.
+     * The whole structure is owned by the spatial domain of the node's
+     * attach router: the parallel phases only touch it from that
+     * domain's worker (validated by the DR_CHECKED stamp below), and
+     * serial code (inject/popMessage, between ticks) has exclusive
+     * access by construction.
      */
     struct DR_DOMAIN_OWNED Ni
     {
@@ -379,24 +380,22 @@ class Network : public RouterEnv, public CongestionProbe
         int sendRr = 0;  //!< round-robin start VC for send selection
         std::vector<std::uint64_t> vcFlitsSent;  //!< per VC, for fairness
         std::vector<int> credits;       //!< per VC downstream credits
-        RingBuffer<TimedCredit> creditArrivals;
         std::uint64_t flitsInjected = 0;
 
         // --- ejection side ---
         int ejFree = 0;
-        RingBuffer<TimedFlit> ejArrivals;
+        /**
+         * The flit ejected this cycle: the wheel drain puts it here and
+         * niEject takes it in the ascending-NI sweep, so delivery
+         * records and VN occupancy keep the serial event order. The
+         * attach port grants one flit a cycle, so one slot suffices.
+         */
+        bool ejDue = false;
+        Flit ejFlit;
         std::vector<PacketId> assembling;     //!< per VC
         std::vector<int> assembledFlits;      //!< per VC
         std::deque<std::pair<Message, int>> ready[2];  //!< per NetKind
         std::uint64_t flitsEjected = 0;
-
-        /** Whether the NI still needs per-cycle service. */
-        bool
-        busy() const
-        {
-            return queuedFlits > 0 || !creditArrivals.empty() ||
-                   !ejArrivals.empty();
-        }
     };
 
     // --- deterministic parallel tick engine (DESIGN.md §11) -----------
@@ -420,17 +419,19 @@ class Network : public RouterEnv, public CongestionProbe
     };
 
     /**
-     * A flit reaching a router input port, or a credit returning to a
-     * router output VC, on cycle `when`. Cross-domain arrivals are
-     * staged for the commit phase; every arrival then waits in its
-     * receiving domain's wheel until it is due.
+     * A flit or credit due on cycle `when`: a flit reaching a router
+     * input port or a node's ejection slot, or a credit returning to a
+     * router output VC or an NI. Cross-domain arrivals are staged for
+     * the commit phase; every arrival then waits in its receiving
+     * domain's wheel until it is due.
      */
     struct Arrival
     {
         Cycle when;
-        std::int16_t router;  //!< receiving router (global index)
-        std::int16_t port;
+        std::int16_t to;      //!< receiving router, or node if toNi
+        std::int16_t port;    //!< receiving router's port (not toNi)
         bool credit;          //!< credit for VC flit.vc, else a flit
+        bool toNi;
         Flit flit;
     };
 
@@ -465,10 +466,11 @@ class Network : public RouterEnv, public CongestionProbe
         int ipDelta = 0;
         int ipMaxPrefix = 0;
         /**
-         * Timing wheel of this domain's router arrivals, one slot per
-         * due cycle modulo its power-of-two size. The size exceeds the
-         * longest arrival delay (routerStages + interposerLatency), so
-         * a slot only ever holds arrivals due on one cycle.
+         * Timing wheel of every flit and credit bound for this domain's
+         * routers and NIs, one slot per due cycle modulo its power-of-
+         * two size. A cycle drains its slot before anything is pushed,
+         * so a size of at least the longest delay (routerStages +
+         * interposerLatency) keeps each slot to one due cycle.
          */
         std::vector<std::vector<Arrival>> wheel;
         std::size_t wheelArrivals = 0;  //!< arrivals across all slots
@@ -483,10 +485,12 @@ class Network : public RouterEnv, public CongestionProbe
 
     void niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
         DR_COMPUTE_PHASE;
-    void niEject(Domain &d, Ni &ni, NodeId node, Cycle now)
-        DR_COMPUTE_PHASE;
+    void niEject(Domain &d, Ni &ni, Cycle now) DR_COMPUTE_PHASE;
     /** Queue an arrival in its receiving domain's wheel. */
     void scheduleArrival(Domain &d, const Arrival &a) DR_COMPUTE_PHASE;
+    /** Send an arrival from `producer`'s worker: straight into the
+     *  wheel when the receiver is in the same domain, else staged. */
+    void sendArrival(int producer, const Arrival &a) DR_COMPUTE_PHASE;
     /** Phase 1: sweep one domain's NIs and routers (parallel). */
     void tickDomain(Domain &d, Cycle now) DR_COMPUTE_PHASE;
     /** Phase 2: commit flits/credits staged for this domain (parallel). */

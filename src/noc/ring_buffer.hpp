@@ -4,13 +4,13 @@
 /**
  * @file
  * Bounded ring buffer (FIFO) over a contiguous power-of-two array. The
- * NoC hot paths (NI arrival/credit queues, router input VCs) previously
+ * NoC hot paths (router input VCs, NI injection queues) previously
  * used std::deque, whose segmented storage costs an indirection per
  * access and an allocation every few pushes; these queues all have
- * small static bounds (buffer depths, credit counts), so a ring over
- * one flat array never reallocates in steady state. Growth is kept as
- * a safety valve: if a queue exceeds its reserved capacity the ring
- * doubles, preserving FIFO order.
+ * small static bounds (VC depths, injection-buffer capacities), so a
+ * ring over one flat array never reallocates in steady state. Growth
+ * is kept as a safety valve: if a queue exceeds its reserved capacity
+ * the ring doubles, preserving FIFO order.
  *
  * Ownership (DESIGN.md §12): a RingBuffer carries no annotation of its
  * own — every instance is embedded in an annotated structure (router
@@ -45,13 +45,6 @@ class RingBuffer
     T &front() { return buf_[head_]; }
     const T &front() const { return buf_[head_]; }
 
-    /** i-th element from the front (0 == front()). */
-    T &operator[](std::size_t i) { return buf_[(head_ + i) & mask_]; }
-    const T &operator[](std::size_t i) const
-    {
-        return buf_[(head_ + i) & mask_];
-    }
-
     void
     push_back(const T &v)
     {
@@ -66,13 +59,6 @@ class RingBuffer
     {
         head_ = (head_ + 1) & mask_;
         --size_;
-    }
-
-    void
-    clear()
-    {
-        head_ = 0;
-        size_ = 0;
     }
 
   private:

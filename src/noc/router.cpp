@@ -293,11 +293,10 @@ Router::grantTraversal(int key, int outPort, Cycle now)
                      "router ", id_, " port ", outPort, " vc ", outVc,
                      " switch traversal without a credit");
         --out_[outPort * numVcs_ + outVc].credits;
-        env_.deliverToRouter(id_, outPort, flit, arrive);
     } else {
         env_.nodeEjectReserve(portNode_[outPort]);
-        env_.deliverToNode(portNode_[outPort], flit, arrive);
     }
+    env_.deliverToRouter(id_, outPort, flit, arrive);
 
     // Return buffer credit to whoever feeds this input port.
     env_.creditToFeeder(id_, key / numVcs_, key % numVcs_, now + 1);

@@ -39,12 +39,10 @@ class RouterEnv
     virtual std::uint8_t vcMaskForOutput(int router, int port,
                                          const Flit &flit) const
         DR_COMPUTE_PHASE = 0;
-    /** Deliver a flit into a peer router's input port at `when`. */
+    /** Deliver a flit leaving `router` by output `port` at `when`: into
+     *  the peer router's input port, or the attached node's NI. */
     virtual void deliverToRouter(int router, int port, const Flit &flit,
                                  Cycle when) DR_COMPUTE_PHASE = 0;
-    /** Deliver a flit into a node's ejection buffer at `when`. */
-    virtual void deliverToNode(NodeId node, const Flit &flit,
-                               Cycle when) DR_COMPUTE_PHASE = 0;
     /** Free flit slots in a node's ejection buffer. */
     virtual int nodeEjectFree(NodeId node) const DR_COMPUTE_PHASE = 0;
     /** Reserve one ejection slot (called at switch traversal). */

@@ -22,7 +22,7 @@ struct NetworkTestAccess
     static void
     niEject(Network &net, int domain, NodeId node, Cycle now)
     {
-        net.niEject(net.domains_[domain], net.nis_[node], node, now);
+        net.niEject(net.domains_[domain], net.nis_[node], now);
     }
 
     /** Push a flit straight into the receiving router's domain wheel,
@@ -33,7 +33,8 @@ struct NetworkTestAccess
     {
         net.scheduleArrival(net.domains_[net.routerDomain_[router]],
                             {when, static_cast<std::int16_t>(router),
-                             static_cast<std::int16_t>(port), false, flit});
+                             static_cast<std::int16_t>(port), false, false,
+                             flit});
     }
 
     /** Whether a router is in its domain's active set. */
@@ -42,6 +43,13 @@ struct NetworkTestAccess
     {
         return net.domains_[net.routerDomain_[router]].activeRouters
             .contains(router);
+    }
+
+    /** Whether a node's NI is in its domain's active set. */
+    static bool
+    niActive(const Network &net, NodeId node)
+    {
+        return net.domains_[net.nodeDomain_[node]].activeNis.contains(node);
     }
 
     /** Take a packet-pool slot (a serial-only structural mutation). */
@@ -69,6 +77,26 @@ struct NetworkTestAccess
             panic("leakCredit: no credit to leak on router ", router,
                   " port ", port, " vc ", vc);
         --credits;
+    }
+
+    /** Discard one attach-link credit an NI holds; panics when none is
+     *  left. The NI branch of the credit checker must catch it. */
+    static void
+    leakNiCredit(Network &net, NodeId node, int vc)
+    {
+        int &credits = net.nis_[node].credits[vc];
+        if (credits <= 0)
+            panic("leakNiCredit: no credit to leak on NI ", node, " vc ",
+                  vc);
+        --credits;
+    }
+
+    /** Take one ejection slot of a node without a flit to fill it, as a
+     *  stray reservation would. */
+    static void
+    leakEjectSlot(Network &net, NodeId node)
+    {
+        --net.nis_[node].ejFree;
     }
 };
 

@@ -58,7 +58,7 @@ TEST(FaultInjection, CheckersPassWithTrafficInFlight)
     const Topology topo = Topology::makeMesh(4, 4);
     Network net(faultParams(topo), topo);
     // Multi-flit replies crossing single-flit requests: enough traffic
-    // to occupy buffers, arrival wheels, and ejection staging at once.
+    // to occupy buffers, arrival wheels and ejection slots at once.
     std::uint64_t id = 1;
     for (NodeId src = 0; src < 8; ++src) {
         net.inject(faultMsg(src, 15 - src, id++), 1, 0);
@@ -136,6 +136,59 @@ TEST(FaultInjectionDeath, LeakOnEmptyLinkPanicsImmediately)
     // All four credits gone; a fifth leak has nothing left to take.
     EXPECT_DEATH(NetworkTestAccess::leakCredit(net, 0, meshEast, 0),
                  "no credit to leak");
+}
+
+TEST(FaultInjectionDeath, NiCreditLeakIsCaught)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    Network net(faultParams(topo), topo);
+    NetworkTestAccess::leakNiCredit(net, 6, 1);
+    EXPECT_DEATH(net.checkCreditConservation(),
+                 "credit conservation violated on NI6 vc 1");
+}
+
+TEST(FaultInjectionDeath, NiCreditLeakCaughtWhileItsReturnIsInFlight)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    Network net(faultParams(topo), topo);
+    // NI 0 sends one flit on cycle 0; router 0 forwards it on cycle 1,
+    // which puts the attach-link credit on its way back (due cycle 2).
+    net.inject(faultMsg(0, 15, 1), 1, 0);
+    tickRange(net, 0, 2);
+    ASSERT_EQ(net.routerStats(0).switchTraversals, 1u);
+    // The returning credit is counted: the law holds as is ...
+    net.checkCreditConservation();
+    // ... and a leak of one of the credits NI 0 still holds breaks it.
+    NetworkTestAccess::leakNiCredit(net, 0, 0);
+    EXPECT_DEATH(net.checkCreditConservation(),
+                 "credit conservation violated on NI0 vc 0");
+}
+
+TEST(FaultInjectionDeath, NiLeakOnDrainedVcPanicsImmediately)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    Network net(faultParams(topo), topo);
+    for (int i = 0; i < 4; ++i)
+        NetworkTestAccess::leakNiCredit(net, 3, 0);
+    EXPECT_DEATH(NetworkTestAccess::leakNiCredit(net, 3, 0),
+                 "no credit to leak on NI 3 vc 0");
+}
+
+TEST(FaultInjectionDeath, EjectSlotLeakIsCaught)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    Network net(faultParams(topo), topo);
+    // A reply heading for node 10 keeps ejection slots reserved and
+    // flits in flight toward it; the checker accounts for those and
+    // still catches the one slot taken without a flit.
+    net.inject(faultMsg(5, 10, 1, MsgType::ReadReply), 9, 0);
+    tickRange(net, 0, 14);
+    ASSERT_GT(net.flitsEjectedAt(10), 0u);
+    ASSERT_GT(net.flitsInFlight(), 0);
+    net.checkCreditConservation();
+    NetworkTestAccess::leakEjectSlot(net, 10);
+    EXPECT_DEATH(net.checkCreditConservation(),
+                 "NI10 ejection-slot accounting violated");
 }
 
 TEST(FaultInjection, FlitConservationUnaffectedByCreditLeak)

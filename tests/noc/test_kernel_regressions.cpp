@@ -317,13 +317,15 @@ TEST(KernelDeterminism, CrossbarSchedulesMatchPinnedLiterals)
 
 /**
  * One fixed run on a network whose arrival wheel (DESIGN.md §9) sits on
- * a sizing boundary: a wheel has the power of two above routerStages +
- * interposerLatency slots, so a 4-stage chiplet mesh with interposer
- * latency 3 uses all 8 of its slots, latency 4 gets 16, and a 1-stage
- * mesh runs on 2. A wheel smaller than the longest delay files
- * arrivals under the wrong cycle, which the 8-slot case catches. Interposer links serialize each flit over 2 cycles,
- * and with `threads` = 2 every interposer hop crosses a domain boundary
- * through the staged path. Invariants are checked every 100 cycles, and
+ * a sizing boundary: a wheel has bit_ceil(routerStages +
+ * interposerLatency) slots, so a 4-stage chiplet mesh with interposer
+ * latency 3 leaves one slot spare, latency 4 schedules its longest hop
+ * exactly 8 slots ahead into the slot drained that cycle, and a 1-stage
+ * mesh runs on 1. A wheel smaller than the longest delay files
+ * arrivals under the wrong cycle, which these pins catch (a halved
+ * wheel fails them). Interposer links serialize each flit over 2
+ * cycles, and with `threads` = 2 every interposer hop crosses a domain
+ * boundary through the staged path. Invariants are checked every 100 cycles, and
  * the run stops with traffic in flight so flitsInFlight() counts
  * undelivered arrivals.
  */

@@ -162,6 +162,39 @@ TEST(ArrivalWheel, DormantRouterWakesOnTheDueCycle)
     EXPECT_EQ(net.routerStats(1).switchTraversals, 1u);
 }
 
+TEST(ArrivalWheel, DormantNiWakesOnTheDueCycle)
+{
+    // Router 0 forwards a flit to router 1 on cycle 1, which returns NI
+    // 0's credit (due cycle 2) and, 4 stages later, ejects the flit
+    // toward node 1 on cycle 5 (due cycle 9). Neither NI is swept for a
+    // credit or a flit still in flight: NI 1 joins the active set on
+    // cycle 9 and reassembles the packet then.
+    const Topology topo = Topology::makeMesh(4, 4);
+    NetworkParams p = paramsFor(topo);
+    p.threads = 1;
+    Network net(p, topo);
+    net.inject(makeMsg(0, 1), 1, 0);
+    net.tick(0);
+    net.tick(1);
+    ASSERT_EQ(net.routerStats(0).switchTraversals, 1u);
+    EXPECT_FALSE(NetworkTestAccess::niActive(net, 0));
+    for (Cycle c = 2; c <= 5; ++c)
+        net.tick(c);
+    ASSERT_EQ(net.routerStats(1).switchTraversals, 1u);
+    for (Cycle c = 6; c <= 9; ++c) {
+        EXPECT_FALSE(NetworkTestAccess::niActive(net, 1))
+            << "before cycle " << c;
+        EXPECT_FALSE(net.hasMessage(1, NetKind::Request));
+        EXPECT_EQ(net.flitsInFlight(), 1);
+        net.checkAllInvariants();
+        net.tick(c);
+    }
+    EXPECT_TRUE(net.hasMessage(1, NetKind::Request));
+    EXPECT_EQ(net.flitsEjectedAt(1), 1u);
+    EXPECT_EQ(net.flitsInFlight(), 0);
+    net.checkAllInvariants();
+}
+
 TEST(Network, LatencyGrowsWithDistance)
 {
     const Topology topo = Topology::makeMesh(8, 8);

@@ -38,13 +38,8 @@ class MockEnv : public RouterEnv
     void
     deliverToRouter(int, int port, const Flit &flit, Cycle when) override
     {
-        linkDeliveries.push_back({port, flit, when});
-    }
-
-    void
-    deliverToNode(NodeId, const Flit &flit, Cycle when) override
-    {
-        nodeDeliveries.push_back({0, flit, when});
+        (port == 0 ? nodeDeliveries : linkDeliveries)
+            .push_back({port, flit, when});
     }
 
     int nodeEjectFree(NodeId) const override { return ejFree; }

@@ -45,7 +45,7 @@ SHARED_HPP = "src/gpu/shared_l1.hpp"
 L1_IFACE = "src/gpu/l1_cache.hpp"
 
 # Anchor lines in the live tree (asserted before patching).
-EJECT_STAMP = "    (void)node;\n    DR_STAMP_WRITE(ni);"
+EJECT_STAMP = "    DR_STAMP_WRITE(ni);\n    if (!ni.ejDue)\n        return;"
 FLUSHES_GETTER = ("    const Counter &flushes() const DR_PHASE_READ "
                   "{ return flushes_; }")
 FILL_CALL = "    l1_.fill(coreIdx_, line);"
@@ -401,7 +401,7 @@ class PhaseRuleMutantTest(MutantCase):
                          NETWORK_CPP)
 
     def test_mutant_unstaged_cross_domain(self):
-        # deliverToRouter pushes the cross-domain hop straight into the
+        # sendArrival pushes the cross-domain hop straight into the
         # consumer's wheel instead of staging it through the SPSC buffer.
         prog = scan_mutated([(
             NETWORK_CPP,
@@ -468,9 +468,9 @@ class PhaseRuleMutantTest(MutantCase):
         prog = scan_mutated([(
             NETWORK_CPP,
             "Cycle now)\n{\n    DR_STAMP_WRITE(ni);\n"
-            "    while (!ni.creditArrivals.empty() &&",
+            "    const int attachRouter",
             "Cycle now)\n{\n"
-            "    while (!ni.creditArrivals.empty() &&")])
+            "    const int attachRouter")])
         self.assert_rule(prog.findings, "missing-stamp-check", NETWORK_CPP)
 
 
