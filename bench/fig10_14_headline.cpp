@@ -11,12 +11,12 @@
  *  Fig 13: CPU performance (+8.8% avg on clogged workloads)
  *  Fig 14: L1 miss breakdown (54.8% forwarded, 74.4% remote hits)
  *
- * Set DR_BENCH_CPUS=1 to run one CPU co-runner per GPU benchmark.
+ * DR_BENCH_CPUS (1-3, default 3) sets the CPU co-runners per GPU
+ * benchmark; any other value is fatal.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiment.hpp"
 #include "workloads/gpu_benchmarks.hpp"
@@ -27,9 +27,7 @@ using namespace dr;
 int
 main()
 {
-    int cpusPer = 3;
-    if (const char *env = std::getenv("DR_BENCH_CPUS"))
-        cpusPer = std::clamp(std::atoi(env), 1, 3);
+    const int cpusPer = benchCpus();
 
     struct Cell
     {

@@ -12,12 +12,9 @@ namespace dr
 {
 
 long long
-envWhole(const char *name, long long lo, long long hi, long long fallback)
+parseWhole(const char *name, std::string_view text, long long lo,
+           long long hi)
 {
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return fallback;
-    const std::string_view text(env);
     long long parsed = 0;
     const auto [ptr, ec] =
         std::from_chars(text.data(), text.data() + text.size(), parsed);
@@ -27,6 +24,15 @@ envWhole(const char *name, long long lo, long long hi, long long fallback)
               "], got '", text, "'");
     }
     return parsed;
+}
+
+long long
+envWhole(const char *name, long long lo, long long hi, long long fallback)
+{
+    const char *env = std::getenv(name);
+    if (!env || !*env)
+        return fallback;
+    return parseWhole(name, env, lo, hi);
 }
 
 int

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -282,10 +283,17 @@ struct SystemConfig
 };
 
 /**
+ * `text` as a whole number in [lo, hi]. Anything else ("4x", " 4",
+ * "-1", "abc", "") is fatal, naming `name` (an environment variable or
+ * a command-line flag) and the accepted range — never silently
+ * defaulted or clamped.
+ */
+long long parseWhole(const char *name, std::string_view text, long long lo,
+                     long long hi);
+
+/**
  * An environment knob as a whole number in [lo, hi]. Unset or empty
- * gives `fallback`; anything else that is not a whole number in range
- * ("4x", " 4", "-1", "abc") is fatal, naming the variable and the
- * accepted range — never silently defaulted or clamped.
+ * gives `fallback`; any other value goes through parseWhole().
  */
 long long envWhole(const char *name, long long lo, long long hi,
                    long long fallback);

@@ -3,15 +3,11 @@
 
 /**
  * @file
- * Lightweight statistics package. Components own plain stat objects
- * (Counter, Average, Histogram) and may register them with a StatGroup
- * for uniform dumping.
+ * Lightweight statistics package: the plain stat objects (Counter,
+ * Average) that components own.
  */
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
-#include <vector>
 
 namespace dr
 {
@@ -54,71 +50,6 @@ class Average
   private:
     double sum_ = 0.0;
     std::uint64_t count_ = 0;
-};
-
-/**
- * Fixed-bin histogram over [0, max); samples at or above max land in the
- * overflow bin. Also tracks min/max/mean.
- */
-class Histogram
-{
-  public:
-    Histogram(std::uint64_t max, std::size_t bins);
-
-    void sample(std::uint64_t v);
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t minValue() const { return count_ ? min_ : 0; }
-    std::uint64_t maxValue() const { return count_ ? max_ : 0; }
-    /** Approximate p-th percentile (p in [0, 100]) from bin midpoints. */
-    double percentile(double p) const;
-    const std::vector<std::uint64_t> &bins() const { return bins_; }
-    std::uint64_t overflow() const { return overflow_; }
-
-    void reset();
-
-  private:
-    std::uint64_t limit_;
-    double binWidth_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    std::uint64_t min_ = 0;
-    std::uint64_t max_ = 0;
-};
-
-/**
- * A named collection of scalar statistics for dumping. Values are pulled
- * through std::function-free lightweight accessors at dump time.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void add(const std::string &name, const Counter &c);
-    void add(const std::string &name, const Average &a);
-    void addScalar(const std::string &name, const double *v);
-
-    /** Print "group.stat value" lines. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    enum class Kind { CounterStat, AverageStat, ScalarStat };
-
-    struct Entry
-    {
-        std::string name;
-        Kind kind;
-        const void *ptr;
-    };
-
-    std::string name_;
-    std::vector<Entry> entries_;
 };
 
 } // namespace dr

@@ -62,6 +62,12 @@ benchCycles(Cycle fallback)
         static_cast<long long>(fallback)));
 }
 
+int
+benchCpus()
+{
+    return static_cast<int>(envWhole("DR_BENCH_CPUS", 1, 3, 3));
+}
+
 SystemConfig
 benchConfig(Mechanism mechanism)
 {

@@ -36,6 +36,13 @@ double mean(const std::vector<double> &values);
  */
 Cycle benchCycles(Cycle fallback);
 
+/**
+ * CPU co-runners per GPU benchmark in the headline sweep, from the
+ * DR_BENCH_CPUS environment variable: 1 to 3, default 3 (all of Table
+ * II's co-runners).
+ */
+int benchCpus();
+
 /** A paper-default config scaled to the bench cycle budget. */
 SystemConfig benchConfig(Mechanism mechanism);
 

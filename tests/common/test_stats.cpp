@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/stats.hpp"
 
 namespace dr
@@ -45,77 +43,6 @@ TEST(Average, ResetClears)
     a.reset();
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
     EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(Histogram, BasicBinning)
-{
-    Histogram h(100, 10);
-    h.sample(5);   // bin 0
-    h.sample(15);  // bin 1
-    h.sample(95);  // bin 9
-    EXPECT_EQ(h.bins()[0], 1u);
-    EXPECT_EQ(h.bins()[1], 1u);
-    EXPECT_EQ(h.bins()[9], 1u);
-    EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(Histogram, OverflowBin)
-{
-    Histogram h(10, 2);
-    h.sample(10);
-    h.sample(1000);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.count(), 2u);
-}
-
-TEST(Histogram, TracksMinMaxMean)
-{
-    Histogram h(1000, 10);
-    h.sample(10);
-    h.sample(20);
-    h.sample(60);
-    EXPECT_EQ(h.minValue(), 10u);
-    EXPECT_EQ(h.maxValue(), 60u);
-    EXPECT_DOUBLE_EQ(h.mean(), 30.0);
-}
-
-TEST(Histogram, PercentileMonotonic)
-{
-    Histogram h(1000, 100);
-    for (int i = 0; i < 1000; ++i)
-        h.sample(i);
-    EXPECT_LE(h.percentile(10), h.percentile(50));
-    EXPECT_LE(h.percentile(50), h.percentile(90));
-    EXPECT_NEAR(h.percentile(50), 500.0, 20.0);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram h(100, 10);
-    h.sample(50);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bins()[5], 0u);
-}
-
-TEST(StatGroup, DumpsRegisteredStats)
-{
-    StatGroup g("router0");
-    Counter c;
-    c += 7;
-    Average a;
-    a.sample(3.0);
-    double scalar = 1.5;
-    g.add("flits", c);
-    g.add("latency", a);
-    g.addScalar("util", &scalar);
-
-    std::ostringstream os;
-    g.dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("router0.flits 7"), std::string::npos);
-    EXPECT_NE(out.find("router0.latency 3"), std::string::npos);
-    EXPECT_NE(out.find("router0.util 1.5"), std::string::npos);
 }
 
 } // namespace

@@ -551,12 +551,15 @@ struct EnvKnob
 {
     const char *name;
     void (*read)();
+    const char *aboveRange;  //!< the smallest value past the knob's limit
 };
 
 const EnvKnob kEnvKnobs[] = {
     {"DR_NOC_THREADS",
-     [] { HeteroSystem sys(SystemConfig::makeSmall(), "HS", "vips"); }},
-    {"DR_BENCH_CYCLES", [] { (void)benchCycles(100); }},
+     [] { HeteroSystem sys(SystemConfig::makeSmall(), "HS", "vips"); },
+     "257"},
+    {"DR_BENCH_CYCLES", [] { (void)benchCycles(100); }, "1000000000001"},
+    {"DR_BENCH_CPUS", [] { (void)benchCpus(); }, "4"},
 };
 
 /** Set an environment variable for one scope, then restore it. */
@@ -586,7 +589,8 @@ class ScopedEnv
 TEST(EnvKnobDeath, MalformedValuesAreFatal)
 {
     for (const EnvKnob &knob : kEnvKnobs) {
-        for (const char *bad : {"4x", "-1", "0", " 4", "abc"}) {
+        for (const char *bad :
+             {"4x", "-1", "0", " 4", "abc", knob.aboveRange}) {
             EXPECT_DEATH(
                 {
                     setenv(knob.name, bad, 1);
@@ -606,12 +610,18 @@ TEST(EnvKnob, EmptyValueMeansUnset)
     }
     const ScopedEnv cycles("DR_BENCH_CYCLES", "");
     EXPECT_EQ(benchCycles(123), 123u);
+    const ScopedEnv cpus("DR_BENCH_CPUS", "");
+    EXPECT_EQ(benchCpus(), 3);
+    unsetenv("DR_BENCH_CPUS");
+    EXPECT_EQ(benchCpus(), 3);
 }
 
 TEST(EnvKnob, WholeNumbersInRangeApply)
 {
     const ScopedEnv cycles("DR_BENCH_CYCLES", "4000");
     EXPECT_EQ(benchCycles(123), 4000u);
+    const ScopedEnv cpus("DR_BENCH_CPUS", "2");
+    EXPECT_EQ(benchCpus(), 2);
 }
 
 } // namespace

@@ -25,8 +25,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "common/config.hpp"
 #include "verify/checker.hpp"
 #include "verify/configs.hpp"
 
@@ -130,14 +132,18 @@ main(int argc, char **argv)
         } else if (arg == "--config") {
             configName = value();
         } else if (arg == "--cores") {
-            cores = std::atoi(value());
+            cores = static_cast<int>(
+                parseWhole("--cores", value(), 2, verify::maxCores));
         } else if (arg == "--lines") {
-            lines = std::atoi(value());
+            lines = static_cast<int>(
+                parseWhole("--lines", value(), 1, verify::maxLines));
         } else if (arg == "--reads") {
-            reads = std::atoi(value());
+            reads = static_cast<int>(
+                parseWhole("--reads", value(), 1, verify::maxReads));
         } else if (arg == "--max-states") {
-            opts.maxStates =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            opts.maxStates = static_cast<std::uint64_t>(parseWhole(
+                "--max-states", value(), 1,
+                std::numeric_limits<long long>::max()));
         } else if (arg == "--no-livelock") {
             opts.checkLivelock = false;
         } else if (arg == "--verbose") {
