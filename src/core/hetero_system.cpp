@@ -87,29 +87,30 @@ HeteroSystem::HeteroSystem(const SystemConfig &cfg,
             layout_.cpuCores));
     }
 
-    // Endpoint tick engine (DESIGN.md §13): partition the endpoints
-    // over the request network's spatial domains. Every L1
-    // organization stages its cross-core effects per calling core
-    // (DESIGN.md §14), so shared organizations parallelize too.
-    {
-        std::vector<MemNode *> mems;
-        std::vector<SmCore *> gpus;
-        std::vector<CpuNode *> cpus;
-        for (auto &m : memNodes_)
-            mems.push_back(m.get());
-        for (auto &g : gpuCores_)
-            gpus.push_back(g.get());
-        for (auto &c : cpuNodes_)
-            cpus.push_back(c.get());
-        engine_ = std::make_unique<EndpointEngine>(
-            ic_->net(NetKind::Request), ic_->tickPool(), mems, gpus,
-            cpus);
-        // The engine assigned each SM its endpoint domain; hand the
-        // mapping to the L1 organization so its per-core staged banks
-        // carry the right writer-domain stamp owners.
-        for (auto &g : gpuCores_)
-            l1Org_->setCoreDomain(g->coreIdx(), g->domain());
+    // Endpoint tick domains (DESIGN.md §13): each endpoint joins the
+    // request network's domain of its attach router and ticks in that
+    // domain's slot of the NoC compute run. Every L1 organization
+    // stages its cross-core effects per calling core (DESIGN.md §14),
+    // so shared organizations parallelize too.
+    const Network &req = ic_->net(NetKind::Request);
+    endpointDomains_.resize(static_cast<std::size_t>(req.numDomains()));
+    auto join = [&](auto &endpoint) {
+        const int d = req.domainOfNode(endpoint.nodeId());
+        endpoint.setDomain(d);
+        return d;
+    };
+    for (auto &m : memNodes_)
+        endpointDomains_[join(*m)].mems.push_back(m.get());
+    for (auto &g : gpuCores_) {
+        const int d = join(*g);
+        endpointDomains_[d].gpus.push_back(g.get());
+        // The L1 organization's per-core staged banks carry the core's
+        // domain as their writer-stamp owner.
+        l1Org_->setCoreDomain(g->coreIdx(), d);
     }
+    for (auto &c : cpuNodes_)
+        endpointDomains_[join(*c)].cpus.push_back(c.get());
+    endpointWork_ = [this](int d, Cycle now) { tickEndpoints(d, now); };
 
     if (cfg_.debug.sweepCycles > 0)
         sweepDue_ = cfg_.debug.sweepCycles;
@@ -190,16 +191,14 @@ HeteroSystem::advance(Cycle cycles)
 void
 HeteroSystem::stepCycle()
 {
-    ic_->tick(now_);
-    l1Org_->tick(now_);
-
-    // Endpoint compute phase: every send is staged in the per-node
+    // One compute run ticks each domain's networks and then its
+    // endpoints (DESIGN.md §13). Every send is staged in the per-node
     // outboxes; the serial merge below drains them in the canonical
     // order (memory nodes, GPU cores, CPU nodes — the historical
     // serial tick order), so pool slots, packet ids and routing RNG
     // draws replay the exact serial sequence at any thread count.
     ic_->beginStaging();
-    engine_->tick(now_);
+    ic_->tick(now_, endpointWork_);
     commitEndpoints();
 
     if (watchdog_ && now_ >= watchdogDue_) {
@@ -215,6 +214,22 @@ HeteroSystem::stepCycle()
                 sweepDue_ += cfg_.debug.sweepCycles;
         }
     }
+}
+
+void
+HeteroSystem::tickEndpoints(int d, Cycle now)
+{
+    // Canonical order within a domain mirrors the serial schedule
+    // (memory nodes, then GPU cores, then CPU nodes); endpoints in one
+    // domain are mutually independent during the compute phase, but
+    // keeping the order makes serial and parallel traces line up.
+    const EndpointDomain &p = endpointDomains_[d];
+    for (MemNode *m : p.mems)
+        m->tick(now);
+    for (SmCore *g : p.gpus)
+        g->tick(now);
+    for (CpuNode *c : p.cpus)
+        c->tick(now);
 }
 
 void

@@ -17,7 +17,7 @@
 #include "coherence/gpu_coherence.hpp"
 #include "coherence/mesi.hpp"
 #include "common/config.hpp"
-#include "core/endpoint_engine.hpp"
+#include "common/ownership.hpp"
 #include "core/layout.hpp"
 #include "cpu/cpu_node.hpp"
 #include "debug/progress_watchdog.hpp"
@@ -130,7 +130,11 @@ class HeteroSystem
     MesiStats mesiStats() const;
 
     /** Endpoint tick domains in use (1 = serial endpoint phase). */
-    int endpointDomains() const { return engine_->numDomains(); }
+    int
+    endpointDomains() const
+    {
+        return static_cast<int>(endpointDomains_.size());
+    }
 
     /** Cycles elided by the idle-skip fast path since construction. */
     Cycle idleSkippedCycles() const { return skippedCycles_; }
@@ -160,31 +164,48 @@ class HeteroSystem
      *  observation so skipping never changes watchdog behaviour. */
     static constexpr Cycle kObserveEvery = 64;
 
+    /** One tick domain's endpoints, each list in index order. */
+    struct EndpointDomain
+    {
+        std::vector<MemNode *> mems;
+        std::vector<SmCore *> gpus;
+        std::vector<CpuNode *> cpus;
+    };
+
     bool anyRemoteL1Has(int coreIdx, Addr line) const;
     void stepCycle();
+    /** Tick domain `d`'s endpoints, in the NoC's compute run. */
+    void tickEndpoints(int d, Cycle now) DR_ENDPOINT_PHASE;
     void commitEndpoints();
     Cycle idleSkipTarget(Cycle end) const;
 
-    SystemConfig cfg_;
-    LayoutMap layout_;
-    std::unique_ptr<Interconnect> ic_;
-    std::unique_ptr<GpuCoherence> coherence_;
-    std::unique_ptr<AddressMap> map_;
-    std::unique_ptr<KernelAccessPattern> kernel_;
-    std::unique_ptr<CtaScheduler> ctaSched_;
-    std::unique_ptr<L1Organizer> l1Org_;
-    std::vector<std::unique_ptr<SmCore>> gpuCores_;
-    std::vector<std::unique_ptr<CpuNode>> cpuNodes_;
-    std::vector<std::unique_ptr<MemNode>> memNodes_;
-    std::unique_ptr<EndpointEngine> engine_;
-    std::unique_ptr<ProgressWatchdog> watchdog_;
-    Cycle now_ = 0;
-    Cycle skippedCycles_ = 0;
+    // Everything here is written only between cycles; tickEndpoints
+    // reads the endpoint lists and ticks the endpoints they point to,
+    // which carry their own classifications.
+    SystemConfig cfg_ DR_SERIAL_ONLY;
+    LayoutMap layout_ DR_SERIAL_ONLY;
+    std::unique_ptr<Interconnect> ic_ DR_SERIAL_ONLY;
+    std::unique_ptr<GpuCoherence> coherence_ DR_SERIAL_ONLY;
+    std::unique_ptr<AddressMap> map_ DR_SERIAL_ONLY;
+    std::unique_ptr<KernelAccessPattern> kernel_ DR_SERIAL_ONLY;
+    std::unique_ptr<CtaScheduler> ctaSched_ DR_SERIAL_ONLY;
+    std::unique_ptr<L1Organizer> l1Org_ DR_SERIAL_ONLY;
+    std::vector<std::unique_ptr<SmCore>> gpuCores_ DR_SERIAL_ONLY;
+    std::vector<std::unique_ptr<CpuNode>> cpuNodes_ DR_SERIAL_ONLY;
+    std::vector<std::unique_ptr<MemNode>> memNodes_ DR_SERIAL_ONLY;
+    /** The endpoints partitioned over the request network's domains
+     *  (attach-router domain, Network::domainOfNode). */
+    std::vector<EndpointDomain> endpointDomains_ DR_SERIAL_ONLY;
+    /** tickEndpoints bound to this system, built once (DESIGN.md §13). */
+    Network::DomainWork endpointWork_ DR_SERIAL_ONLY;
+    std::unique_ptr<ProgressWatchdog> watchdog_ DR_SERIAL_ONLY;
+    Cycle now_ DR_SERIAL_ONLY = 0;
+    Cycle skippedCycles_ DR_SERIAL_ONLY = 0;
     /** Next cycle a watchdog observation is due (multiples of
      *  kObserveEvery, matching the historical modulo schedule). */
-    Cycle watchdogDue_ = 0;
+    Cycle watchdogDue_ DR_SERIAL_ONLY = 0;
     /** Next cycle a checked-build invariant sweep is due. */
-    Cycle sweepDue_ = kNeverCycle;
+    Cycle sweepDue_ DR_SERIAL_ONLY = kNeverCycle;
 };
 
 } // namespace dr

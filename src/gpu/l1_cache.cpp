@@ -70,12 +70,6 @@ PrivateL1::hitLatency() const
     return cfg_.l1HitLatency;
 }
 
-void
-PrivateL1::tick(Cycle now)
-{
-    (void)now;
-}
-
 std::unique_ptr<L1Organizer>
 makeL1Organizer(const GpuConfig &cfg)
 {

@@ -103,9 +103,6 @@ class L1Organizer
 
     virtual const L1OrgStats &stats() const = 0;
 
-    /** Advance per-cycle port bookkeeping (serial, start of cycle). */
-    virtual void tick(Cycle now) = 0;
-
     /**
      * Serial-merge half of the cycle: drain the per-core staged
      * effects (slice-port claims, LRU touches, fills, phase-clock
@@ -130,8 +127,8 @@ class L1Organizer
     virtual void auditStamps() const {}
 
     /**
-     * Earliest future cycle at which ticking the organization could
-     * change its state without any new lookup arriving (idle-skip
+     * Earliest future cycle at which the organization's commitCycle
+     * could change its state without any new lookup arriving (idle-skip
      * watermark, DESIGN.md §13). Stateless-per-cycle organizations
      * never self-advance; DynEB's probe-phase clock does.
      */
@@ -157,7 +154,6 @@ class PrivateL1 : public L1Organizer
     void flush(int core) override DR_COMMIT_PHASE;
     int hitLatency() const override;
     const L1OrgStats &stats() const override;
-    void tick(Cycle now) override;
 
   private:
     struct NoMeta

@@ -149,12 +149,6 @@ SharedL1::stats() const
 }
 
 void
-SharedL1::tick(Cycle now)
-{
-    (void)now;
-}
-
-void
 SharedL1::commitCycle(Cycle now)
 {
     DR_PHASE_ASSERT_COMMIT();
@@ -311,13 +305,6 @@ DynEbL1::maybeAdvancePhase(Cycle now)
     }
     phaseStart_ = now;
     clearProbeBanks();
-}
-
-void
-DynEbL1::tick(Cycle now)
-{
-    shared_.tick(now);
-    private_.tick(now);
 }
 
 void

@@ -57,7 +57,6 @@ class SharedL1 : public L1Organizer
     void flush(int core) override DR_COMMIT_PHASE;
     int hitLatency() const override;
     const L1OrgStats &stats() const override;
-    void tick(Cycle now) override;
     void commitCycle(Cycle now) override DR_COMMIT_PHASE;
     void setCoreDomain(int core, int domain) override;
     void auditStamps() const override;
@@ -132,7 +131,6 @@ class DynEbL1 : public L1Organizer
     void flush(int core) override DR_COMMIT_PHASE;
     int hitLatency() const override;
     const L1OrgStats &stats() const override;
-    void tick(Cycle now) override;
     void commitCycle(Cycle now) override DR_COMMIT_PHASE;
     void setCoreDomain(int core, int domain) override;
     void auditStamps() const override;

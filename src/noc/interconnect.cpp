@@ -256,10 +256,10 @@ Interconnect::popMessage(NodeId node, NetKind kind)
 }
 
 void
-Interconnect::tick(Cycle now)
+Interconnect::tick(Cycle now, const Network::DomainWork &work)
 {
     Network *const nets[] = {request_.get(), reply_.get()};
-    Network::tickAll(*pool_, {nets, reply_ ? 2u : 1u}, now);
+    Network::tickAll(*pool_, {nets, reply_ ? 2u : 1u}, now, work);
 }
 
 void
@@ -293,15 +293,6 @@ Interconnect::totalBufferWrites() const
     std::uint64_t total = request_->totalBufferWrites();
     if (reply_)
         total += reply_->totalBufferWrites();
-    return total;
-}
-
-std::uint64_t
-Interconnect::totalLinkTraversals() const
-{
-    std::uint64_t total = request_->totalLinkTraversals();
-    if (reply_)
-        total += reply_->totalLinkTraversals();
     return total;
 }
 

@@ -75,11 +75,15 @@ class Interconnect
     const Message &peekMessage(NodeId node, NetKind kind) const;
     Message popMessage(NodeId node, NetKind kind);
 
-    /** Advance both physical networks one cycle on the shared pool. */
-    void tick(Cycle now);
+    /**
+     * Advance both physical networks one cycle on the shared pool;
+     * `work` runs in each domain's slot of the compute run, after that
+     * domain's network sweeps (Network::tickAll).
+     */
+    void tick(Cycle now, const Network::DomainWork &work = {});
 
-    /** The chip's one worker pool: the networks and the endpoint
-     *  engine run every parallel phase on it (DESIGN.md §11). */
+    /** The chip's one worker pool: every parallel phase of the
+     *  networks and the endpoints runs on it (DESIGN.md §11). */
     TickPool &tickPool() { return *pool_; }
 
     const Topology &topology() const { return topo_; }
@@ -119,7 +123,12 @@ class Interconnect
     /** Sum of energy-model event counts over all physical networks. */
     std::uint64_t totalSwitchTraversals() const;
     std::uint64_t totalBufferWrites() const;
-    std::uint64_t totalLinkTraversals() const;
+    /** Equal to totalSwitchTraversals() (Network::totalLinkTraversals). */
+    std::uint64_t
+    totalLinkTraversals() const
+    {
+        return totalSwitchTraversals();
+    }
 
   private:
     /**

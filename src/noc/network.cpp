@@ -443,7 +443,8 @@ Network::tick(Cycle now)
 }
 
 void
-Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now)
+Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now,
+                 const DomainWork &work)
 {
     DR_PHASE_ASSERT_COMMIT();
     // Two-phase compute/commit cycle (DESIGN.md §11). Phase 1 ticks
@@ -457,8 +458,9 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now)
     // noc.threads=1 by construction.
     //
     // Quiescence vote: with every domain's active sets empty, nothing in
-    // any net can change this cycle — skip the round (and the pool).
-    // A net idle beside a busy one is swept as a no-op.
+    // any net can change this cycle — skip the sweeps, the commit and
+    // the merge (and the pool, when there is no extra work either). A
+    // net idle beside a busy one is swept as a no-op.
     bool idle = true;
     for (Network *net : nets) {
         DR_ASSERT(net->numDomains_ == pool.size());
@@ -475,15 +477,24 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now)
         net->now_ = now;
         idle = idle && net->quiescent();
     }
-    if (idle)
+    if (idle && !work)
         return;
 
+    // `work` follows its domain's sweeps in the same run: it may touch
+    // only state that domain owns, which the sweeps have finished with,
+    // and nothing the commit run or the merges below write.
     pool.run([&](int d) {
         phase::ComputeScope cs(d);
         DR_PHASE_ASSERT_COMPUTE();
-        for (Network *net : nets)
-            net->tickDomain(net->domains_[d], now);
+        if (!idle) {
+            for (Network *net : nets)
+                net->tickDomain(net->domains_[d], now);
+        }
+        if (work)
+            work(d, now);
     });
+    if (idle)
+        return;
     if (pool.size() > 1) {
         pool.run([&](int d) {
             phase::ComputeScope cs(d);
@@ -586,8 +597,6 @@ Network::mergeTick()
     // Ascending domain order == ascending NI order (contiguous node
     // ranges), so the replay below is the exact sequential event order.
     for (Domain &d : domains_) {
-        linkTraversals_ += d.linkTraversals;
-        d.linkTraversals = 0;
         conservInjected_ += d.conservInjected;
         d.conservInjected = 0;
         conservEjected_ += d.conservEjected;
@@ -683,7 +692,6 @@ Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
 {
     const auto &conn = topo_.port(router, port);
     const int producer = routerDomain_[router];
-    ++domains_[producer].linkTraversals;
     Arrival a{when, conn.peerRouter, conn.peerPort, false, false, flit};
     if (conn.kind == PortConn::Kind::Node) {
         a.to = static_cast<std::int16_t>(conn.node);
@@ -798,7 +806,6 @@ Network::resetStats()
     // Record the boundary: packets queued before this cycle must not
     // contribute latency samples to the fresh measurement window.
     statsResetAt_ = now_;
-    linkTraversals_ = 0;
     for (auto &router : routers_)
         router->resetStats();
     for (auto &ni : nis_) {
@@ -853,13 +860,6 @@ Network::totalBufferWrites() const
     for (const auto &router : routers_)
         total += router->stats().bufferWrites;
     return total;
-}
-
-std::uint64_t
-Network::totalLinkTraversals() const
-{
-    DR_PHASE_ASSERT_COMMIT();
-    return linkTraversals_;
 }
 
 int

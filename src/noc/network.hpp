@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -157,16 +158,21 @@ class Network : public RouterEnv, public CongestionProbe
      *  use; networks an Interconnect drives share its pool instead). */
     void tick(Cycle now);
 
+    /** Extra work for one domain's slot of the compute run (the chip's
+     *  endpoints, DESIGN.md §13): called as work(domain, now). */
+    using DomainWork = std::function<void(int domain, Cycle now)>;
+
     /**
      * Advance several physical networks one cycle on one pool (DESIGN.md
-     * §11): one run computes every domain of every net, one run
-     * commits their staged flits and credits, then each net's serial
-     * merge follows in list order. The nets share no state, so the
-     * result equals ticking them one after another. @pre every net has
-     * pool.size() domains
+     * §11): one run computes every domain of every net, then calls
+     * `work` for that domain, one run commits the nets' staged flits and
+     * credits, then each net's serial merge follows in list order. The
+     * nets share no state, so the result equals ticking them one after
+     * another. With every net idle only `work` runs (no run at all
+     * without it). @pre every net has pool.size() domains
      */
     static void tickAll(TickPool &pool, std::span<Network *const> nets,
-                        Cycle now);
+                        Cycle now, const DomainWork &work = {});
 
     // RouterEnv interface. These run on a worker inside the parallel
     // phases (routers call back into their Network), hence the
@@ -346,7 +352,13 @@ class Network : public RouterEnv, public CongestionProbe
     /** Energy-model inputs. */
     std::uint64_t totalSwitchTraversals() const;
     std::uint64_t totalBufferWrites() const;
-    std::uint64_t totalLinkTraversals() const;
+    /** Every switch traversal sends its flit over exactly one link (to
+     *  a router or an NI), so links traversed = switch traversals. */
+    std::uint64_t
+    totalLinkTraversals() const
+    {
+        return totalSwitchTraversals();
+    }
 
   private:
     friend struct NetworkTestAccess;
@@ -449,7 +461,6 @@ class Network : public RouterEnv, public CongestionProbe
         ActiveSet activeNis;      //!< NIs with pending work (own nodes)
         ActiveSet activeRouters;  //!< routers with pending work (own)
         std::vector<DeliveredRecord> delivered;
-        std::uint64_t linkTraversals = 0;
         std::uint64_t conservInjected = 0;
         std::uint64_t conservEjected = 0;
         std::uint64_t flitsDelivered = 0;
@@ -515,7 +526,6 @@ class Network : public RouterEnv, public CongestionProbe
     /** Live flits occupying downstream interposer-link buffers (sent
      *  across, credit not yet returned). Survives resetStats. */
     int ipInFabric_ DR_SERIAL_ONLY = 0;
-    std::uint64_t linkTraversals_ DR_SERIAL_ONLY = 0;
     //! flits NIs handed to routers
     std::uint64_t conservInjected_ DR_SERIAL_ONLY = 0;
     //! flits NIs drained from routers

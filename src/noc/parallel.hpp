@@ -139,6 +139,8 @@ class TickPool
     }
 
   private:
+    friend struct NetworkTestAccess;
+
     using Job = void (*)(const void *, int);
 
     void start();

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "../noc/network_test_access.hpp"
 #include "core/experiment.hpp"
 #include "core/hetero_system.hpp"
 
@@ -211,7 +212,7 @@ processThreads()
 
 /**
  * One pool for the whole chip (DESIGN.md §11): both physical networks
- * and the endpoint engine run on the interconnect's TickPool, so
+ * and the endpoints run on the interconnect's TickPool, so
  * noc.threads=4 adds exactly 3 worker threads to the process — not one
  * pool of 3 per network plus 3 for the endpoints.
  */
@@ -224,6 +225,28 @@ TEST(WholeSystemDeterminism, FourThreadsMeansThreeWorkers)
     sys.advance(200);
     EXPECT_EQ(sys.endpointDomains(), 4);
     EXPECT_EQ(processThreads() - before, 3);
+}
+
+/**
+ * One compute run per cycle (DESIGN.md §11): each domain's endpoints
+ * tick in the same TickPool run as its networks, so a busy cycle costs
+ * the compute run plus the commit run — two runs, not three.
+ */
+TEST(WholeSystemDeterminism, BusyCycleCostsTwoPoolRuns)
+{
+    SystemConfig cfg = SystemConfig::makePaper();
+    cfg.mechanism = Mechanism::DelegatedReplies;
+    cfg.noc.threads = 4;
+    cfg.idleSkip = false;
+    HeteroSystem sys(cfg, "HS", "bodytrack");
+    sys.advance(500);  // past the cold start
+    const TickPool &pool = sys.interconnect().tickPool();
+    const std::uint64_t before = NetworkTestAccess::poolRuns(pool);
+    const Cycle cycles = 1000;
+    sys.advance(cycles);
+    const std::uint64_t runs = NetworkTestAccess::poolRuns(pool) - before;
+    EXPECT_GT(runs, cycles) << "the networks were idle: nothing measured";
+    EXPECT_LE(runs, 2 * cycles);
 }
 
 /**

@@ -25,14 +25,13 @@ cfg()
 
 /**
  * Drive one cycle of a staged organization the way HeteroSystem does:
- * per-cycle bookkeeping, then the caller's lookups, then the serial
- * merge that lands the staged effects (DESIGN.md §14).
+ * the caller's lookups (the endpoint phase), then the serial merge that
+ * lands the staged effects (DESIGN.md §14).
  */
 template <typename Fn>
 void
 cycle(L1Organizer &l1, Cycle now, Fn &&lookups)
 {
-    l1.tick(now);
     lookups();
     l1.commitCycle(now);
 }
@@ -86,7 +85,6 @@ TEST(SharedL1, ClusterMembersShareLines)
 TEST(SharedL1, FillIsStagedUntilCommit)
 {
     SharedL1 l1(cfg());
-    l1.tick(0);
     l1.fill(0, 0x1000);
     // The fill is staged against the frozen tags: nothing is visible
     // until the serial merge lands it.
@@ -187,7 +185,6 @@ TEST(SharedL1, FlushInvalidatesWholeCluster)
 TEST(SharedL1, FlushDropsStagedEffects)
 {
     SharedL1 l1(cfg());
-    l1.tick(0);
     l1.fill(0, 0x1000);
     // Flush lands between stage and commit: the staged fill must not
     // resurrect the invalidated cluster at the merge.

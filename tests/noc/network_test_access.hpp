@@ -3,9 +3,10 @@
 
 /**
  * @file
- * The one test seam into Network and Router internals (DESIGN.md §12).
- * Fault-injection and phase-ownership tests break the engine's rules
- * through these calls, so the engine itself carries no test-only paths.
+ * The one test seam into Network, Router and TickPool internals
+ * (DESIGN.md §12). Fault-injection and phase-ownership tests break the
+ * engine's rules through these calls, and the cycle-structure test
+ * counts pool runs, so the engine itself carries no test-only paths.
  */
 
 #include <cstdint>
@@ -61,6 +62,14 @@ struct NetworkTestAccess
     forgeNiWriter(Network &net, NodeId node, int writer)
     {
         net.nis_[node].drStamp_.writer = static_cast<std::int16_t>(writer);
+    }
+
+    /** Runs a multi-domain pool has published so far (a one-domain
+     *  pool calls its job inline and counts nothing). */
+    static std::uint64_t
+    poolRuns(const TickPool &pool)
+    {
+        return pool.epoch_.load(std::memory_order_relaxed);
     }
 
     /**

@@ -266,6 +266,53 @@ TEST(ParallelEngine, ChipletDomainsAlignToChipletBoundaries)
 }
 
 /**
+ * Every switch traversal sends its flit over exactly one link, so the
+ * link count is the switch count (Network::totalLinkTraversals) and
+ * both equal the flits the routers' output ports sent — on a 2-domain
+ * chiplet mesh, where flits cross domains, and across a mid-run
+ * resetStats().
+ */
+TEST(ParallelEngine, LinkTraversalsEqualSwitchTraversals)
+{
+    const Topology topo = Topology::makeChipletMesh(2, 2, 2, 2, 1);
+    NetworkParams params;
+    params.numVcs = 3;
+    params.routing = RoutingKind::ChipletHierarchical;
+    params.injBufferFlits.assign(topo.nodes(), 36);
+    params.threads = 2;
+    Network net(params, topo);
+    ASSERT_EQ(net.numDomains(), 2);
+
+    SyntheticTraffic traffic(TrafficPattern::UniformRandom, topo.nodes(), 4,
+                             {});
+    Rng rng(7);
+    std::uint64_t id = 1;
+    for (Cycle now = 0; now < 1500; ++now) {
+        for (NodeId src = 0; src < topo.nodes(); ++src) {
+            if (rng.chance(0.1) && net.canInject(src, 5)) {
+                net.inject(makeMsg(src, traffic.dest(src, rng),
+                                   MsgType::ReadReply, TrafficClass::Gpu,
+                                   id++),
+                           5, now);
+            }
+        }
+        if (now == 500)
+            net.resetStats();
+        net.tick(now);
+        drainReady(net);
+    }
+
+    std::uint64_t portFlits = 0;
+    for (int r = 0; r < topo.routers(); ++r) {
+        for (const std::uint64_t sent : net.routerStats(r).portFlitsSent)
+            portFlits += sent;
+    }
+    EXPECT_GT(portFlits, 0u);
+    EXPECT_EQ(net.totalSwitchTraversals(), portFlits);
+    EXPECT_EQ(net.totalLinkTraversals(), portFlits);
+}
+
+/**
  * Every built-in topology attaches nodes in router order, so the
  * partition always gets the domains it asks for: min(threads, routers),
  * and for chiplet meshes at most one per chiplet row. A topology that

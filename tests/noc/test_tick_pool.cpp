@@ -14,7 +14,7 @@ namespace
 
 /**
  * TickPool (DESIGN.md §11): the one worker pool the networks and the
- * endpoint engine share. These tests pin its contract directly: every
+ * endpoints share. These tests pin its contract directly: every
  * domain's job runs exactly once per run(), in lockstep; a pool whose
  * workers went to sleep wakes on the next run; and destruction joins
  * cleanly whether the workers are spinning or asleep.

@@ -61,11 +61,11 @@ the same ownership rules in the receiver context of the call chain:
                                 overrider with no declared phase and no
                                 analyzable body
   l1-unconfined                 an L1Organizer implementation's per-core
-                                entry paths (load/write/fill/contains/
-                                tick) mutate state not indexed by the
-                                calling core; every implementation runs
-                                in the parallel endpoint phase, so every
-                                one must be core-confined
+                                entry paths (load/write/fill/contains)
+                                mutate state not indexed by the calling
+                                core; every implementation runs in the
+                                parallel endpoint phase, so every one
+                                must be core-confined
 
 Suppression: ``// drlint-allow(<rule>)`` (optionally ``: reason``) on
 the offending line or anywhere in the contiguous ``//`` comment block
@@ -189,7 +189,7 @@ COVERED_CLASSES = {
     "Network", "Router", "PacketPool", "SpinBarrier", "TickPool",
     "ActiveSet",
     "Ni", "Domain",
-    "SmCore", "CpuNode", "MemNode", "EndpointEngine",
+    "SmCore", "CpuNode", "MemNode", "HeteroSystem",
     "GpuCoherence", "MesiDirectory", "CtaScheduler",
     "PrivateL1", "SharedL1", "DynEbL1", "DramChannel",
 }
@@ -228,7 +228,7 @@ MUTATING_CALLS = {
 
 # L1Organizer per-core entry paths whose writes the confinement verdict
 # judges: everything a lookup mutates must be banked by core.
-ENTRY_METHODS = ("load", "write", "fill", "contains", "tick")
+ENTRY_METHODS = ("load", "write", "fill", "contains")
 
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=",
               "<<=", ">>=")

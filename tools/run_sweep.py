@@ -20,7 +20,10 @@ OUT_DIR/bench_output.txt, byte-identical to a `for b in build/bench/*`
 serial sweep's tee output modulo interleaving.
 
 Environment (DR_BENCH_CYCLES, DR_BENCH_CPUS, DR_NOC_THREADS, ...) is
-passed through to every bench. Exit status is non-zero if any bench
+passed through to every bench. Each bench runs DR_NOC_THREADS spinning
+threads, and a descheduled one stalls every cycle of its simulation, so
+the sweep lowers -j until jobs x DR_NOC_THREADS fits the CPUs this
+process may run on, and says so. Exit status is non-zero if any bench
 fails, with the failing benches listed.
 """
 
@@ -32,6 +35,23 @@ import threading
 import time
 
 EXCLUDED_BY_DEFAULT = {"perf_kernel"}
+
+
+def host_cpus():
+    """CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def noc_threads():
+    """Threads each bench runs: DR_NOC_THREADS, unset meaning 1. A value
+    that is not a whole number is left for every bench to reject."""
+    try:
+        return max(1, int(os.environ.get("DR_NOC_THREADS", "1")))
+    except ValueError:
+        return 1
 
 
 def discover(build_dir):
@@ -51,9 +71,9 @@ def discover(build_dir):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Run bench binaries concurrently with a bounded pool")
-    parser.add_argument("-j", "--jobs", type=int,
-                        default=os.cpu_count() or 1,
-                        help="max concurrent benches (default: host cores)")
+    parser.add_argument("-j", "--jobs", type=int, default=host_cpus(),
+                        help="max concurrent benches (default: host CPUs; "
+                             "lowered so jobs x DR_NOC_THREADS fits them)")
     parser.add_argument("-b", "--build-dir", default="build",
                         help="build tree containing bench/ (default: build)")
     parser.add_argument("-o", "--out-dir", default="sweep_output",
@@ -64,6 +84,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    cpus, threads = host_cpus(), noc_threads()
+    fit = max(1, cpus // threads)
+    if args.jobs > fit:
+        print(f"run_sweep: lowering -j {args.jobs} to {fit}: {fit} jobs x "
+              f"DR_NOC_THREADS={threads} fits {cpus} CPUs", flush=True)
+        args.jobs = fit
 
     available = discover(args.build_dir)
     if args.benches:

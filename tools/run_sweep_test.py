@@ -9,11 +9,14 @@ run_sweep.main() against a fake build tree of executable stub benches
 whose completion order is deliberately scrambled with sleeps.
 """
 
+import contextlib
+import io
 import os
 import stat
 import sys
 import tempfile
 import unittest
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,10 +33,14 @@ def write_bench(bench_dir, name, body):
 
 class FakeBuild:
     """Temp build tree with stub benches; completion order is scrambled
-    (later names finish first) so interleaving bugs would show."""
+    (later names finish first) so interleaving bugs would show. The
+    sweep sees `cpus` CPUs and DR_NOC_THREADS=`threads`, whatever the
+    host and the calling environment say."""
 
-    def __init__(self, fail=()):
+    def __init__(self, fail=(), cpus=8, threads="1"):
         self.fail = fail
+        self.cpus = cpus
+        self.threads = threads
 
     def __enter__(self):
         self.tmp = tempfile.TemporaryDirectory()
@@ -60,7 +67,11 @@ class FakeBuild:
         argv = ["-j", str(jobs),
                 "-b", os.path.join(self.tmp.name, "build"),
                 "-o", out_dir] + list(benches)
-        rc = run_sweep.main(argv)
+        with mock.patch.object(run_sweep, "host_cpus",
+                               return_value=self.cpus), \
+                mock.patch.dict(os.environ,
+                                {"DR_NOC_THREADS": self.threads}):
+            rc = run_sweep.main(argv)
         combined = os.path.join(out_dir, "bench_output.txt")
         data = b""
         if os.path.exists(combined):
@@ -102,6 +113,32 @@ class ShardIndependenceTest(unittest.TestCase):
         self.assertEqual(rc, 0)
         self.assertIn(b"bravo line 0", data)
         self.assertNotIn(b"alpha", data)
+
+
+class OversubscriptionTest(unittest.TestCase):
+    def run_with(self, jobs, cpus, threads):
+        out = io.StringIO()
+        with FakeBuild(cpus=cpus, threads=threads) as fb, \
+                contextlib.redirect_stdout(out):
+            rc, data = fb.run(jobs, "out")
+        self.assertEqual(rc, 0)
+        self.assertIn(b"charlie line 4", data)
+        return out.getvalue()
+
+    def test_jobs_lowered_to_fit_threads_on_cpus(self):
+        log = self.run_with(jobs=4, cpus=4, threads="2")
+        self.assertIn("lowering -j 4 to 2", log)
+        self.assertIn("2 concurrent", log)
+
+    def test_more_threads_than_cpus_runs_one_job(self):
+        log = self.run_with(jobs=3, cpus=4, threads="8")
+        self.assertIn("lowering -j 3 to 1", log)
+        self.assertIn("1 concurrent", log)
+
+    def test_jobs_that_fit_are_kept_silently(self):
+        log = self.run_with(jobs=2, cpus=4, threads="2")
+        self.assertNotIn("lowering", log)
+        self.assertIn("2 concurrent", log)
 
 
 class FailurePropagationTest(unittest.TestCase):
