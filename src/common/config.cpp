@@ -69,8 +69,9 @@ SystemConfig::validate() const
         fatal("LLC and GPU L1 line sizes must match");
     if (noc.vcsPerNet < 1 || noc.vcDepthFlits < 1)
         fatal("need at least one VC with at least one flit of buffering");
-    if (noc.threads < 0)
-        fatal("noc.threads must be >= 0 (0 = auto via DR_NOC_THREADS)");
+    if (noc.threads < 0 || noc.threads > NocConfig::maxThreads)
+        fatal("noc.threads must be in [0, ", NocConfig::maxThreads,
+              "] (0 = auto via DR_NOC_THREADS), got ", noc.threads);
     // Below these floors a run divides by zero, retires nothing, or (a
     // zero-stage router) delivers flits in the cycle they were sent,
     // which breaks bit-identity across noc.threads.

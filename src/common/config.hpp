@@ -62,8 +62,10 @@ struct NocConfig
      * parallel engine, DESIGN.md §11). Schedules and statistics are
      * bit-identical for every value by construction. 0 = auto: take
      * DR_NOC_THREADS from the environment, else single-threaded.
+     * At most maxThreads, the bound DR_NOC_THREADS has too.
      */
     int threads = 0;
+    static constexpr int maxThreads = 256;
 
     /**
      * AVCP mode: a single physical network whose aggregate bandwidth

@@ -7,8 +7,8 @@
  * tick engine (DESIGN.md §12). The engine's bit-identical guarantee
  * rests on a discipline that used to be tribal knowledge: compute-phase
  * code touches only state owned by its spatial domain, every
- * cross-domain effect rides an SPSC staging queue, and the serial
- * commit/merge sections own everything else. The macros below make that
+ * cross-domain effect waits in the sending domain's outgoing list, and
+ * the serial merge owns everything else. The macros below make that
  * discipline *declared in the source* so it can be checked two ways:
  *
  *  1. statically by tools/drlint.py (token-level, no compiler needed),
@@ -22,19 +22,14 @@
  *                    only by the owning domain's worker; serial code may
  *                    also touch it (it holds exclusive access between
  *                    barriers).
- *  DR_SHARED_SPSC    member: an SPSC staging structure — one producer
- *                    appends during phase 1, one consumer drains during
- *                    phase 2, the barrier between them is the
- *                    synchronization.
  *  DR_SERIAL_ONLY    member: written only from serial (commit-phase)
  *                    code; the parallel phases may read it (it is frozen
  *                    while workers run).
  *  DR_COMPUTE_PHASE  method: runs inside a parallel phase, confined to
- *                    its domain; may write only DR_DOMAIN_OWNED and
- *                    DR_SHARED_SPSC state.
+ *                    its domain; may write only DR_DOMAIN_OWNED state.
  *  DR_COMMIT_PHASE   method: runs only in the serial sections (between
- *                    ticks, or the merge after the second barrier); may
- *                    write anything.
+ *                    ticks, or the merge after the barrier); may write
+ *                    anything.
  *
  * Every classification macro is an empty marker that drlint reads; none
  * changes the compiled code. Public API boundaries don't carry
@@ -75,7 +70,8 @@ tls()
 
 /**
  * RAII: enter a parallel phase as `domain`'s worker. The engine wraps
- * tickDomain()/commitStaged() in one of these; the stamp checks below
+ * each domain's slot of the compute run (its tickDomain() calls and
+ * endpoint ticks) in one of these; the stamp checks below
  * read the scope's domain to validate every write. Free outside
  * DR_CHECKED builds.
  */
@@ -217,7 +213,6 @@ auditStamp(const DomainStamp &stamp, const char *what)
 //   struct DR_DOMAIN_OWNED Ni { ... };
 
 #define DR_DOMAIN_OWNED /* per-domain ownership: checked by drlint */
-#define DR_SHARED_SPSC  /* staged cross-domain hand-off: checked by drlint */
 #define DR_SERIAL_ONLY  /* serial-phase writes only: checked by drlint */
 
 // --- method phase classification ------------------------------------------

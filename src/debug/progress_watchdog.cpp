@@ -96,8 +96,8 @@ ProgressWatchdog::dumpBlockedChain(const Network &net,
         }
         // The producing domain id localizes a stuck chain to a tick
         // worker: a wait-for edge that crosses domains goes through the
-        // SPSC staging, one that stays inside a domain commits directly
-        // (DESIGN.md §12).
+        // sender's outgoing list and the serial merge, one that stays
+        // inside a domain is scheduled directly (DESIGN.md §11).
         os << "    R" << router << "/d" << net.domainOfRouter(router)
            << " in[" << pick->inPort << "][" << pick->inVc
            << "] pkt=" << pick->pkt << " (" << pick->buffered

@@ -19,7 +19,8 @@ resolveThreads(int configured)
 {
     if (configured > 0)
         return configured;
-    return static_cast<int>(envWhole("DR_NOC_THREADS", 1, 256, 1));
+    return static_cast<int>(
+        envWhole("DR_NOC_THREADS", 1, NocConfig::maxThreads, 1));
 }
 
 } // namespace
@@ -141,7 +142,6 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         d.activeRouters = ActiveSet(topo_.routers());
         d.wheel.resize(wheelSlots);
     }
-    staged_.resize(static_cast<std::size_t>(numDomains_) * numDomains_);
 
     // Writer-domain stamps: record each structure's owning domain so the
     // DR_CHECKED phase checks can validate every compute-phase write.
@@ -447,20 +447,18 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now,
                  const DomainWork &work)
 {
     DR_PHASE_ASSERT_COMMIT();
-    // Two-phase compute/commit cycle (DESIGN.md §11). Phase 1 ticks
-    // every domain's NIs and routers in parallel: all inter-entity
-    // effects are future-timestamped, so phase 1 reads only
-    // previous-cycle state, and cross-domain flits/credits are staged
-    // in SPSC buffers instead of delivered. Phase 2 — after a barrier —
-    // commits the staged movements into the receiving domains' arrival
-    // wheels. A final serial merge replays the order-sensitive
-    // completion effects so the result is bit-identical to
-    // noc.threads=1 by construction.
+    // Compute → merge cycle (DESIGN.md §11). One parallel run ticks
+    // every domain's NIs and routers: all inter-entity effects are
+    // future-timestamped, so it reads only previous-cycle state, and
+    // cross-domain flits/credits go onto the sending domain's outgoing
+    // list instead of into the receiver's wheel. The serial merge then
+    // files them and replays the order-sensitive completion effects,
+    // so the result is bit-identical to noc.threads=1 by construction.
     //
     // Quiescence vote: with every domain's active sets empty, nothing in
-    // any net can change this cycle — skip the sweeps, the commit and
-    // the merge (and the pool, when there is no extra work either). A
-    // net idle beside a busy one is swept as a no-op.
+    // any net can change this cycle — skip the sweeps and the merge (and
+    // the pool, when there is no extra work either). A net idle beside a
+    // busy one is swept as a no-op.
     bool idle = true;
     for (Network *net : nets) {
         DR_ASSERT(net->numDomains_ == pool.size());
@@ -482,7 +480,7 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now,
 
     // `work` follows its domain's sweeps in the same run: it may touch
     // only state that domain owns, which the sweeps have finished with,
-    // and nothing the commit run or the merges below write.
+    // and nothing the merges below write.
     pool.run([&](int d) {
         phase::ComputeScope cs(d);
         DR_PHASE_ASSERT_COMPUTE();
@@ -495,13 +493,6 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now,
     });
     if (idle)
         return;
-    if (pool.size() > 1) {
-        pool.run([&](int d) {
-            phase::ComputeScope cs(d);
-            for (Network *net : nets)
-                net->commitStaged(d);
-        });
-    }
     for (Network *net : nets)
         net->mergeTick();
 }
@@ -574,29 +565,23 @@ Network::scheduleArrival(Domain &d, const Arrival &a)
 }
 
 void
-Network::commitStaged(int consumer)
-{
-    // Drain producers in ascending order, so every wheel slot fills in
-    // the same order on every run (the order within a slot changes no
-    // state, see tickDomain).
-    Domain &d = domains_[consumer];
-    DR_STAMP_WRITE(d);
-    for (int p = 0; p < numDomains_; ++p) {
-        auto &staged =
-            staged_[static_cast<std::size_t>(p) * numDomains_ + consumer];
-        for (const Arrival &a : staged)
-            scheduleArrival(d, a);
-        staged.clear();
-    }
-}
-
-void
 Network::mergeTick()
 {
     DR_PHASE_ASSERT_COMMIT();
     // Ascending domain order == ascending NI order (contiguous node
     // ranges), so the replay below is the exact sequential event order.
     for (Domain &d : domains_) {
+        // File this domain's cross-domain arrivals. Each is due at
+        // now + 1 or later and the merge ends before the next compute
+        // run, so each is in its wheel before it is due. Ascending
+        // producers, each in send order, fill every slot in one fixed
+        // order after its same-domain pushes (the order within a slot
+        // changes no state, see tickDomain).
+        for (const Arrival &a : d.outgoing) {
+            const int to = a.toNi ? nodeDomain_[a.to] : routerDomain_[a.to];
+            scheduleArrival(domains_[to], a);
+        }
+        d.outgoing.clear();
         conservInjected_ += d.conservInjected;
         d.conservInjected = 0;
         conservEjected_ += d.conservEjected;
@@ -674,17 +659,20 @@ Network::vcMaskForOutput(int router, int port, const Flit &flit) const
 void
 Network::sendArrival(int producer, const Arrival &a)
 {
-    // Called from phase 1 on the sending router's worker. Same-domain
-    // arrivals commit directly (they are future-timestamped, so the
-    // receiver cannot consume them this cycle either way); cross-domain
-    // ones are staged and committed after the barrier. Attach links
-    // never cross a domain boundary: an NI lives in its router's domain.
+    // Called from the compute run on the sending router's worker.
+    // Same-domain arrivals go straight into the wheel (they are
+    // future-timestamped, so the receiver cannot consume them this
+    // cycle either way); cross-domain ones wait in the producer's
+    // outgoing list for the serial merge. Attach links never cross a
+    // domain boundary: an NI lives in its router's domain.
     const int consumer = a.toNi ? nodeDomain_[a.to] : routerDomain_[a.to];
-    if (producer == consumer)
+    if (producer == consumer) {
         scheduleArrival(domains_[consumer], a);
-    else
-        staged_[static_cast<std::size_t>(producer) * numDomains_ + consumer]
-            .push_back(a);
+        return;
+    }
+    Domain &pd = domains_[producer];
+    DR_STAMP_WRITE(pd);
+    pd.outgoing.push_back(a);
 }
 
 void

@@ -165,8 +165,9 @@ class Network : public RouterEnv, public CongestionProbe
     /**
      * Advance several physical networks one cycle on one pool (DESIGN.md
      * §11): one run computes every domain of every net, then calls
-     * `work` for that domain, one run commits the nets' staged flits and
-     * credits, then each net's serial merge follows in list order. The
+     * `work` for that domain, then each net's serial merge, in list
+     * order, files the cross-domain flits and credits and folds the
+     * per-domain scratch into the net's statistics. The
      * nets share no state, so the result equals ticking them one after
      * another. With every net idle only `work` runs (no run at all
      * without it). @pre every net has pool.size() domains
@@ -433,9 +434,9 @@ class Network : public RouterEnv, public CongestionProbe
     /**
      * A flit or credit due on cycle `when`: a flit reaching a router
      * input port or a node's ejection slot, or a credit returning to a
-     * router output VC or an NI. Cross-domain arrivals are staged for
-     * the commit phase; every arrival then waits in its receiving
-     * domain's wheel until it is due.
+     * router output VC or an NI. Cross-domain arrivals wait in the
+     * sender's outgoing list until the merge; every arrival then waits
+     * in its receiving domain's wheel until it is due.
      */
     struct Arrival
     {
@@ -485,6 +486,9 @@ class Network : public RouterEnv, public CongestionProbe
          */
         std::vector<std::vector<Arrival>> wheel;
         std::size_t wheelArrivals = 0;  //!< arrivals across all slots
+        /** Arrivals this domain sent to other domains this tick, in
+         *  send order; mergeTick() files them into their wheels. */
+        std::vector<Arrival> outgoing;
 
         bool
         hasWork() const
@@ -500,13 +504,13 @@ class Network : public RouterEnv, public CongestionProbe
     /** Queue an arrival in its receiving domain's wheel. */
     void scheduleArrival(Domain &d, const Arrival &a) DR_COMPUTE_PHASE;
     /** Send an arrival from `producer`'s worker: straight into the
-     *  wheel when the receiver is in the same domain, else staged. */
+     *  wheel when the receiver is in the same domain, else onto the
+     *  producer's outgoing list. */
     void sendArrival(int producer, const Arrival &a) DR_COMPUTE_PHASE;
-    /** Phase 1: sweep one domain's NIs and routers (parallel). */
+    /** Sweep one domain's NIs and routers (parallel). */
     void tickDomain(Domain &d, Cycle now) DR_COMPUTE_PHASE;
-    /** Phase 2: commit flits/credits staged for this domain (parallel). */
-    void commitStaged(int consumer) DR_COMPUTE_PHASE;
-    /** Merge per-domain scratch into global stats (main thread only). */
+    /** File the outgoing lists and merge per-domain scratch into
+     *  global stats (main thread only). */
     void mergeTick() DR_COMMIT_PHASE;
 
     const Topology &topo_;
@@ -541,10 +545,6 @@ class Network : public RouterEnv, public CongestionProbe
     std::vector<std::int16_t> routerDomain_ DR_SERIAL_ONLY;
     //! node index -> domain (fixed at construction)
     std::vector<std::int16_t> nodeDomain_ DR_SERIAL_ONLY;
-    /** SPSC staging buffers, indexed [producer * numDomains_ + consumer].
-     *  The producer appends during phase 1, the consumer drains during
-     *  phase 2; the barrier between the phases is the synchronization. */
-    std::vector<std::vector<Arrival>> staged_ DR_SHARED_SPSC;
     std::unique_ptr<TickPool> tickPool_;  //!< standalone tick() only
 };
 

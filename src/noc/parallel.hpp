@@ -13,7 +13,7 @@
  * tick work. The release/acquire pair on the generation (and the RMW
  * chain on the arrival counter) makes every write before any party's
  * arrival visible to every party after the barrier — which is the whole
- * correctness contract between the compute and commit phases.
+ * correctness contract between the compute run and the serial merge.
  *
  * Ownership (DESIGN.md §12): the atomics, mutex and threads are their
  * own synchronization and carry no phase annotation; the plain members
@@ -90,12 +90,11 @@ class SpinBarrier
  * The tick engine's worker pool: size() − 1 threads, started by the
  * first run(), plus the caller — one per spatial domain. run(f) calls
  * f(d) exactly once for every domain d, f(0) on the calling thread, and
- * returns when all have finished, so one cycle's parallel phases are a
- * short sequence of run() calls costing one epoch bump and one barrier
- * each.
+ * returns when all have finished, so a busy cycle's parallel work is
+ * one run() costing one epoch bump and one barrier.
  *
- * Between runs the workers spin on the epoch: the next run of a cycle
- * is microseconds away. Only after a long idle window (kSleepAfter, e.g.
+ * Between runs the workers spin on the epoch: the next cycle's run is
+ * microseconds away. Only after a long idle window (kSleepAfter, e.g.
  * between advance() calls) does a worker register as a sleeper and
  * block on the condition variable; run() takes the mutex only while a
  * sleeper is registered.

@@ -27,7 +27,7 @@ struct NetworkTestAccess
     }
 
     /** Push a flit straight into the receiving router's domain wheel,
-     *  skipping the SPSC staging. */
+     *  skipping the sender's outgoing list. */
     static void
     scheduleFlit(Network &net, int router, int port, const Flit &flit,
                  Cycle when)
@@ -70,6 +70,14 @@ struct NetworkTestAccess
     poolRuns(const TickPool &pool)
     {
         return pool.epoch_.load(std::memory_order_relaxed);
+    }
+
+    /** Runs of a standalone network's own pool (0 before its first
+     *  tick starts it). */
+    static std::uint64_t
+    poolRuns(const Network &net)
+    {
+        return net.tickPool_ ? poolRuns(*net.tickPool_) : 0;
     }
 
     /**

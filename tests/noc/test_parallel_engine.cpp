@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/hetero_system.hpp"
+#include "network_test_access.hpp"
 #include "noc/network.hpp"
 #include "noc/synthetic_traffic.hpp"
 
@@ -73,15 +74,16 @@ topoFor(TopologyKind kind)
 }
 
 /**
- * One fixed synthetic run on `kind` with the given thread count;
- * returns every aggregate statistic, formatted for exact comparison.
- * With `vnets` set the VCs are partitioned one-per-VN (two-per-VN on
- * Dragonfly, which needs 2 VCs per VN for phase escalation) and
- * traffic is spread across all four virtual networks.
+ * One fixed synthetic run on `kind` with the given thread count and
+ * router pipeline depth; returns every aggregate statistic, formatted
+ * for exact comparison. With `vnets` set the VCs are partitioned
+ * one-per-VN (two-per-VN on Dragonfly, which needs 2 VCs per VN for
+ * phase escalation) and traffic is spread across all four virtual
+ * networks.
  */
 std::string
 fingerprint(TopologyKind kind, int threads, bool vnets,
-            std::uint64_t seed)
+            std::uint64_t seed, int routerStages)
 {
     const Topology topo = topoFor(kind);
     const int nodes = topo.nodes();
@@ -89,7 +91,7 @@ fingerprint(TopologyKind kind, int threads, bool vnets,
     NetworkParams params;
     params.seed = seed;
     params.vcDepthFlits = 4;
-    params.routerStages = 4;
+    params.routerStages = routerStages;
     params.ejBufferFlits = 20;
     params.injBufferFlits.assign(nodes, 36);
     params.routing = kind == TopologyKind::Mesh
@@ -102,9 +104,10 @@ fingerprint(TopologyKind kind, int threads, bool vnets,
         // Exercise the interposer link class: half-width channels
         // (2-cycle serialization) plus extra hop/credit latency. The
         // throttle and occupancy bookkeeping must be as partition-
-        // independent as everything else.
+        // independent as everything else. A one-stage router gets no
+        // interposer latency either, so every hop is due the next cycle.
         params.interposerSerialization = 2;
-        params.interposerLatency = 3;
+        params.interposerLatency = routerStages == 1 ? 0 : 3;
     }
     const int vcsPerVn = kind == TopologyKind::Dragonfly ? 2 : 1;
     if (vnets) {
@@ -184,17 +187,39 @@ class PartitionIndependence
 {
 };
 
+void
+expectPartitionIndependent(TopologyKind kind, bool vnets, int stages)
+{
+    const std::string serial = fingerprint(kind, 1, vnets, 42, stages);
+    EXPECT_NE(serial.find(' '), std::string::npos);
+    EXPECT_EQ(serial, fingerprint(kind, 4, vnets, 42, stages));
+    // An uneven partition (3 domains over the router range) must be
+    // just as unobservable as the even one.
+    EXPECT_EQ(serial, fingerprint(kind, 3, vnets, 42, stages));
+    EXPECT_NE(serial, fingerprint(kind, 4, vnets, 43, stages))
+        << "different seeds should not collide on every statistic";
+}
+
 TEST_P(PartitionIndependence, FourThreadsMatchOneThread)
 {
     const PartitionCase c = GetParam();
-    const std::string serial = fingerprint(c.kind, 1, c.vnets, 42);
-    EXPECT_NE(serial.find(' '), std::string::npos);
-    EXPECT_EQ(serial, fingerprint(c.kind, 4, c.vnets, 42));
-    // An uneven partition (3 domains over the router range) must be
-    // just as unobservable as the even one.
-    EXPECT_EQ(serial, fingerprint(c.kind, 3, c.vnets, 42));
-    EXPECT_NE(serial, fingerprint(c.kind, 4, c.vnets, 43))
-        << "different seeds should not collide on every statistic";
+    expectPartitionIndependent(c.kind, c.vnets, 4);
+}
+
+/**
+ * The tightest cross-domain delay: at one router stage (and no
+ * interposer latency) the wheel has one slot, and a flit or credit sent
+ * across a domain boundary is due on the very next cycle. The serial
+ * merge must have filed it before the next compute run.
+ */
+TEST(PartitionIndependenceOneStage, Mesh)
+{
+    expectPartitionIndependent(TopologyKind::Mesh, false, 1);
+}
+
+TEST(PartitionIndependenceOneStage, ChipletMesh)
+{
+    expectPartitionIndependent(TopologyKind::ChipletMesh, false, 1);
 }
 
 std::string
@@ -310,6 +335,50 @@ TEST(ParallelEngine, LinkTraversalsEqualSwitchTraversals)
     EXPECT_GT(portFlits, 0u);
     EXPECT_EQ(net.totalSwitchTraversals(), portFlits);
     EXPECT_EQ(net.totalLinkTraversals(), portFlits);
+}
+
+/**
+ * One parallel run per busy cycle (DESIGN.md §11): a standalone
+ * network's tick is the compute run and then the serial merge, which
+ * files the cross-domain arrivals itself. N loaded ticks of a 4-domain
+ * mesh cost exactly N runs: an idle tick would cost none, and a commit
+ * run would make it 2N.
+ */
+TEST(ParallelEngine, BusyTickCostsOnePoolRun)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    NetworkParams params;
+    params.injBufferFlits.assign(topo.nodes(), 36);
+    params.threads = 4;
+    Network net(params, topo);
+    ASSERT_EQ(net.numDomains(), 4);
+
+    SyntheticTraffic traffic(TrafficPattern::UniformRandom, topo.nodes(), 4,
+                             {});
+    Rng rng(11);
+    std::uint64_t id = 1;
+    const Cycle warmup = 100;
+    const Cycle ticks = 1000;
+    std::uint64_t runsBefore = 0;
+    std::uint64_t flitsBefore = 0;
+    for (Cycle now = 0; now < warmup + ticks; ++now) {
+        if (now == warmup) {
+            runsBefore = NetworkTestAccess::poolRuns(net);
+            flitsBefore = net.stats().flitsDelivered.value();
+        }
+        for (NodeId src = 0; src < topo.nodes(); ++src) {
+            if (rng.chance(0.2) && net.canInject(src, 5)) {
+                net.inject(makeMsg(src, traffic.dest(src, rng),
+                                   MsgType::ReadReply, TrafficClass::Gpu,
+                                   id++),
+                           5, now);
+            }
+        }
+        net.tick(now);
+        drainReady(net);
+    }
+    EXPECT_GT(net.stats().flitsDelivered.value(), flitsBefore);
+    EXPECT_EQ(NetworkTestAccess::poolRuns(net) - runsBefore, ticks);
 }
 
 /**

@@ -101,9 +101,9 @@ TEST(PhaseOwnershipDeath, CrossDomainWriteTrapped)
 TEST(PhaseOwnershipDeath, UnstagedCrossDomainFlitTrapped)
 {
     DR_REQUIRE_CHECKED();
-    // A cross-domain hop that skips the SPSC staging pushes into the
-    // consumer's arrival wheel from the producer's worker; the consumer
-    // domain's stamp must trap it.
+    // A cross-domain hop that skips the producer's outgoing list pushes
+    // into the consumer's arrival wheel from the producer's worker; the
+    // consumer domain's stamp must trap it.
     TwoDomainMesh m;
     EXPECT_DEATH(
         {

@@ -40,10 +40,10 @@ Phase ownership, on every compute/endpoint-phase body (DESIGN.md §12):
                               barrier and the tick pool synchronize
                               themselves)
   cross-domain-commit         resolves producer/consumer domains and
-                              mutates another domain's router directly
-                              instead of staging into DR_SHARED_SPSC
-  spsc-drain-order            drains SPSC staging in descending producer
-                              order (the contract requires ascending)
+                              mutates another domain's router instead of
+                              using its own domain's outgoing list
+  spsc-drain-order            (any body) drains the outgoing lists in
+                              descending producer order
   missing-stamp-check         binds a stamped structure (Ni&/Domain&) but
                               never calls DR_STAMP_WRITE
   serial-call-in-compute      invokes a DR_SERIAL_ONLY callable member
@@ -117,10 +117,10 @@ RULES = {
         "mutable member of a tick-reachable class has no ownership "
         "classification",
     "cross-domain-commit":
-        "compute-phase method mutates a foreign domain's router without "
-        "SPSC staging",
+        "compute-phase method mutates a foreign domain's router instead "
+        "of using its domain's outgoing list",
     "spsc-drain-order":
-        "SPSC staging drained in descending producer order",
+        "outgoing lists drained in descending producer order",
     "missing-stamp-check":
         "compute-phase method binds a stamped structure but never calls "
         "DR_STAMP_WRITE",
@@ -202,7 +202,6 @@ TYPE_EXEMPT_RE = re.compile(
 
 ANNOTATIONS = {
     "DR_DOMAIN_OWNED": "domain",
-    "DR_SHARED_SPSC": "spsc",
     "DR_SERIAL_ONLY": "serial",
 }
 # Endpoint-phase methods run inside the parallel endpoint compute phase
@@ -423,7 +422,7 @@ class Body:
 class Member:
     def __init__(self, annotation: str | None, type_text: str, rel: str,
                  line: int):
-        self.annotation = annotation  # "domain"/"spsc"/"serial"/None
+        self.annotation = annotation  # "domain"/"serial"/None
         self.type = type_text
         self.rel = rel
         self.line = line
@@ -867,7 +866,6 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
     def add(lineno: int, rule: str, line: str) -> None:
         prog.report(body.rel, lineno, rule, line)
 
-    spsc_members = [n for n in c.members if c.classification(n) == "spsc"]
     # DR_SERIAL_ONLY callable members (std::function callbacks like the
     # cross-core locality oracle): invoking one mid-phase reads foreign
     # state the serial merge has not yet reconciled.
@@ -880,15 +878,14 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
         re.search(r"\b(?:Ni|Domain)\s*&\s*\w+", body.text))
     uses_domain_map = bool(re.search(r"\b(?:router|node)Domain_\s*\[",
                                      body.text))
-    spsc_push = any(re.search(r"\b%s\b[^;]*push_back" % re.escape(n),
-                              body.text) for n in spsc_members)
+    outgoing_push = re.search(r"\boutgoing\s*\.\s*push_back", body.text)
     direct_router_mutation = None
 
     for lineno, line in body.lines:
         # Writes and mutating calls on this class's members.
         for name, member in c.members.items():
             cls = c.classification(name)
-            if cls in ("domain", "spsc") or not writes(line, name):
+            if cls == "domain" or not writes(line, name):
                 continue
             if cls == "serial":
                 add(lineno, "compute-writes-serial", line)
@@ -913,23 +910,26 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
                     add(lineno, "compute-calls-commit", line)
                     break
         # Direct arrival into a resolved foreign domain: a push into
-        # its wheel or an apply on its router (the staged path is the
-        # legal alternative).
+        # its wheel or an apply on its router (the producer's outgoing
+        # list is the legal alternative).
         if re.search(r"\bscheduleArrival\s*\(\s*domains_\s*\[|"
                      r"\brouters_\s*\[[^\]]*\]\s*->\s*"
                      r"(?:applyFlit|applyCredit)\s*\(", line):
             direct_router_mutation = (lineno, line)
-        if spsc_members and (DESCENDING_FOR_RE.search(line) or
-                             DESCENDING_IDX_RE.search(line)):
-            if any(re.search(r"\b%s\b" % re.escape(n), body.text)
-                   for n in spsc_members):
-                add(lineno, "spsc-drain-order", line)
 
-    if uses_domain_map and direct_router_mutation and not spsc_push:
+    if uses_domain_map and direct_router_mutation and not outgoing_push:
         lineno, line = direct_router_mutation
         add(lineno, "cross-domain-commit", line)
     if stamped_binding and "DR_STAMP_WRITE(" not in body.text:
         add(body.lines[0][0], "missing-stamp-check", body.lines[0][1])
+
+
+def check_drain_order(prog: Program, body: Body) -> None:
+    """The merge files the outgoing lists by ascending producer."""
+    for lineno, line in body.lines:
+        if (DESCENDING_FOR_RE.search(line) or DESCENDING_IDX_RE.search(line)) \
+                and re.search(r"\boutgoing\b", body.text):
+            prog.report(body.rel, lineno, "spsc-drain-order", line)
 
 
 def check_unannotated_state(prog: Program) -> None:
@@ -1022,8 +1022,7 @@ def edge_context(prog: Program, cls: str, via: str | None,
     """Receiver-ownership context of a call edge. Reference/pointer
     members and getters alias foreign state (checked); by-value members
     of an owned aggregate are owned; a by-value member declared
-    DR_DOMAIN_OWNED or DR_SHARED_SPSC confers ownership even from a
-    checked caller."""
+    DR_DOMAIN_OWNED confers ownership even from a checked caller."""
     if via is None:
         return ctx
     if via.endswith("()"):
@@ -1034,7 +1033,7 @@ def edge_context(prog: Program, cls: str, via: str | None,
     if ctx == "owned":
         return "owned"
     found = prog.member(cls, via)
-    if found and found[0].classification(via) in ("domain", "spsc"):
+    if found and found[0].classification(via) == "domain":
         return "owned"
     return "checked"
 
@@ -1063,7 +1062,7 @@ def summarize(prog: Program, cls: str, name: str, ctx: str,
                     continue
                 for mname, member in c.members.items():
                     mcls = c.classification(mname)
-                    if mcls in ("domain", "spsc") or \
+                    if mcls == "domain" or \
                             not writes(line, mname) or \
                             TYPE_EXEMPT_RE.search(member.type):
                         continue
@@ -1297,8 +1296,9 @@ def scan(root: str, paths: list[str]) -> Program:
     check_unannotated_state(prog)
     for cname in sorted(prog.classes):
         for method in prog.classes[cname].methods.values():
-            if prog.effective_phase(cname, method) == "compute":
-                for body in method.bodies:
+            for body in method.bodies:
+                check_drain_order(prog, body)
+                if prog.effective_phase(cname, method) == "compute":
                     check_compute_body(prog, prog.classes[cname], body)
     check_reachability(prog)
     check_confinement(prog)

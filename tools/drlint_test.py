@@ -332,7 +332,8 @@ class PhaseModelTest(LiveTreeCase):
         net = self.classes["Network"]
         self.assertEqual(net.classification("stats_"), "serial")
         self.assertEqual(net.classification("nis_"), "domain")
-        self.assertEqual(net.classification("staged_"), "spsc")
+        self.assertEqual(self.classes["Domain"].classification("outgoing"),
+                         "domain")
         self.assertIsNone(net.classification("barrier_"))  # type-exempt
 
     def test_class_level_annotation_covers_members(self):
@@ -402,15 +403,12 @@ class PhaseRuleMutantTest(MutantCase):
 
     def test_mutant_unstaged_cross_domain(self):
         # sendArrival pushes the cross-domain hop straight into the
-        # consumer's wheel instead of staging it through the SPSC buffer.
+        # consumer's wheel instead of onto its own outgoing list.
         prog = scan_mutated([(
             NETWORK_CPP,
-            "    if (producer == consumer)\n"
-            "        scheduleArrival(domains_[consumer], a);\n"
-            "    else\n"
-            "        staged_[static_cast<std::size_t>(producer) *"
-            " numDomains_ + consumer]\n"
-            "            .push_back(a);",
+            "    Domain &pd = domains_[producer];\n"
+            "    DR_STAMP_WRITE(pd);\n"
+            "    pd.outgoing.push_back(a);",
             "    scheduleArrival(domains_[consumer], a);")])
         self.assert_rule(prog.findings, "cross-domain-commit", NETWORK_CPP)
 
@@ -432,11 +430,14 @@ class PhaseRuleMutantTest(MutantCase):
                          NETWORK_CPP)
 
     def test_mutant_spsc_drained_descending(self):
-        # commitStaged walks producers backwards.
+        # The serial merge files the outgoing lists of the producers
+        # backwards.
         prog = scan_mutated([(
             NETWORK_CPP,
-            "    for (int p = 0; p < numDomains_; ++p) {",
-            "    for (int p = numDomains_ - 1; p >= 0; --p) {")])
+            "    for (Domain &d : domains_) {\n"
+            "        // File this domain's cross-domain arrivals.",
+            "    for (int p = numDomains_ - 1; p >= 0; --p) {\n"
+            "        Domain &d = domains_[p];")])
         self.assert_rule(prog.findings, "spsc-drain-order", NETWORK_CPP)
 
     def test_mutant_mid_tick_oracle_call(self):

@@ -23,6 +23,7 @@
  *   drsim --config experiments/dragonfly.cfg --stats json > out.json
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -40,6 +41,17 @@ using namespace dr;
 
 namespace
 {
+
+/** Flush stdout: a write that failed (say, to a full disk) is
+ *  fatal instead of a silent exit 0 with nothing written. */
+void
+flushStdout(const std::string &what)
+{
+    std::cout.flush();
+    if (std::fflush(stdout) != 0 || std::ferror(stdout) || !std::cout)
+        fatal("drsim: writing the ", what, " to stdout failed: ",
+              std::strerror(errno));
+}
 
 void
 usage()
@@ -110,6 +122,10 @@ main(int argc, char **argv)
             cpu = next();
         } else if (arg == "--stats") {
             statsFormat = next();
+            if (statsFormat != "text" && statsFormat != "csv" &&
+                statsFormat != "json")
+                fatal("drsim: unknown stats format '", statsFormat,
+                      "' (text, csv or json)");
         } else if (arg == "--watchdog") {
             applyConfigOption(cfg, "debug.watchdogCycles", next());
         } else if (arg == "--check") {
@@ -124,6 +140,7 @@ main(int argc, char **argv)
     cfg.validate();
     if (dumpConfig) {
         writeConfig(cfg, std::cout);
+        flushStdout("configuration");
         return 0;
     }
 
@@ -155,6 +172,7 @@ main(int argc, char **argv)
                     100.0 * r.forwardedFraction());
         std::printf("remote hit rate    %.1f %%\n",
                     100.0 * r.remoteHitRate());
+        flushStdout("summary");
         return 0;
     }
 
@@ -164,9 +182,8 @@ main(int argc, char **argv)
         report.writeText(std::cout);
     else if (statsFormat == "csv")
         report.writeCsv(std::cout);
-    else if (statsFormat == "json")
-        report.writeJson(std::cout);
     else
-        fatal("drsim: unknown stats format '", statsFormat, "'");
+        report.writeJson(std::cout);
+    flushStdout(statsFormat + " report");
     return 0;
 }
