@@ -85,6 +85,13 @@ inform(Args &&...args)
 /** Suppress or re-enable warn()/inform() output. */
 void setQuiet(bool quiet);
 
+/**
+ * Flush stdout. If any write to it failed (say, to a full disk), fatal
+ * with `tool`, `what` was being written and the error, instead of a
+ * silent exit 0 with nothing written.
+ */
+void flushStdout(const char *tool, const std::string &what);
+
 } // namespace dr
 
 #endif // DR_COMMON_LOG_HPP

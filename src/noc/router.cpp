@@ -116,7 +116,13 @@ Router::routeCompute()
             const Flit &head = ivc.buf.front();
             if (!head.head)
                 panic("router ", id_, ": body flit at idle VC head");
-            ivc.outPort = env_.routeOutput(id_, head);
+            // Rank and VC mask depend on (router, port, head) alone.
+            const int outPort = env_.routeOutput(id_, head);
+            ivc.outPort = static_cast<std::int16_t>(outPort);
+            ivc.rank = static_cast<std::uint8_t>(
+                arbRank(head.cls, head.vnet, vnPriority_));
+            ivc.vcMask = head.vcMask &
+                         env_.vcMaskForOutput(id_, outPort, head);
         }
     }
     return any;
@@ -130,36 +136,34 @@ Router::vcAllocate()
     const std::uint64_t *occ = keySets_.data();
     const std::uint64_t *routed = occ + words;
     std::uint64_t *active = keySets_.data() + 2 * words;
-    // Routed, non-empty heads that still need an output VC.
-    bool pending = false;
-    for (int w = 0; w < words && !pending; ++w)
-        pending = (routed[w] & ~active[w] & occ[w]) != 0;
-    if (!pending)
-        return false;
+    // Ranks of the routed, non-empty heads that need an output VC.
+    unsigned ranks = 0;
+    for (int w = 0; w < words; ++w) {
+        for (std::uint64_t m = routed[w] & ~active[w] & occ[w]; m != 0;
+             m &= m - 1)
+            ranks |= 1u << in_[w * 64 + std::countr_zero(m)].rank;
+    }
     bool allocated = false;
-    // Ranked passes: CPU before GPU, and within a class (vnPriority
-    // mode) downstream virtual networks before upstream ones.
-    for (int rank = 0; rank < arbRankCount(vnPriority_); ++rank) {
+    // Ranked passes over the ranks present: CPU before GPU, and within a
+    // class (vnPriority) downstream virtual networks before upstream ones.
+    for (; ranks != 0; ranks &= ranks - 1) {
+        const int rank = std::countr_zero(ranks);
         for (int w = 0; w < words; ++w) {
             std::uint64_t m = routed[w] & ~active[w] & occ[w];
             while (m) {
                 const int key = w * 64 + std::countr_zero(m);
                 m &= m - 1;
                 InVc &ivc = in_[key];
-                const Flit &head = ivc.buf.front();
-                if (arbRank(head.cls, head.vnet, vnPriority_) != rank)
+                if (ivc.rank != rank)
                     continue;
-                const std::uint8_t mask =
-                    head.vcMask &
-                    env_.vcMaskForOutput(id_, ivc.outPort, head);
                 for (int ov = 0; ov < numVcs_; ++ov) {
-                    if (!(mask & (1u << ov)))
+                    if (!(ivc.vcMask & (1u << ov)))
                         continue;
                     OutVc &ovc = out_[ivc.outPort * numVcs_ + ov];
                     if (ovc.ownerIn >= 0)
                         continue;
                     ovc.ownerIn = key;
-                    ivc.outVc = ov;
+                    ivc.outVc = static_cast<std::int16_t>(ov);
                     active[w] |= keyBit(key);
                     allocated = true;
                     break;
@@ -192,14 +196,30 @@ Router::switchAllocate(Cycle now)
     const int words = W ? W : keyWords_;
     const std::uint64_t *occ = keySets_.data();
     const std::uint64_t *active = occ + 2 * words;
-    bool requests = false;
-    for (int w = 0; w < words && !requests; ++w)
-        requests = (active[w] & occ[w]) != 0;
-    if (!requests) {
-        rotateSaOffset();
-        return false;
+    int requesters = 0;
+    int lone = -1;
+    for (int w = 0; w < words; ++w) {
+        const std::uint64_t m = active[w] & occ[w];
+        requesters += std::popcount(m);
+        if (m)
+            lone = w * 64 + std::countr_zero(m);
     }
     bool granted = false;
+    if (requesters == 1) {
+        // Nothing contends: make the full pass's throttle and space
+        // checks on the lone requester's port, then grant it.
+        const int port = in_[lone].outPort;
+        const bool throttled = hasThrottle_ && now < portNextFree_[port];
+        throttledWait_ = throttledWait_ || throttled;
+        granted = !throttled &&
+                  outVcHasSpace(port, in_[lone].outVc, portNode_[port]);
+        if (granted)
+            grantTraversal(lone, port, now);
+    }
+    if (requesters <= 1) {
+        rotateSaOffset();
+        return granted;
+    }
     std::fill(saReq_.begin(), saReq_.end(), 0);
     std::fill(saUsed_.begin(), saUsed_.end(), 0);
     std::uint64_t *used = saUsed_.data();
@@ -230,19 +250,16 @@ Router::switchAllocate(Cycle now)
             for (std::uint64_t m = req[w] & ~used[w]; m != 0; m &= m - 1) {
                 const int key = w * 64 + std::countr_zero(m);
                 const InVc &ivc = in_[key];
-                const Flit &flit = ivc.buf.front();
                 if (!outVcHasSpace(outPort, ivc.outVc,
                                    portNode_[outPort]))
                     continue;
-                const int rank =
-                    arbRank(flit.cls, flit.vnet, vnPriority_);
                 int dist = key - rrPtr_[outPort];
                 if (dist < 0)
                     dist += keys;
-                if (best < 0 || rank < bestRank ||
-                    (rank == bestRank && dist < bestDist)) {
+                if (best < 0 || ivc.rank < bestRank ||
+                    (ivc.rank == bestRank && dist < bestDist)) {
                     best = key;
-                    bestRank = rank;
+                    bestRank = ivc.rank;
                     bestDist = dist;
                 }
             }
@@ -258,10 +275,6 @@ Router::switchAllocate(Cycle now)
         used[first / 64] |= portKeys << (first % 64);
         if (first % 64 + numVcs_ > 64)
             used[first / 64 + 1] |= portKeys >> (64 - first % 64);
-        rrPtr_[outPort] = best + 1 == keys ? 0 : best + 1;
-        if (hasThrottle_ && portInterval_[outPort] > 1)
-            portNextFree_[outPort] =
-                now + static_cast<Cycle>(portInterval_[outPort]);
         grantTraversal(best, outPort, now);
     }
     rotateSaOffset();
@@ -271,6 +284,10 @@ Router::switchAllocate(Cycle now)
 void
 Router::grantTraversal(int key, int outPort, Cycle now)
 {
+    rrPtr_[outPort] = key + 1 == numPorts_ * numVcs_ ? 0 : key + 1;
+    if (hasThrottle_ && portInterval_[outPort] > 1)
+        portNextFree_[outPort] =
+            now + static_cast<Cycle>(portInterval_[outPort]);
     InVc &ivc = in_[key];
     Flit flit = ivc.buf.front();
     ivc.buf.pop_front();

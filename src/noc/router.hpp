@@ -186,8 +186,10 @@ class DR_DOMAIN_OWNED Router
     struct InVc
     {
         RingBuffer<Flit> buf;
-        int outPort = -1;  //!< -1 until the head is routed
-        int outVc = -1;    //!< -1 until the head holds an output VC
+        std::int16_t outPort = -1;  //!< -1 until the head is routed
+        std::int16_t outVc = -1;    //!< -1 until the head holds an output VC
+        std::uint8_t rank = 0;      //!< routed head's arbitration rank
+        std::uint8_t vcMask = 0;    //!< output VCs the routed head may take
     };
 
     struct OutVc
@@ -218,7 +220,7 @@ class DR_DOMAIN_OWNED Router
             saOffset_ = 0;
     }
 
-    /** Grant one switch traversal to input VC `key` toward `outPort`. */
+    /** Grant `key` toward `outPort`: rotation, throttle and traversal. */
     void grantTraversal(int key, int outPort, Cycle now) DR_COMPUTE_PHASE;
 
     DR_DOMAIN_STAMP;

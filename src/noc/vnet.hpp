@@ -148,13 +148,6 @@ arbRank(TrafficClass cls, VirtualNet vn, bool vnPriority)
     return vnPriority ? clsIdx * numVnets + vnetRank(vn) : clsIdx;
 }
 
-/** Number of distinct arbitration ranks for the given mode. */
-inline int
-arbRankCount(bool vnPriority)
-{
-    return vnPriority ? 2 * numVnets : 2;
-}
-
 } // namespace dr
 
 #endif // DR_NOC_VNET_HPP

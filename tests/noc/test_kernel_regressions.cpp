@@ -12,13 +12,16 @@
  *  - local delivery (src == dst): minimum-latency sample, no flit,
  *    link, or router activity;
  *  - pinned 64-node crossbar schedules (multi-word VC-key sets);
- *  - pinned schedules at the arrival wheel's sizing boundaries.
+ *  - pinned schedules at the arrival wheel's sizing boundaries;
+ *  - pinned (class, VN)-priority schedules, and a lone switch requester
+ *    waiting out a throttled interposer port.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
@@ -315,6 +318,22 @@ TEST(KernelDeterminism, CrossbarSchedulesMatchPinnedLiterals)
               "19105 0 19311 0");
 }
 
+/** The counters every pinned schedule below prints, as one string. */
+std::string
+scheduleCounters(const Network &net)
+{
+    const NetworkStats &s = net.stats();
+    std::ostringstream os;
+    os << s.packetsInjected.value() << ' ' << s.packetsDelivered.value()
+       << ' ' << s.flitsDelivered.value() << ' ' << s.packetLatency.sum()
+       << ' ' << s.cpuPacketLatency.sum() << ' '
+       << s.gpuPacketLatency.sum() << ' ' << net.totalSwitchTraversals()
+       << ' ' << net.totalBufferWrites() << ' '
+       << s.interposerFlits.value() << ' ' << s.interposerPeakFlits
+       << ' ' << net.flitsInFlight();
+    return os.str();
+}
+
 /**
  * One fixed run on a network whose arrival wheel (DESIGN.md §9) sits on
  * a sizing boundary: a wheel has bit_ceil(routerStages +
@@ -368,16 +387,7 @@ wheelFingerprint(const Topology &topo, int stages, int ipLatency,
             net.checkAllInvariants();
     }
 
-    const NetworkStats &s = net.stats();
-    std::ostringstream os;
-    os << s.packetsInjected.value() << ' ' << s.packetsDelivered.value()
-       << ' ' << s.flitsDelivered.value() << ' ' << s.packetLatency.sum()
-       << ' ' << s.cpuPacketLatency.sum() << ' '
-       << s.gpuPacketLatency.sum() << ' ' << net.totalSwitchTraversals()
-       << ' ' << net.totalBufferWrites() << ' '
-       << s.interposerFlits.value() << ' ' << s.interposerPeakFlits
-       << ' ' << net.flitsInFlight();
-    return os.str();
+    return scheduleCounters(net);
 }
 
 /**
@@ -401,6 +411,114 @@ TEST(KernelDeterminism, WheelBoundarySchedulesMatchPinnedLiterals)
         EXPECT_EQ(wheelFingerprint(mesh, 1, 0, threads),
                   "1457 1450 4309 11303 4148 7155 15183 15183 0 0 9");
     }
+}
+
+/**
+ * One fixed run with virtual networks and (class, VN) arbitration on:
+ * `vcsPerVn` VCs per VN, traffic spread over all four VNs, a third of
+ * the nodes sending CPU-class packets. The whole-chip goldens run this
+ * mode only inside full systems; here it runs on a bare network. At a
+ * low `rate` most switch-allocation passes have one requester. On a
+ * Dragonfly (2 VCs per VN) every link's VC mask depends on the
+ * downstream router's group, so the masks the VC allocator applies
+ * differ per hop.
+ */
+std::string
+vnPriorityFingerprint(const Topology &topo, int vcsPerVn, double rate)
+{
+    NetworkParams params = paramsFor(
+        topo, topo.kind() == TopologyKind::Mesh ? RoutingKind::DimOrderXY
+                                                : RoutingKind::TableMinimal);
+    params.seed = 42;
+    params.numVcs = numVnets * vcsPerVn;
+    params.vnPriority = true;
+    params.layout.numVcs = params.numVcs;
+    for (int vn = 0; vn < numVnets; ++vn)
+        params.layout.range[vn] = {static_cast<std::uint8_t>(vn * vcsPerVn),
+                                   static_cast<std::uint8_t>(vcsPerVn)};
+    Network net(params, topo);
+
+    const int nodes = topo.nodes();
+    SyntheticTraffic traffic(TrafficPattern::UniformRandom, nodes, 8, {});
+    Rng rng(67);
+    std::uint64_t id = 1;
+    for (Cycle now = 0; now < 1500; ++now) {
+        for (NodeId src = 0; src < nodes; ++src) {
+            if (!rng.chance(rate) || !net.canInject(src, 5))
+                continue;
+            const VirtualNet vn =
+                static_cast<VirtualNet>(rng.next() % numVnets);
+            const bool reqSide = vn == VirtualNet::Request ||
+                                 vn == VirtualNet::ForwardedRequest;
+            Message m =
+                makeMsg(src, traffic.dest(src, rng),
+                        reqSide ? MsgType::ReadReq : MsgType::ReadReply,
+                        (src % 3) ? TrafficClass::Gpu : TrafficClass::Cpu,
+                        id);
+            m.id = id++;
+            net.inject(m, reqSide ? 1 : 5, now, vn);
+        }
+        net.tick(now);
+        drainReady(net);
+        if (now % 100 == 99)
+            net.checkAllInvariants();
+    }
+    return scheduleCounters(net);
+}
+
+/**
+ * Pinned (class, VN)-priority schedules on an 8x8 mesh at low load and
+ * on a 64-node Dragonfly at 2 VCs per VN: committed literals, the same
+ * exception to DESIGN.md §6 as the pins above. Regenerate them only for
+ * a change meant to alter schedules.
+ */
+TEST(KernelDeterminism, VnPrioritySchedulesMatchPinnedLiterals)
+{
+    EXPECT_EQ(vnPriorityFingerprint(Topology::makeMesh(8, 8), 1, 0.02),
+              "1951 1924 5756 56073 19205 36868 35789 35790 0 0 59");
+    EXPECT_EQ(
+        vnPriorityFingerprint(Topology::makeDragonfly(64, 4, 4), 2, 0.08),
+        "7550 7387 22151 195182 57484 137698 61532 61691 0 0 324");
+}
+
+/**
+ * A lone requester behind a throttled output port. On a 2x1 chiplet
+ * mesh of 2x1 chiplets the interposer link between routers 1 and 2
+ * serializes each flit over 2 cycles. Single-flit packets from nodes 0
+ * and 1, injected 4 cycles apart, reach router 1 in the same cycle:
+ * one takes the interposer port, and on the next cycle the other is
+ * the lone requester, already routed and holding its output VC, behind
+ * the throttled port. That pass changes nothing, yet must keep the
+ * router awake (the port frees by time alone), so the second packet is
+ * granted a cycle later and arrives 2 cycles after the first. A router
+ * that slept through it would wait for the first flit's credit.
+ */
+TEST(InterposerThrottle, LoneRequesterWaitsForThePortAndIsGranted)
+{
+    const Topology topo = Topology::makeChipletMesh(2, 1, 2, 1);
+    NetworkParams params = paramsFor(topo);
+    params.interposerSerialization = 2;
+    Network net(params, topo);
+
+    std::vector<Cycle> delivered;
+    for (Cycle now = 0; now < 100 && delivered.size() < 2; ++now) {
+        if (now == 0 || now == 4) {
+            const NodeId src = now == 0 ? 0 : 1;
+            net.inject(makeMsg(src, 3, MsgType::ReadReq, TrafficClass::Gpu,
+                               now + 1),
+                       1, now);
+        }
+        net.tick(now);
+        net.checkAllInvariants();
+        while (net.hasMessage(3, NetKind::Request)) {
+            net.popMessage(3, NetKind::Request);
+            delivered.push_back(now);
+        }
+    }
+    ASSERT_EQ(delivered.size(), 2u);
+    EXPECT_EQ(delivered[1] - delivered[0], 2u);
+    EXPECT_EQ(net.stats().interposerFlits.value(), 2u);
+    EXPECT_EQ(net.flitsInFlight(), 0);
 }
 
 TEST(WarmupBoundary, PacketsQueuedBeforeResetDropLatencySamples)

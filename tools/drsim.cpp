@@ -23,9 +23,7 @@
  *   drsim --config experiments/dragonfly.cfg --stats json > out.json
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -41,17 +39,6 @@ using namespace dr;
 
 namespace
 {
-
-/** Flush stdout: a write that failed (say, to a full disk) is
- *  fatal instead of a silent exit 0 with nothing written. */
-void
-flushStdout(const std::string &what)
-{
-    std::cout.flush();
-    if (std::fflush(stdout) != 0 || std::ferror(stdout) || !std::cout)
-        fatal("drsim: writing the ", what, " to stdout failed: ",
-              std::strerror(errno));
-}
 
 void
 usage()
@@ -104,9 +91,11 @@ main(int argc, char **argv)
         };
         if (arg == "--help" || arg == "-h") {
             usage();
+            flushStdout("drsim", "usage");
             return 0;
         } else if (arg == "--list") {
             listBenchmarks();
+            flushStdout("drsim", "benchmark list");
             return 0;
         } else if (arg == "--config") {
             parseConfigFile(cfg, next());
@@ -140,7 +129,7 @@ main(int argc, char **argv)
     cfg.validate();
     if (dumpConfig) {
         writeConfig(cfg, std::cout);
-        flushStdout("configuration");
+        flushStdout("drsim", "configuration");
         return 0;
     }
 
@@ -172,7 +161,7 @@ main(int argc, char **argv)
                     100.0 * r.forwardedFraction());
         std::printf("remote hit rate    %.1f %%\n",
                     100.0 * r.remoteHitRate());
-        flushStdout("summary");
+        flushStdout("drsim", "summary");
         return 0;
     }
 
@@ -184,6 +173,6 @@ main(int argc, char **argv)
         report.writeCsv(std::cout);
     else
         report.writeJson(std::cout);
-    flushStdout(statsFormat + " report");
+    flushStdout("drsim", statsFormat + " report");
     return 0;
 }

@@ -17,9 +17,10 @@
  *     --verbose         print every state along a counterexample
  *     --help
  *
- * Exit status: 0 = every run matched expectations, 2 = a property
- * failed unexpectedly (or a mutant was not detected), 3 = state
- * limit reached.
+ * Exit status: 0 = every run matched expectations, 1 = a malformed
+ * value or a failed write to stdout, 2 = a property failed
+ * unexpectedly (or a mutant was not detected), 3 = state limit
+ * reached.
  */
 
 #include <cstdio>
@@ -29,6 +30,7 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "common/log.hpp"
 #include "verify/checker.hpp"
 #include "verify/configs.hpp"
 
@@ -98,10 +100,9 @@ runOne(const verify::NamedConfig &named, const verify::CheckOptions &opts,
     return 0;
 }
 
-} // namespace
-
+/** The whole command line; returns the exit status. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string configName;
     bool runAll = false;
@@ -197,4 +198,15 @@ main(int argc, char **argv)
         return 2;
     }
     return runOne(*named, opts, verbose);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const int status = run(argc, argv);
+    // Every exit that printed flushes here: a lost verdict is fatal.
+    flushStdout("drverify", "output");
+    return status;
 }
