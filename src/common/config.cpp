@@ -1,6 +1,7 @@
 #include "common/config.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -65,6 +66,22 @@ SystemConfig::validate() const
               ") does not fill the ", noc.meshWidth, "x", noc.meshHeight,
               " chip (", tiles, " tiles)");
     }
+    // Caches and address maps align and index lines with masks and
+    // shifts, which only a power-of-two line size gets right.
+    const struct
+    {
+        const char *key;
+        int value;
+    } lineSizes[] = {
+        {"gpu.l1LineBytes", gpu.l1LineBytes},
+        {"mem.lineBytes", mem.lineBytes},
+        {"cpu.lineBytes", cpu.lineBytes},
+    };
+    for (const auto &l : lineSizes) {
+        if (l.value <= 0 ||
+            !std::has_single_bit(static_cast<unsigned>(l.value)))
+            fatal(l.key, " must be a power of two, got ", l.value);
+    }
     if (mem.lineBytes != gpu.l1LineBytes)
         fatal("LLC and GPU L1 line sizes must match");
     if (noc.vcsPerNet < 1 || noc.vcDepthFlits < 1)
@@ -93,6 +110,10 @@ SystemConfig::validate() const
         if (f.value < f.min)
             fatal(f.key, " must be >= ", f.min, ", got ", f.value);
     }
+    if (gpu.warpsPerCore > GpuConfig::maxWarpsPerCore)
+        fatal("gpu.warpsPerCore must be <= ", GpuConfig::maxWarpsPerCore,
+              " (one bit per warp in a core's warp mask), got ",
+              gpu.warpsPerCore);
     // Memory nodes send GPU replies, and so do GPU cores under DR
     // (delegated replies): both injection buffers must hold one.
     const int reply = flitsFor(MsgType::ReadReply, TrafficClass::Gpu);

@@ -120,6 +120,9 @@ struct NocConfig
 /** GPU core (SM) parameters. */
 struct GpuConfig
 {
+    /** A core tracks its warps in one 64-bit mask (gpu/sm_core.hpp). */
+    static constexpr int maxWarpsPerCore = 64;
+
     int numCores = 40;
     int warpsPerCore = 48;
     int threadsPerWarp = 32;

@@ -137,6 +137,21 @@ class L1Organizer
         (void)now;
         return kNeverCycle;
     }
+
+    /**
+     * A count that moves whenever the serial merge may have made a
+     * line present for contains(core, ·): a commit that fills a tag
+     * store `core` reads, or a switch of organization. SmCore compares
+     * it once per tick to invalidate its memoized stalls (DESIGN.md
+     * §13), which all missed in L1; flushes only remove lines, so they
+     * need not move it. A private L1 gains a core's lines only through
+     * that core's own fill() calls, which the core tracks itself.
+     */
+    virtual std::uint64_t viewEpoch(int core) const
+    {
+        (void)core;
+        return 0;
+    }
 };
 
 /** The baseline private L1 per SM. */

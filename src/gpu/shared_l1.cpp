@@ -18,6 +18,7 @@ SharedL1::SharedL1(const GpuConfig &cfg)
     const CacheParams params{sliceBytes, cfg.l1Assoc, cfg.l1LineBytes};
     tags_.resize(clusters);
     portBusyUntil_.resize(clusters);
+    clusterEpoch_.assign(static_cast<std::size_t>(clusters), 0);
     for (int c = 0; c < clusters; ++c) {
         for (int s = 0; s < slices_; ++s)
             tags_[c].emplace_back(params);
@@ -157,10 +158,12 @@ SharedL1::commitCycle(Cycle now)
     for (CoreStage &stage : perCore_) {
         for (const CoreStage::Op &op : stage.ops) {
             auto &slice = tags_[op.slot / slices_][op.slot % slices_];
-            if (op.isFill)
+            if (op.isFill) {
                 slice.insert(op.local, {});
-            else
+                ++clusterEpoch_[op.slot / slices_];
+            } else {
                 slice.access(op.local);
+            }
         }
         stage.ops.clear();
         for (std::int32_t slot : stage.claims) {
@@ -249,6 +252,9 @@ DynEbL1::flush(int core)
     shared_.flush(core);
     private_.flush(core);
     phase_ = Phase::ProbeShared;
+    // The phase is chip-wide: other cores may switch from their private
+    // L1 to a cluster L1 that holds lines.
+    ++phaseEpoch_;
     phaseFresh_ = true;
 }
 
@@ -303,6 +309,7 @@ DynEbL1::maybeAdvancePhase(Cycle now)
         phase_ = privateScore_ > sharedScore_ ? Phase::CommitPrivate
                                               : Phase::CommitShared;
     }
+    ++phaseEpoch_;
     phaseStart_ = now;
     clearProbeBanks();
 }

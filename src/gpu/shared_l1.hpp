@@ -60,6 +60,10 @@ class SharedL1 : public L1Organizer
     void commitCycle(Cycle now) override DR_COMMIT_PHASE;
     void setCoreDomain(int core, int domain) override;
     void auditStamps() const override;
+    std::uint64_t viewEpoch(int core) const override
+    {
+        return clusterEpoch_[clusterOf(core)];
+    }
 
     int clusters() const { return static_cast<int>(tags_.size()); }
     int clusterOf(int core) const { return core / coresPerCluster_; }
@@ -110,6 +114,8 @@ class SharedL1 : public L1Organizer
      * the port busy until N + k); lookups compare it against `now`.
      */
     std::vector<std::vector<Cycle>> portBusyUntil_ DR_SERIAL_ONLY;
+    /** Per cluster: fills committed (viewEpoch). */
+    std::vector<std::uint64_t> clusterEpoch_ DR_SERIAL_ONLY;
     std::vector<CoreStage> perCore_ DR_DOMAIN_OWNED;
     /** Stats banked per core, exactly like PrivateL1::coreStats_. */
     std::vector<L1OrgStats> coreStats_ DR_DOMAIN_OWNED;
@@ -134,6 +140,12 @@ class DynEbL1 : public L1Organizer
     void commitCycle(Cycle now) override DR_COMMIT_PHASE;
     void setCoreDomain(int core, int domain) override;
     void auditStamps() const override;
+    /** Either organization's changes, plus every phase switch. */
+    std::uint64_t viewEpoch(int core) const override
+    {
+        return phaseEpoch_ + shared_.viewEpoch(core) +
+               private_.viewEpoch(core);
+    }
 
     /**
      * DynEB's probe-phase clock advances in the serial merge, so an
@@ -191,6 +203,7 @@ class DynEbL1 : public L1Organizer
     /** The phase selector and its clock mutate only in commitCycle()
      *  (and flush), so active() reads frozen state during the phase. */
     Phase phase_ DR_SERIAL_ONLY = Phase::ProbeShared;
+    std::uint64_t phaseEpoch_ DR_SERIAL_ONLY = 0;  //!< phase_ changes
     bool phaseFresh_ DR_SERIAL_ONLY = false;
     Cycle phaseStart_ DR_SERIAL_ONLY = 0;
     Cycle probeLen_ DR_SERIAL_ONLY = 2000;

@@ -1,6 +1,7 @@
 #include "gpu/sm_core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/invariant.hpp"
 #include "common/log.hpp"
@@ -17,6 +18,8 @@ SmCore::SmCore(NodeId nodeId, int coreIdx, const SystemConfig &cfg,
       coherence_(coherence), ctaSched_(ctaSched), kernel_(kernel), l1_(l1),
       gpuCoreIds_(gpuCoreIds),
       warps_(static_cast<std::size_t>(cfg.gpu.warpsPerCore)),
+      readReqFlits_(cfg.flitsFor(MsgType::ReadReq, TrafficClass::Gpu)),
+      writeReqFlits_(cfg.flitsFor(MsgType::WriteReq, TrafficClass::Gpu)),
       mshrs_(cfg.gpu.l1Mshrs, cfg.gpu.mshrTargets),
       predictor_(cfg.rp.predictorEntries),
       nextReqId_((static_cast<std::uint64_t>(nodeId) << 48) | 1u)
@@ -84,15 +87,17 @@ SmCore::receiveReplies(Cycle now)
                 // fallback, by the LLC). Train on who replied.
                 const bool fromCore =
                     msg.src != invalidNode && !isMemNode(msg.src);
-                predictor_.train(line, fromCore);
+                trainPredictor(line, fromCore);
                 probes_.erase(probe);
             }
             wakeTargets(line, now);
             break;
           }
           case MsgType::WriteAck:
-            if (outstandingWrites_ > 0)
+            if (outstandingWrites_ > 0) {
                 --outstandingWrites_;
+                ++retryEpoch_;  // the write cap may lift
+            }
             break;
           case MsgType::ProbeNack: {
             auto probe = probes_.find(line);
@@ -100,7 +105,7 @@ SmCore::receiveReplies(Cycle now)
                 break;  // already resolved by a data reply
             if (--probe->second.nacksLeft <= 0) {
                 // Every probed cache missed: fall back to the LLC.
-                predictor_.train(line, false);
+                trainPredictor(line, false);
                 probes_.erase(probe);
                 if (mshrs_.outstanding(line)) {
                     probeFallbacks_.push_back(line);
@@ -114,6 +119,13 @@ SmCore::receiveReplies(Cycle now)
                   msgTypeName(msg.type));
         }
     }
+}
+
+void
+SmCore::trainPredictor(Addr line, bool remoteHit)
+{
+    predictor_.train(line, remoteHit);
+    ++retryEpoch_;  // a stalled miss may now probe, or stop probing
 }
 
 bool
@@ -284,6 +296,18 @@ SmCore::drainOutbound(Cycle now)
 }
 
 void
+SmCore::setState(Warp &warp, Warp::State state)
+{
+    warp.state = state;
+    const std::uint64_t bit = std::uint64_t{1}
+                              << (&warp - warps_.data());
+    if (state == Warp::State::Ready || state == Warp::State::Stalled)
+        eligible_ |= bit;
+    else
+        eligible_ &= ~bit;
+}
+
+void
 SmCore::issueWarps(Cycle now)
 {
     // Deadlock avoidance (Section IV): with remote priority enabled the
@@ -292,15 +316,33 @@ SmCore::issueWarps(Cycle now)
                  "core ", coreIdx_,
                  " FRQ-priority ordering violated: local issue before "
                  "forwarded-request service");
+    // A shared L1's serial merge may have changed the lines this core
+    // sees since the last tick.
+    const std::uint64_t view = l1_.viewEpoch(coreIdx_);
+    if (view != l1View_) {
+        l1View_ = view;
+        ++retryEpoch_;
+    }
     const int n = static_cast<int>(warps_.size());
+    const std::uint64_t all =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
     int issued = 0;
     for (int k = 0; k < n && issued < cfg_.gpu.issueWidth; ++k) {
+        // The scan visits warp (greedyWarp_ + k) % n at step k; the
+        // NeedWork and WaitMem warps it passes over have no effect, so
+        // k jumps straight to the next eligible warp in that order.
+        const int from = (greedyWarp_ + k) % n;
+        const std::uint64_t ahead =
+            from == 0 ? eligible_
+                      : ((eligible_ >> from) | (eligible_ << (n - from))) &
+                            all;
+        if (ahead == 0)
+            break;
+        k += std::countr_zero(ahead);
+        if (k >= n)
+            break;
         const int w = (greedyWarp_ + k) % n;
         Warp &warp = warps_[w];
-        if (warp.state == Warp::State::NeedWork ||
-            warp.state == Warp::State::WaitMem) {
-            continue;
-        }
         if (warp.readyAt > now)
             continue;
         if (warp.state == Warp::State::Ready && warp.computeLeft > 0) {
@@ -308,6 +350,16 @@ SmCore::issueWarps(Cycle now)
             ++stats_.instructions;
             ++issued;
             greedyWarp_ = w;  // GTO: stick with the issuing warp
+            continue;
+        }
+        if (warp.state == Warp::State::Stalled &&
+            warp.stallEpoch == retryEpoch_ && !requestFits(warp.stallNeed)) {
+            // Nothing the failed retry read has changed since: it would
+            // fail the same check again.
+            DR_INVARIANT(replaysStall(warp), "core ", coreIdx_, " warp ", w,
+                         " skipped a retry whose checks changed; an "
+                         "event that changes them left retryEpoch_");
+            ++(stats_.*warp.stallStat);
             continue;
         }
         // Memory access due (or a stalled one being retried).
@@ -322,7 +374,7 @@ SmCore::issueWarps(Cycle now)
             ++issued;
             greedyWarp_ = w;
         } else {
-            warp.state = Warp::State::Stalled;
+            setState(warp, Warp::State::Stalled);
         }
     }
 }
@@ -337,130 +389,123 @@ SmCore::advanceWarp(Warp &warp, Cycle now, Cycle extraLatency)
         return;
     }
     warp.computeLeft = kernel_.computePerMem();
-    warp.state = Warp::State::Ready;
+    setState(warp, Warp::State::Ready);
     warp.readyAt = now + extraLatency;
+}
+
+bool
+SmCore::replaysStall(const Warp &warp) const
+{
+    const AccessPlan replay = planAccess(warp.pending, lineOf(warp.pending));
+    return replay.step == AccessPlan::Step::Stall &&
+           replay.stall == warp.stallStat && replay.need == warp.stallNeed;
+}
+
+SmCore::AccessPlan
+SmCore::planAccess(const MemAccess &access, Addr line) const
+{
+    using Step = AccessPlan::Step;
+    if (access.write) {
+        // Write-through: the store goes to the LLC; the warp continues
+        // once the request is accepted (bounded by outstanding writes).
+        if (outstandingWrites_ >= maxOutstandingWrites_)
+            return {Step::Stall, &SmCoreStats::stallInject, kNoSpaceHelps};
+        if (!requestFits(writeReqFlits_))
+            return {Step::Stall, &SmCoreStats::stallInject, writeReqFlits_};
+        return {Step::Write};
+    }
+    if (l1_.contains(coreIdx_, line))
+        return {Step::Hit};
+    if (mshrs_.outstanding(line)) {
+        if (!mshrs_.hasTargetSpace(line))
+            return {Step::Stall, &SmCoreStats::stallNoMshr, kNoSpaceHelps};
+        return {Step::Merge};
+    }
+    if (mshrs_.full())
+        return {Step::Stall, &SmCoreStats::stallNoMshr, kNoSpaceHelps};
+    if (cfg_.mechanism == Mechanism::RealisticProbing &&
+        cfg_.gpu.numCores > 1 && predictor_.shouldProbe(line)) {
+        // All probes must be injectable at once (they share one id and
+        // one MSHR entry).
+        const int count = static_cast<int>(
+            probeCandidates(coreIdx_, line, cfg_.rp.probeCount, gpuCoreIds_)
+                .size());
+        if (count == 0)
+            return {Step::Stall, &SmCoreStats::stallInject, kNoSpaceHelps};
+        if (!requestFits(count))
+            return {Step::Stall, &SmCoreStats::stallInject, count};
+        return {Step::Probe};
+    }
+    if (!requestFits(readReqFlits_))
+        return {Step::Stall, &SmCoreStats::stallInject, readReqFlits_};
+    return {Step::Miss};
 }
 
 bool
 SmCore::executeMemAccess(Warp &warp, int warpId, Cycle now)
 {
-    const Addr line =
-        warp.pending.addr & ~static_cast<Addr>(cfg_.gpu.l1LineBytes - 1);
+    const Addr line = lineOf(warp.pending);
+    // Decide before touching any state, so a structural stall has no
+    // side effects; only the L1 port, claimed last, can still refuse.
+    const AccessPlan plan = planAccess(warp.pending, line);
+    warp.stallEpoch = 0;
+    const MshrTarget self{static_cast<std::uint64_t>(warpId), nodeId_,
+                          TrafficClass::Gpu, false, false};
+    switch (plan.step) {
+      case AccessPlan::Step::Stall:
+        ++(stats_.*plan.stall);
+        warp.stallEpoch = retryEpoch_;
+        warp.stallStat = plan.stall;
+        warp.stallNeed = plan.need;
+        return false;
 
-    if (warp.pending.write) {
-        // Write-through: the store goes to the LLC; the warp continues
-        // once the request is accepted (bounded by outstanding writes).
-        if (outstandingWrites_ >= maxOutstandingWrites_) {
-            ++stats_.stallInject;
-            return false;
-        }
-        Message req = makeRequest(MsgType::WriteReq, line, now);
-        if (!ic_.canSend(req)) {
-            ++stats_.stallInject;
-            return false;
-        }
+      case AccessPlan::Step::Write: {
+        const Message req = makeRequest(MsgType::WriteReq, line, now);
         ++stats_.stores;
         l1_.write(coreIdx_, line, now);
         ic_.send(req, now);
         ++nextReqId_;
         ++outstandingWrites_;
+        ++retryEpoch_;  // the write cap may now bind
         advanceWarp(warp, now, 1);
         return true;
-    }
+      }
 
-    // Load path. Decide miss handling before touching the tags so a
-    // structural stall has no side effects.
-    const bool present = l1_.contains(coreIdx_, line);
-    if (!present) {
-        if (mshrs_.outstanding(line)) {
-            if (!mshrs_.addTarget(line, {static_cast<std::uint64_t>(warpId),
-                                         nodeId_, TrafficClass::Gpu, false,
-                                         false})) {
-                ++stats_.stallNoMshr;
-                return false;
-            }
-            ++stats_.loads;
-            ++stats_.l1Misses;
-            ++stats_.mshrMerges;
-            if (localityOracle_)
-                oracleQueries_.push_back(line);
-            warp.state = Warp::State::WaitMem;
-            warp.issueCycle = now;
-            return true;
-        }
-        return startMiss(warp, warpId, line, now);
-    }
-
-    const L1Result res = l1_.load(coreIdx_, line, now);
-    if (res == L1Result::PortBusy) {
-        ++stats_.stallPort;
-        return false;
-    }
-    if (res == L1Result::Hit) {
-        ++stats_.loads;
-        ++stats_.l1Hits;
-        advanceWarp(warp, now, static_cast<Cycle>(l1_.hitLatency()));
-        return true;
-    }
-    // The line vanished between contains() and load() — impossible in
-    // this single-threaded model.
-    panic("L1 contains/load disagree");
-}
-
-bool
-SmCore::startMiss(Warp &warp, int warpId, Addr line, Cycle now)
-{
-    if (mshrs_.full()) {
-        ++stats_.stallNoMshr;
-        return false;
-    }
-
-    const bool probing = cfg_.mechanism == Mechanism::RealisticProbing &&
-                         cfg_.gpu.numCores > 1 &&
-                         predictor_.shouldProbe(line);
-    if (probing) {
-        const std::vector<NodeId> targets =
-            probeCandidates(coreIdx_, line, cfg_.rp.probeCount,
-                            gpuCoreIds_);
-        // All probes must be injectable at once (they share one id and
-        // one MSHR entry).
-        const int count = static_cast<int>(targets.size());
-        if (count == 0 ||
-            ic_.injectFree(nodeId_, NetKind::Request) < count) {
-            ++stats_.stallInject;
-            return false;
-        }
-        // Port/tag access for the miss.
+      case AccessPlan::Step::Hit: {
         const L1Result res = l1_.load(coreIdx_, line, now);
         if (res == L1Result::PortBusy) {
             ++stats_.stallPort;
             return false;
         }
+        // The line cannot vanish between contains() and load(): the
+        // tags a lookup reads change only in this core's own calls or
+        // in the serial merge.
+        if (res != L1Result::Hit)
+            panic("L1 contains/load disagree");
+        ++stats_.loads;
+        ++stats_.l1Hits;
+        advanceWarp(warp, now, static_cast<Cycle>(l1_.hitLatency()));
+        return true;
+      }
+
+      case AccessPlan::Step::Merge:
+        if (!mshrs_.addTarget(line, self))
+            panic("MSHR target space vanished between plan and merge");
         ++stats_.loads;
         ++stats_.l1Misses;
+        ++stats_.mshrMerges;
         if (localityOracle_)
             oracleQueries_.push_back(line);
-        mshrs_.allocate(line, {static_cast<std::uint64_t>(warpId), nodeId_,
-                               TrafficClass::Gpu, false, false},
-                        now);
-        Message probe = makeRequest(MsgType::ProbeReq, line, now);
-        ++nextReqId_;
-        for (const NodeId target : targets) {
-            probe.dst = target;
-            ic_.send(probe, now);
-            ++stats_.probesSent;
-        }
-        probes_[line] = {count, false, now};
-        warp.state = Warp::State::WaitMem;
+        setState(warp, Warp::State::WaitMem);
         warp.issueCycle = now;
         return true;
+
+      case AccessPlan::Step::Probe:
+      case AccessPlan::Step::Miss:
+        break;
     }
 
-    Message req = makeRequest(MsgType::ReadReq, line, now);
-    if (!ic_.canSend(req)) {
-        ++stats_.stallInject;
-        return false;
-    }
+    // A new miss: port/tag access, then the MSHR and the request(s).
     const L1Result res = l1_.load(coreIdx_, line, now);
     if (res == L1Result::PortBusy) {
         ++stats_.stallPort;
@@ -470,13 +515,25 @@ SmCore::startMiss(Warp &warp, int warpId, Addr line, Cycle now)
     ++stats_.l1Misses;
     if (localityOracle_)
         oracleQueries_.push_back(line);
-    mshrs_.allocate(line, {static_cast<std::uint64_t>(warpId), nodeId_,
-                           TrafficClass::Gpu, false, false},
-                    now);
-    ic_.send(req, now);
-    ++nextReqId_;
-    ++stats_.llcRequests;
-    warp.state = Warp::State::WaitMem;
+    mshrs_.allocate(line, self, now);
+    ++retryEpoch_;  // a stalled miss to this line can now merge
+    if (plan.step == AccessPlan::Step::Probe) {
+        const std::vector<NodeId> targets = probeCandidates(
+            coreIdx_, line, cfg_.rp.probeCount, gpuCoreIds_);
+        Message probe = makeRequest(MsgType::ProbeReq, line, now);
+        ++nextReqId_;
+        for (const NodeId target : targets) {
+            probe.dst = target;
+            ic_.send(probe, now);
+            ++stats_.probesSent;
+        }
+        probes_[line] = {static_cast<int>(targets.size()), false, now};
+    } else {
+        ic_.send(makeRequest(MsgType::ReadReq, line, now), now);
+        ++nextReqId_;
+        ++stats_.llcRequests;
+    }
+    setState(warp, Warp::State::WaitMem);
     warp.issueCycle = now;
     return true;
 }
@@ -488,6 +545,7 @@ SmCore::wakeTargets(Addr line, Cycle now)
         return;  // duplicate reply (e.g., two probe hits); drop
     const auto targets = mshrs_.release(line);
     l1_.fill(coreIdx_, line);
+    ++retryEpoch_;  // the line is present, its MSHR entry free
     for (const auto &t : targets) {
         if (t.remote) {
             // A delayed hit whose data just arrived: forward it.
@@ -515,7 +573,7 @@ void
 SmCore::finishWarp(Warp &warp, Cycle now)
 {
     (void)now;
-    warp.state = Warp::State::NeedWork;
+    setState(warp, Warp::State::NeedWork);
     CtaSlot &slot = ctaSlots_[warp.slot];
     if (--slot.warpsLeft <= 0) {
         ++stats_.ctasCompleted;
@@ -563,18 +621,14 @@ SmCore::nextEventCycle(Cycle now) const
         !probeQueue_.empty() || !outboundReplies_.empty() ||
         !probeFallbacks_.empty() || !pendingCtaRefills_.empty())
         return now + 1;
+    // NeedWork warps wait on a CTA refill and WaitMem warps on a reply
+    // arrival, so only the eligible ones set a watermark.
     Cycle next = kNeverCycle;
-    for (const Warp &warp : warps_) {
-        switch (warp.state) {
-          case Warp::State::NeedWork:  // waits on a CTA refill
-          case Warp::State::WaitMem:   // waits on a reply arrival
-            break;
-          case Warp::State::Ready:
-            next = std::min(next, std::max(warp.readyAt, now + 1));
-            break;
-          case Warp::State::Stalled:   // structural retry every cycle
-            return now + 1;
-        }
+    for (std::uint64_t m = eligible_; m != 0; m &= m - 1) {
+        const Warp &warp = warps_[std::countr_zero(m)];
+        if (warp.state == Warp::State::Stalled)
+            return now + 1;  // structural retry every cycle
+        next = std::min(next, std::max(warp.readyAt, now + 1));
     }
     return next;
 }
@@ -596,7 +650,7 @@ SmCore::assignCta(CtaSlot &slot, Cycle now)
     int lane = 0;
     for (const int w : slot.warpIds) {
         Warp &warp = warps_[w];
-        warp.state = Warp::State::Ready;
+        setState(warp, Warp::State::Ready);
         warp.cta = a.cta;
         warp.warpInCta = lane++;
         warp.instance = a.kernelInstance;

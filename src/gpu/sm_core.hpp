@@ -15,6 +15,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -176,7 +177,43 @@ class DR_DOMAIN_OWNED SmCore
         MemAccess pending{};  //!< the access being (re)tried
         bool hasPending = false;
         Cycle issueCycle = 0; //!< when the pending load was first issued
+        /**
+         * The check this warp's last retry failed (DESIGN.md §13).
+         * While retryEpoch_ still equals `stallEpoch` and fewer than
+         * `stallNeed` request-network flits are free, a retry fails
+         * the same check again, so it only bumps `stallStat`.
+         * 0 = nothing recorded (the failure depended on the cycle).
+         */
+        std::uint64_t stallEpoch = 0;
+        Counter SmCoreStats::*stallStat = nullptr;
+        int stallNeed = 0;
     };
+
+    /**
+     * What a memory access would do, decided from side-effect-free
+     * queries only: every check that can fail before the access
+     * touches any state is made here, so a stall has no side effects
+     * and a memoized stall can be re-derived (DR_CHECKED).
+     */
+    struct AccessPlan
+    {
+        enum class Step : std::uint8_t
+        {
+            Stall,  //!< a check failed: bump `stall`
+            Write,  //!< send the write-through store
+            Hit,    //!< the line is present: L1 load
+            Merge,  //!< join the line's outstanding MSHR entry
+            Probe,  //!< RP: allocate an MSHR and probe remote L1s
+            Miss,   //!< allocate an MSHR and request the line
+        };
+
+        Step step;
+        Counter SmCoreStats::*stall = nullptr;
+        /** Free request-network flits that would clear the stall;
+         *  kNoSpaceHelps when injection space alone cannot. */
+        int need = 0;
+    };
+    static constexpr int kNoSpaceHelps = std::numeric_limits<int>::max();
 
     struct CtaSlot
     {
@@ -198,11 +235,26 @@ class DR_DOMAIN_OWNED SmCore
     void processFrq(Cycle now) DR_ENDPOINT_PHASE;
     void drainOutbound(Cycle now) DR_ENDPOINT_PHASE;
     void issueWarps(Cycle now) DR_ENDPOINT_PHASE;
+    Addr lineOf(const MemAccess &access) const
+    {
+        return access.addr & ~static_cast<Addr>(cfg_.gpu.l1LineBytes - 1);
+    }
+    AccessPlan planAccess(const MemAccess &access, Addr line) const;
+    /** DR_CHECKED: whether re-planning a memoized stall fails the
+     *  same check with the same need. */
+    bool replaysStall(const Warp &warp) const;
     bool executeMemAccess(Warp &warp, int warpId, Cycle now)
         DR_ENDPOINT_PHASE;
-    bool startMiss(Warp &warp, int warpId, Addr line, Cycle now)
-        DR_ENDPOINT_PHASE;
+    /** Whether `flits` fit in this node's request injection buffer
+     *  (what Interconnect::canSend checks for a request). */
+    bool requestFits(int flits) const
+    {
+        return ic_.injectFree(nodeId_, NetKind::Request) >= flits;
+    }
+    /** Set a warp's state, keeping eligible_ in step. */
+    void setState(Warp &warp, Warp::State state);
     void wakeTargets(Addr line, Cycle now) DR_ENDPOINT_PHASE;
+    void trainPredictor(Addr line, bool remoteHit) DR_ENDPOINT_PHASE;
     void assignCta(CtaSlot &slot, Cycle now) DR_COMMIT_PHASE;
     void finishWarp(Warp &warp, Cycle now) DR_ENDPOINT_PHASE;
     void advanceWarp(Warp &warp, Cycle now, Cycle extraLatency)
@@ -224,9 +276,27 @@ class DR_DOMAIN_OWNED SmCore
     const std::vector<NodeId> &gpuCoreIds_;
 
     std::vector<Warp> warps_ DR_DOMAIN_OWNED;
+    /** Bit w set: warps_[w] is Ready or Stalled, the states
+     *  issueWarps acts on (SystemConfig::validate caps warps at 64). */
+    std::uint64_t eligible_ DR_DOMAIN_OWNED = 0;
     std::vector<CtaSlot> ctaSlots_ DR_DOMAIN_OWNED;
     std::uint32_t coreInstance_ = 0;
     int greedyWarp_ = 0;
+
+    /**
+     * Moves on every event that can change the path of a failed retry
+     * other than injection space (DESIGN.md §13): an MSHR allocate or
+     * release, an L1 fill, a change to the lines this core sees in a
+     * shared L1, outstanding-write changes and sharing-predictor
+     * training. Merges and flushes cannot: they only take MSHR target
+     * space and L1 lines away. Starts at 1, so a warp's stallEpoch of
+     * 0 never matches.
+     */
+    std::uint64_t retryEpoch_ DR_DOMAIN_OWNED = 1;
+    /** l1_.viewEpoch(coreIdx_) when issueWarps last looked. */
+    std::uint64_t l1View_ DR_DOMAIN_OWNED = 0;
+    const int readReqFlits_;
+    const int writeReqFlits_;
 
     MshrFile mshrs_ DR_DOMAIN_OWNED;
     std::deque<Message> frq_ DR_DOMAIN_OWNED;   //!< Forwarded Request Queue

@@ -23,7 +23,8 @@ class AddressMap
   public:
     /**
      * @param numMcs number of memory controllers
-     * @param lineBytes cache-line size used for alignment
+     * @param lineBytes cache-line size used for alignment (a power
+     *                  of two)
      * @param memNodeIds NoC node ID of each controller, indexed by MC
      * @param seed hash seed (PAE-style randomization)
      */
@@ -50,6 +51,7 @@ class AddressMap
   private:
     int numMcs_;
     int lineBytes_;
+    int lineShift_;  //!< log2(lineBytes_)
     std::vector<NodeId> memNodeIds_;
     std::uint64_t seed_;
 };

@@ -8,6 +8,7 @@
  * Delegated Replies core pointer as per-line metadata).
  */
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -47,6 +48,8 @@ class SetAssocCache
 
     explicit SetAssocCache(const CacheParams &params)
         : params_(params), sets_(params.sets()),
+          lineShift_(std::countr_zero(
+              static_cast<unsigned>(params.lineBytes))),
           lines_(static_cast<std::size_t>(sets_) * params.assoc),
           lru_(lines_.size(), 0)
     {
@@ -54,10 +57,12 @@ class SetAssocCache
             params.lineBytes <= 0) {
             fatal("cache: all geometry parameters must be positive");
         }
+        if (!std::has_single_bit(static_cast<unsigned>(params.lineBytes)))
+            fatal("cache: line size must be a power of two");
         if (params.sizeBytes % (params.assoc * params.lineBytes) != 0)
             fatal("cache: size must be a whole number of sets");
-        // Division/modulo indexing supports non-power-of-two set counts
-        // (e.g., the 48 KB GPU L1 has 96 sets).
+        // Modulo indexing supports non-power-of-two set counts (e.g.,
+        // the 48 KB GPU L1 has 96 sets).
     }
 
     int sets() const { return sets_; }
@@ -217,12 +222,12 @@ class SetAssocCache
   private:
     int setOf(Addr addr) const
     {
-        return static_cast<int>((addr / params_.lineBytes) % sets_);
+        return static_cast<int>((addr >> lineShift_) % sets_);
     }
 
     Addr tagOf(Addr addr) const
     {
-        return addr / params_.lineBytes / sets_;
+        return (addr >> lineShift_) / sets_;
     }
 
     Addr reconstruct(int set, Addr tag) const
@@ -239,6 +244,7 @@ class SetAssocCache
 
     CacheParams params_;
     int sets_;
+    int lineShift_;  //!< log2 of the line size
     std::vector<Line> lines_;
     std::vector<std::uint64_t> lru_;
     std::uint64_t clock_ = 0;

@@ -43,6 +43,12 @@ MshrFile::addTarget(Addr lineAddr, const MshrTarget &target)
     return true;
 }
 
+bool
+MshrFile::hasTargetSpace(Addr lineAddr) const
+{
+    return static_cast<int>(targets(lineAddr).size()) < targetsPerEntry_;
+}
+
 const std::vector<MshrTarget> &
 MshrFile::targets(Addr lineAddr) const
 {

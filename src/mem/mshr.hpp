@@ -54,6 +54,9 @@ class MshrFile
      */
     bool addTarget(Addr lineAddr, const MshrTarget &target);
 
+    /** Whether addTarget would succeed. @pre outstanding(lineAddr) */
+    bool hasTargetSpace(Addr lineAddr) const;
+
     /** Targets waiting on a line (valid only while outstanding). */
     const std::vector<MshrTarget> &targets(Addr lineAddr) const;
 

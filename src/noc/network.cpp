@@ -151,6 +151,27 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         DR_STAMP_SET_OWNER(nis_[n], nodeDomain_[n]);
     for (int d = 0; d < numDomains_; ++d)
         DR_STAMP_SET_OWNER(domains_[d], d);
+
+    for (int r = 0; r < topo_.routers(); ++r)
+        hopStride_ = std::max(hopStride_, topo_.radix(r));
+    hops_.resize(static_cast<std::size_t>(topo_.routers()) * hopStride_);
+    for (int r = 0; r < topo_.routers(); ++r) {
+        for (int p = 0; p < topo_.radix(r); ++p) {
+            const PortConn &conn = topo_.port(r, p);
+            Hop h;
+            if (conn.kind == PortConn::Kind::Node) {
+                h.to = static_cast<std::int16_t>(conn.node);
+                h.toNi = true;
+                h.domain = nodeDomain_[conn.node];
+            } else if (conn.kind == PortConn::Kind::Link) {
+                h.to = conn.peerRouter;
+                h.port = conn.peerPort;
+                h.domain = routerDomain_[conn.peerRouter];
+                h.interposer = conn.interposer;
+            }
+            hops_[r * hopStride_ + p] = h;
+        }
+    }
 }
 
 int
@@ -657,7 +678,7 @@ Network::vcMaskForOutput(int router, int port, const Flit &flit) const
 }
 
 void
-Network::sendArrival(int producer, const Arrival &a)
+Network::sendArrival(int producer, int consumer, const Arrival &a)
 {
     // Called from the compute run on the sending router's worker.
     // Same-domain arrivals go straight into the wheel (they are
@@ -665,7 +686,6 @@ Network::sendArrival(int producer, const Arrival &a)
     // cycle either way); cross-domain ones wait in the producer's
     // outgoing list for the serial merge. Attach links never cross a
     // domain boundary: an NI lives in its router's domain.
-    const int consumer = a.toNi ? nodeDomain_[a.to] : routerDomain_[a.to];
     if (producer == consumer) {
         scheduleArrival(domains_[consumer], a);
         return;
@@ -678,13 +698,10 @@ Network::sendArrival(int producer, const Arrival &a)
 void
 Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
 {
-    const auto &conn = topo_.port(router, port);
+    const Hop &h = hops_[router * hopStride_ + port];
     const int producer = routerDomain_[router];
-    Arrival a{when, conn.peerRouter, conn.peerPort, false, false, flit};
-    if (conn.kind == PortConn::Kind::Node) {
-        a.to = static_cast<std::int16_t>(conn.node);
-        a.toNi = true;
-    } else if (conn.interposer) {
+    Arrival a{when, h.to, h.port, false, h.toNi, flit};
+    if (h.interposer) {
         // Interposer link class: extra hop latency, plus occupancy
         // tracking (a flit occupies the downstream interposer buffer
         // until its credit crosses back). Both touches are events of
@@ -697,7 +714,7 @@ Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
             pd.ipMaxPrefix = pd.ipDelta;
         a.when += static_cast<Cycle>(params_.interposerLatency);
     }
-    sendArrival(producer, a);
+    sendArrival(producer, h.domain, a);
 }
 
 int
@@ -719,23 +736,20 @@ Network::nodeEjectReserve(NodeId node)
 void
 Network::creditToFeeder(int router, int inputPort, int vc, Cycle when)
 {
-    const auto &conn = topo_.port(router, inputPort);
-    const int producer = routerDomain_[router];
-    Arrival a{when, conn.peerRouter, conn.peerPort, true, false, {}};
-    a.flit.vc = static_cast<std::uint8_t>(vc);
-    if (conn.kind == PortConn::Kind::Node) {
-        a.to = static_cast<std::int16_t>(conn.node);
-        a.toNi = true;
-    } else if (conn.kind != PortConn::Kind::Link) {
+    const Hop &h = hops_[router * hopStride_ + inputPort];
+    if (h.domain < 0)
         panic("credit to unconnected port");
-    } else if (conn.interposer) {
+    const int producer = routerDomain_[router];
+    Arrival a{when, h.to, h.port, true, h.toNi, {}};
+    a.flit.vc = static_cast<std::uint8_t>(vc);
+    if (h.interposer) {
         // Credit return crosses the interposer too: same added latency,
         // and the freed buffer slot ends the flit's interposer
         // occupancy (an event of this router's tick).
         --domains_[producer].ipDelta;
         a.when += static_cast<Cycle>(params_.interposerLatency);
     }
-    sendArrival(producer, a);
+    sendArrival(producer, h.domain, a);
 }
 
 int

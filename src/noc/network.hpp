@@ -503,10 +503,11 @@ class Network : public RouterEnv, public CongestionProbe
     void niEject(Domain &d, Ni &ni, Cycle now) DR_COMPUTE_PHASE;
     /** Queue an arrival in its receiving domain's wheel. */
     void scheduleArrival(Domain &d, const Arrival &a) DR_COMPUTE_PHASE;
-    /** Send an arrival from `producer`'s worker: straight into the
-     *  wheel when the receiver is in the same domain, else onto the
-     *  producer's outgoing list. */
-    void sendArrival(int producer, const Arrival &a) DR_COMPUTE_PHASE;
+    /** Send an arrival from `producer`'s worker to `consumer`'s:
+     *  straight into the wheel when they are the same domain, else
+     *  onto the producer's outgoing list. */
+    void sendArrival(int producer, int consumer, const Arrival &a)
+        DR_COMPUTE_PHASE;
     /** Sweep one domain's NIs and routers (parallel). */
     void tickDomain(Domain &d, Cycle now) DR_COMPUTE_PHASE;
     /** File the outgoing lists and merge per-domain scratch into
@@ -545,6 +546,23 @@ class Network : public RouterEnv, public CongestionProbe
     std::vector<std::int16_t> routerDomain_ DR_SERIAL_ONLY;
     //! node index -> domain (fixed at construction)
     std::vector<std::int16_t> nodeDomain_ DR_SERIAL_ONLY;
+
+    /**
+     * Where one router port's flits go and its credits return: the
+     * topology's PortConn with the receiving domain resolved, built
+     * once so a hop reads one record (DESIGN.md §9).
+     */
+    struct Hop
+    {
+        std::int16_t to = -1;      //!< peer router, or node if toNi
+        std::int16_t port = -1;    //!< peer router's port (not toNi)
+        std::int16_t domain = -1;  //!< receiving domain; -1 unconnected
+        bool toNi = false;
+        bool interposer = false;
+    };
+    //! one per (router, port): router r's port p is r * hopStride_ + p
+    std::vector<Hop> hops_ DR_SERIAL_ONLY;
+    int hopStride_ DR_SERIAL_ONLY = 0;
     std::unique_ptr<TickPool> tickPool_;  //!< standalone tick() only
 };
 

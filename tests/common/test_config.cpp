@@ -97,8 +97,9 @@ TEST(ConfigDeath, MismatchedLineSizesFail)
 
 /**
  * Settings validate() must reject, naming the key: each used to crash
- * the run (SIGFPE), retire nothing, or break bit-identity across
- * noc.threads instead of failing as a config error.
+ * the run (SIGFPE), retire nothing, break bit-identity across
+ * noc.threads, overflow a core's 64-bit warp mask or misalign every
+ * line instead of failing as a config error.
  */
 struct BadSetting
 {
@@ -114,6 +115,10 @@ const BadSetting kBadSettings[] = {
     {"mem.llcLatency", [](SystemConfig &c) { c.mem.llcLatency = -1; }},
     {"mem.burstCycles", [](SystemConfig &c) { c.mem.burstCycles = 0; }},
     {"noc.routerStages", [](SystemConfig &c) { c.noc.routerStages = 0; }},
+    {"gpu.warpsPerCore", [](SystemConfig &c) { c.gpu.warpsPerCore = 65; }},
+    {"gpu.l1LineBytes", [](SystemConfig &c) { c.gpu.l1LineBytes = 96; }},
+    {"mem.lineBytes", [](SystemConfig &c) { c.mem.lineBytes = 96; }},
+    {"cpu.lineBytes", [](SystemConfig &c) { c.cpu.lineBytes = 96; }},
     {"noc.coreInjBufferFlits",
      [](SystemConfig &c) { c.noc.coreInjBufferFlits = 0; }},
     // One flit short of a 9-flit GPU reply.

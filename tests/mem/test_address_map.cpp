@@ -35,6 +35,13 @@ TEST(AddressMap, LineAlignment)
     EXPECT_EQ(map.lineAddr(0x1085), 0x1080u);
 }
 
+TEST(AddressMapDeath, NonPowerOfTwoLineIsFatal)
+{
+    // mcOf shifts out the line offset; a 96-byte line would misalign.
+    EXPECT_EXIT(AddressMap(1, 96, {0}, 0), testing::ExitedWithCode(1),
+                "line size must be a power of two");
+}
+
 TEST(AddressMap, NodeLookupMatchesMcList)
 {
     const AddressMap map = makeMap();

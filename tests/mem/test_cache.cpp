@@ -39,6 +39,13 @@ TEST(Cache, NonPowerOfTwoSetsSupported)
     EXPECT_NE(c.probe(0x1000), nullptr);
 }
 
+TEST(CacheDeath, NonPowerOfTwoLineIsFatal)
+{
+    // Sets and tags are indexed by shifting out the line offset.
+    EXPECT_EXIT(Cache({96 * 2 * 4, 2, 96}), testing::ExitedWithCode(1),
+                "line size must be a power of two");
+}
+
 TEST(Cache, MissThenHit)
 {
     Cache c(smallParams());

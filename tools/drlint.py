@@ -39,9 +39,9 @@ Phase ownership, on every compute/endpoint-phase body (DESIGN.md §12):
                               type: atomics, mutexes, threads, the
                               barrier and the tick pool synchronize
                               themselves)
-  cross-domain-commit         resolves producer/consumer domains and
-                              mutates another domain's router instead of
-                              using its own domain's outgoing list
+  cross-domain-commit         pushes into an indexed domain's wheel or
+                              router with no outgoing-list path for the
+                              case where that domain is not its own
   spsc-drain-order            (any body) drains the outgoing lists in
                               descending producer order
   missing-stamp-check         binds a stamped structure (Ni&/Domain&) but
@@ -876,8 +876,6 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
 
     stamped_binding = bool(
         re.search(r"\b(?:Ni|Domain)\s*&\s*\w+", body.text))
-    uses_domain_map = bool(re.search(r"\b(?:router|node)Domain_\s*\[",
-                                     body.text))
     outgoing_push = re.search(r"\boutgoing\s*\.\s*push_back", body.text)
     direct_router_mutation = None
 
@@ -917,7 +915,7 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
                      r"(?:applyFlit|applyCredit)\s*\(", line):
             direct_router_mutation = (lineno, line)
 
-    if uses_domain_map and direct_router_mutation and not outgoing_push:
+    if direct_router_mutation and not outgoing_push:
         lineno, line = direct_router_mutation
         add(lineno, "cross-domain-commit", line)
     if stamped_binding and "DR_STAMP_WRITE(" not in body.text:

@@ -20,7 +20,7 @@
  *
  * Examples:
  *   drsim --gpu 2DCON --cpu canneal --set mechanism=delegated-replies
- *   drsim --config experiments/dragonfly.cfg --stats json > out.json
+ *   drsim --config experiments/dr_dragonfly.cfg --stats json > out.json
  */
 
 #include <cstdio>
