@@ -110,6 +110,24 @@ HeteroSystem::HeteroSystem(const SystemConfig &cfg,
     }
     for (auto &c : cpuNodes_)
         endpointDomains_[join(*c)].cpus.push_back(c.get());
+    // Each class lists its endpoints in ascending node id (finalize)
+    // and domains are contiguous ascending node ranges, so a class's
+    // per-domain lists, concatenated over ascending domains, are that
+    // class in canonical order; commitEndpoints relies on it.
+    if constexpr (checkedBuild()) {
+        [[maybe_unused]] const auto canonical = [this](auto list,
+                                                       const auto &all) {
+            std::size_t i = 0;
+            for (const EndpointDomain &p : endpointDomains_)
+                for (const auto *e : p.*list)
+                    if (e != all[i++].get())
+                        return false;
+            return true;
+        };
+        DR_ASSERT(canonical(&EndpointDomain::mems, memNodes_) &&
+                  canonical(&EndpointDomain::gpus, gpuCores_) &&
+                  canonical(&EndpointDomain::cpus, cpuNodes_));
+    }
     endpointWork_ = [this](int d, Cycle now) { tickEndpoints(d, now); };
 
     if (cfg_.debug.sweepCycles > 0)
@@ -157,6 +175,11 @@ HeteroSystem::anyRemoteL1Has(int coreIdx, Addr line) const
 void
 HeteroSystem::advance(Cycle cycles)
 {
+    if (commit_.empty()) {
+        commit_.resize(endpointDomains_.size());
+        for (std::size_t d = 0; d < commit_.size(); ++d)
+            DR_STAMP_SET_OWNER(commit_[d], d);
+    }
     const Cycle end = now_ + cycles;
     while (now_ < end) {
         stepCycle();
@@ -222,25 +245,45 @@ HeteroSystem::tickEndpoints(int d, Cycle now)
     // Canonical order within a domain mirrors the serial schedule
     // (memory nodes, then GPU cores, then CPU nodes); endpoints in one
     // domain are mutually independent during the compute phase, but
-    // keeping the order makes serial and parallel traces line up.
+    // keeping the order makes serial and parallel traces line up. An
+    // endpoint that staged something joins the commit list, which the
+    // merge after this run walks and the next tick empties.
     const EndpointDomain &p = endpointDomains_[d];
-    for (MemNode *m : p.mems)
+    CommitList &staged = commit_[d];
+    DR_STAMP_WRITE(staged);
+    staged.mems.clear();
+    staged.gpus.clear();
+    staged.cpus.clear();
+    for (MemNode *m : p.mems) {
         m->tick(now);
-    for (SmCore *g : p.gpus)
+        if (ic_->hasStaged(m->nodeId()))
+            staged.mems.push_back(m);
+    }
+    for (SmCore *g : p.gpus) {
         g->tick(now);
-    for (CpuNode *c : p.cpus)
+        if (ic_->hasStaged(g->nodeId()) || g->hasStagedEffects())
+            staged.gpus.push_back(g);
+    }
+    for (CpuNode *c : p.cpus) {
         c->tick(now);
+        if (ic_->hasStaged(c->nodeId()))
+            staged.cpus.push_back(c);
+    }
 }
 
 void
 HeteroSystem::commitEndpoints()
 {
-    for (auto &mem : memNodes_)
-        ic_->drainOutbox(mem->nodeId(), now_);
-    for (auto &gpu : gpuCores_)
-        ic_->drainOutbox(gpu->nodeId(), now_);
-    for (auto &cpu : cpuNodes_)
-        ic_->drainOutbox(cpu->nodeId(), now_);
+    // One class's lists over ascending domains are the class in
+    // ascending node id, as the constructor asserts.
+    const auto drain = [this](auto list) {
+        for (const CommitList &c : commit_)
+            for (const auto *e : c.*list)
+                ic_->drainOutbox(e->nodeId(), now_);
+    };
+    drain(&CommitList::mems);
+    drain(&CommitList::gpus);
+    drain(&CommitList::cpus);
     ic_->endStaging();
     // Drain the L1 organization's per-core staged effects (slice-port
     // claims, LRU touches, fills, DynEB's phase clock) in ascending
@@ -251,10 +294,12 @@ HeteroSystem::commitEndpoints()
     // oracle queries read every core's L1 before the CTA refills flush
     // any of them, and the refills advance the shared scheduler cursor
     // in core order — the same order the serial schedule used.
-    for (auto &gpu : gpuCores_)
-        gpu->resolveOracleQueries(now_);
-    for (auto &gpu : gpuCores_)
-        gpu->refillCtas(now_);
+    for (const CommitList &c : commit_)
+        for (SmCore *gpu : c.gpus)
+            gpu->resolveOracleQueries(now_);
+    for (const CommitList &c : commit_)
+        for (SmCore *gpu : c.gpus)
+            gpu->refillCtas(now_);
 }
 
 Cycle

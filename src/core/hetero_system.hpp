@@ -172,6 +172,21 @@ class HeteroSystem
         std::vector<CpuNode *> cpus;
     };
 
+    /**
+     * One tick domain's endpoints that staged something this cycle
+     * (DESIGN.md §13), appended by the domain's worker right after
+     * each tick, walked by the serial merge and emptied by the
+     * worker's next tick. Each list is in index order, like
+     * EndpointDomain's.
+     */
+    struct DR_DOMAIN_OWNED CommitList
+    {
+        std::vector<MemNode *> mems;  //!< outbox non-empty
+        std::vector<SmCore *> gpus;   //!< outbox, oracle queries or refills
+        std::vector<CpuNode *> cpus;  //!< outbox non-empty
+        DR_DOMAIN_STAMP;
+    };
+
     bool anyRemoteL1Has(int coreIdx, Addr line) const;
     void stepCycle();
     /** Tick domain `d`'s endpoints, in the NoC's compute run. */
@@ -179,9 +194,9 @@ class HeteroSystem
     void commitEndpoints();
     Cycle idleSkipTarget(Cycle end) const;
 
-    // Everything here is written only between cycles; tickEndpoints
-    // reads the endpoint lists and ticks the endpoints they point to,
-    // which carry their own classifications.
+    // Everything here but the commit lists is written only between
+    // cycles; tickEndpoints reads the endpoint lists and ticks the
+    // endpoints they point to, which carry their own classifications.
     SystemConfig cfg_ DR_SERIAL_ONLY;
     LayoutMap layout_ DR_SERIAL_ONLY;
     std::unique_ptr<Interconnect> ic_ DR_SERIAL_ONLY;
@@ -196,6 +211,11 @@ class HeteroSystem
     /** The endpoints partitioned over the request network's domains
      *  (attach-router domain, Network::domainOfNode). */
     std::vector<EndpointDomain> endpointDomains_ DR_SERIAL_ONLY;
+    /** Per-domain commit lists, made by the first advance(): a
+     *  construction-time allocation shifts the heap layout, which
+     *  figure_sweep's setup_s follows through glibc heap trimming
+     *  (DESIGN.md §13). */
+    std::vector<CommitList> commit_ DR_DOMAIN_OWNED;
     /** tickEndpoints bound to this system, built once (DESIGN.md §13). */
     Network::DomainWork endpointWork_ DR_SERIAL_ONLY;
     std::unique_ptr<ProgressWatchdog> watchdog_ DR_SERIAL_ONLY;

@@ -112,6 +112,14 @@ class DR_DOMAIN_OWNED SmCore
     void resolveOracleQueries(Cycle now) DR_COMMIT_PHASE;
     void refillCtas(Cycle now) DR_COMMIT_PHASE;
 
+    /** Whether this cycle's tick staged oracle queries or CTA refills
+     *  for the two calls above. */
+    bool
+    hasStagedEffects() const
+    {
+        return !oracleQueries_.empty() || !pendingCtaRefills_.empty();
+    }
+
     /**
      * Earliest future cycle at which ticking this core could have any
      * effect, assuming no new message arrives (idle-skip watermark,

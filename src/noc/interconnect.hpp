@@ -58,17 +58,27 @@ class Interconnect
     // reserves the flits; canSend()/injectFree() subtract the node's
     // own reservations, which is exact because injection buffers are
     // per-node and only the owning endpoint sends from its node. The
-    // serial merge then drains outboxes in canonical endpoint order —
-    // the same order the old serial tick issued them — reproducing the
-    // identical pool-slot / packet-id / routing sequence.
+    // serial merge then drains the outboxes that hold sends, in
+    // canonical endpoint order — the same order the old serial tick
+    // issued them — reproducing the identical pool-slot / packet-id /
+    // routing sequence.
 
     /** Enter staging mode (before the endpoint compute phase). */
     void beginStaging();
 
+    /** Whether the node has staged a send since its last drain. Read
+     *  by the node's own domain worker right after its tick. */
+    bool
+    hasStaged(NodeId node) const
+    {
+        return !outbox_[node].pending.empty();
+    }
+
     /** Real-inject one node's staged sends, in issue order (serial). */
     void drainOutbox(NodeId node, Cycle now) DR_COMMIT_PHASE;
 
-    /** Leave staging mode. @pre every outbox has been drained */
+    /** Leave staging mode. @pre every outbox has been drained (checked
+     *  builds assert it: the merge drains only the listed nodes). */
     void endStaging();
 
     bool hasMessage(NodeId node, NetKind kind) const;

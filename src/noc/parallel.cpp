@@ -1,9 +1,33 @@
 #include "noc/parallel.hpp"
 
+#include <sched.h>
+
 #include <chrono>
+
+#include "common/log.hpp"
 
 namespace dr
 {
+
+int
+cpuCount(int affinityCpus, unsigned hardwareThreads)
+{
+    if (affinityCpus > 0)
+        return affinityCpus;
+    if (hardwareThreads > 0)
+        return static_cast<int>(hardwareThreads);
+    return 1;
+}
+
+int
+availableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    const int affinity =
+        sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+    return cpuCount(affinity, std::thread::hardware_concurrency());
+}
 
 /** Idle time after which a spinning worker blocks instead. */
 constexpr std::chrono::milliseconds kSleepAfter{1};
@@ -13,6 +37,12 @@ TickPool::TickPool(int domains) : domains_(domains), barrier_(domains) {}
 void
 TickPool::start()
 {
+    const int cpus = availableCpus();
+    if (domains_ > cpus) {
+        warn("tick pool: ", domains_, " domains (noc.threads) on ", cpus,
+             " CPUs; workers that share a CPU stall every cycle's "
+             "barrier and can run slower than ", cpus, " threads");
+    }
     workers_.reserve(static_cast<std::size_t>(domains_ - 1));
     for (int d = 1; d < domains_; ++d)
         workers_.emplace_back(&TickPool::workerLoop, this, d);

@@ -35,6 +35,16 @@ namespace dr
 {
 
 /**
+ * The CPU count from its sources, in order of trust: the process's
+ * affinity mask (`affinityCpus`, <= 0 when it could not be read), else
+ * std::thread::hardware_concurrency() (0 when unknown), else 1.
+ */
+int cpuCount(int affinityCpus, unsigned hardwareThreads);
+
+/** CPUs this thread may run on: cpuCount() of the live sources. */
+int availableCpus();
+
+/**
  * One bounded-spin step: CPU-relax while `spins` climbs toward the
  * saturation point, then yield on every further call. The counter
  * saturates (no overflow), so callers can also use `spins >= 1024` as
@@ -88,7 +98,9 @@ class SpinBarrier
 
 /**
  * The tick engine's worker pool: size() − 1 threads, started by the
- * first run(), plus the caller — one per spatial domain. run(f) calls
+ * first run(), plus the caller — one per spatial domain. Starting more
+ * domains than availableCpus() warns once: the spinning workers then
+ * share CPUs and every barrier waits on a descheduled one. run(f) calls
  * f(d) exactly once for every domain d, f(0) on the calling thread, and
  * returns when all have finished, so a busy cycle's parallel work is
  * one run() costing one epoch bump and one barrier.

@@ -137,6 +137,29 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{TopologyKind::ChipletMesh, true}),
     caseName);
 
+/**
+ * The serial merge drains the outboxes class by class (memory nodes,
+ * GPU cores, CPU nodes), each class in ascending node id, walking only
+ * the endpoints on the per-domain commit lists (DESIGN.md §13). With
+ * the default dimension-order routing that order decides only packet
+ * ids; Footprint and HARE draw one routing-RNG value per injected
+ * packet, so any other order (domain by domain, say) hands the draws
+ * to different packets and the 4-domain run diverges from the serial
+ * one.
+ */
+TEST(WholeSystemDeterminism, AdaptiveRoutingDrawsInCanonicalOrder)
+{
+    for (const RoutingKind routing :
+         {RoutingKind::Footprint, RoutingKind::Hare}) {
+        SystemConfig cfg = matrixCfg(TopologyKind::Mesh, false);
+        cfg.noc.requestRouting = routing;
+        cfg.noc.replyRouting = routing;
+        const std::string golden = runFingerprint(cfg, 1, false);
+        EXPECT_EQ(golden, runFingerprint(cfg, 4, true))
+            << routingName(routing) << ": 4 threads + skip diverged";
+    }
+}
+
 /** 4x4 chiplets of 4x4 routers: the 256-node chiplet-scale chip. */
 SystemConfig
 chiplet256Cfg()

@@ -5,7 +5,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/config.hpp"
+#include "noc/interconnect.hpp"
 #include "noc/parallel.hpp"
+
+#include <sched.h>
+#include <unistd.h>
 
 namespace dr
 {
@@ -119,6 +124,47 @@ TEST(TickPool, UnusedPoolStartsNoThreads)
     TickPool pool(kDomains);
     EXPECT_EQ(pool.size(), kDomains);
     EXPECT_EQ(pool.sleeping(), 0);
+}
+
+TEST(CpuCount, AffinityThenHardwareThenOne)
+{
+    EXPECT_EQ(cpuCount(3, 8), 3);   // the affinity mask wins
+    EXPECT_EQ(cpuCount(0, 8), 8);   // mask unreadable: hardware count
+    EXPECT_EQ(cpuCount(-1, 8), 8);
+    EXPECT_EQ(cpuCount(0, 0), 1);   // neither known: one CPU
+    EXPECT_GE(availableCpus(), 1);
+}
+
+/**
+ * A chip at noc.threads=2 in a process pinned to one CPU warns when its
+ * pool starts (one worker thread). The pin lives in a child process.
+ */
+TEST(TickPoolDeathTest, OversubscriptionWarnsOnStart)
+{
+    EXPECT_EXIT(
+        {
+            cpu_set_t set;
+            CPU_ZERO(&set);
+            if (sched_getaffinity(0, sizeof(set), &set) != 0)
+                _exit(2);
+            int first = 0;
+            while (!CPU_ISSET(first, &set))
+                ++first;
+            CPU_ZERO(&set);
+            CPU_SET(first, &set);
+            if (sched_setaffinity(0, sizeof(set), &set) != 0)
+                _exit(3);
+            SystemConfig cfg = SystemConfig::makeSmall();
+            cfg.noc.threads = 2;
+            Interconnect ic(cfg, std::vector<NodeType>(
+                                     static_cast<std::size_t>(
+                                         cfg.nodeCount()),
+                                     NodeType::GpuCore));
+            ic.tickPool().run([](int) {});  // idle nets skip tick()
+            std::exit(ic.tickPool().size() == 2 ? 0 : 4);
+        },
+        ::testing::ExitedWithCode(0),
+        "warn: tick pool: 2 domains \\(noc.threads\\) on 1 CPUs");
 }
 
 } // namespace

@@ -30,8 +30,9 @@ Determinism hazards, line by line:
 
 Phase ownership, on every compute/endpoint-phase body (DESIGN.md §12):
 
-  compute-writes-serial       writes (or calls a mutating method on)
-                              DR_SERIAL_ONLY state
+  compute-writes-serial       writes (or calls a mutating method on,
+                              also through a field chain, or binds a
+                              mutable reference to) DR_SERIAL_ONLY state
   compute-writes-unannotated  writes a member with no classification
   compute-calls-commit        calls a commit-phase method
   unannotated-state           a mutable member of a tick-reachable class
@@ -44,7 +45,8 @@ Phase ownership, on every compute/endpoint-phase body (DESIGN.md §12):
                               case where that domain is not its own
   spsc-drain-order            (any body) drains the outgoing lists in
                               descending producer order
-  missing-stamp-check         binds a stamped structure (Ni&/Domain&) but
+  missing-stamp-check         binds a stamped structure (one declaring
+                              DR_DOMAIN_STAMP: Ni&, Domain&...) but
                               never calls DR_STAMP_WRITE
   serial-call-in-compute      invokes a DR_SERIAL_ONLY callable member
                               (e.g. the locality oracle) mid-phase
@@ -858,8 +860,27 @@ def scan_mutating_call(line: str, member: str, deep: bool = False) -> bool:
     return False
 
 
+def binds_mutable(line: str, member: str) -> bool:
+    """Whether `line` binds a non-const reference to `member` (or an
+    element or field of it): every write through the alias is one."""
+    for m in re.finditer(r"&\s*[A-Za-z_]\w*\s*=(?!=)\s*\*?\s*"
+                         r"(?:this\s*->\s*)?%s\b" % re.escape(member),
+                         line):
+        if not re.search(r"\bconst\b", line[:m.start()]):
+            return True
+    return False
+
+
 def writes(line: str, member: str) -> bool:
     return scan_writes(line, member) or scan_mutating_call(line, member)
+
+
+def compute_writes(line: str, member: str) -> bool:
+    """A write judged in a compute body: also through a field chain
+    (`lists_[d].items.push_back(x)`) or a mutable reference."""
+    return writes(line, member) or \
+        scan_mutating_call(line, member, deep=True) or \
+        binds_mutable(line, member)
 
 
 def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
@@ -874,8 +895,9 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
         if c.classification(n) == "serial" and
         re.search(r"\bfunction\b", strip_templates(m.type))]
 
-    stamped_binding = bool(
-        re.search(r"\b(?:Ni|Domain)\s*&\s*\w+", body.text))
+    stamped = sorted(n for n, k in prog.classes.items() if k.has_stamp)
+    stamped_binding = bool(stamped) and bool(
+        re.search(r"\b(?:%s)\s*&\s*\w+" % "|".join(stamped), body.text))
     outgoing_push = re.search(r"\boutgoing\s*\.\s*push_back", body.text)
     direct_router_mutation = None
 
@@ -883,7 +905,7 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
         # Writes and mutating calls on this class's members.
         for name, member in c.members.items():
             cls = c.classification(name)
-            if cls == "domain" or not writes(line, name):
+            if cls == "domain" or not compute_writes(line, name):
                 continue
             if cls == "serial":
                 add(lineno, "compute-writes-serial", line)

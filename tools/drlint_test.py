@@ -43,6 +43,8 @@ SM_CORE = "src/gpu/sm_core.cpp"
 SHARED_CPP = "src/gpu/shared_l1.cpp"
 SHARED_HPP = "src/gpu/shared_l1.hpp"
 L1_IFACE = "src/gpu/l1_cache.hpp"
+HETERO_CPP = "src/core/hetero_system.cpp"
+HETERO_HPP = "src/core/hetero_system.hpp"
 
 # Anchor lines in the live tree (asserted before patching).
 EJECT_STAMP = "    DR_STAMP_WRITE(ni);\n    if (!ni.ejDue)\n        return;"
@@ -284,6 +286,15 @@ class WriteScanTest(unittest.TestCase):
         self.assertFalse(
             drlint.scan_mutating_call("free_.empty();", "free_"))
 
+    def test_mutable_reference_binding(self):
+        self.assertTrue(drlint.binds_mutable("Box &b = boxes_[d];", "boxes_"))
+        self.assertTrue(drlint.binds_mutable("auto &r = *routers_[i];",
+                                             "routers_"))
+        self.assertFalse(drlint.binds_mutable(
+            "const Box &b = boxes_[d];", "boxes_"))
+        self.assertFalse(drlint.binds_mutable("if (a & b == boxes_)",
+                                              "boxes_"))
+
 
 class ConfinementHelperTest(unittest.TestCase):
     """The confinement walk's text scanners."""
@@ -349,7 +360,7 @@ class PhaseModelTest(LiveTreeCase):
                          "commit")
 
     def test_stamped_structures_detected(self):
-        for name in ("Ni", "Domain", "Router"):
+        for name in ("Ni", "Domain", "Router", "CommitList"):
             self.assertTrue(self.classes[name].has_stamp, name)
 
     def test_endpoint_phase_is_compute_checked(self):
@@ -463,6 +474,31 @@ class PhaseRuleMutantTest(MutantCase):
             (SM_CORE, "        pendingCtaRefills_.push_back(warp.slot);",
              "        assignCta(ctaSlots_[warp.slot], now);")])
         self.assert_rule(prog.findings, "compute-calls-commit", SM_CORE)
+
+    def test_mutant_commit_list_escape(self):
+        # tickEndpoints files a staged GPU core somewhere other than its
+        # domain's stamped commit list: onto the serial endpoint list
+        # (a push through a field chain), or through a mutable alias of
+        # the commit lists once they are classified serial-only.
+        push = "            staged.gpus.push_back(g);"
+        prog = scan_mutated([
+            (HETERO_CPP, push,
+             push.replace("staged.", "endpointDomains_[d].")),
+        ])
+        self.assert_rule(prog.findings, "compute-writes-serial",
+                         HETERO_CPP, contains="endpointDomains_")
+        member = "    std::vector<CommitList> commit_ DR_DOMAIN_OWNED;"
+        prog = scan_mutated([
+            (HETERO_HPP, member,
+             member.replace("DR_DOMAIN_OWNED", "DR_SERIAL_ONLY")),
+        ])
+        self.assert_rule(prog.findings, "compute-writes-serial",
+                         HETERO_CPP, contains="commit_[d]")
+        # Any structure declaring DR_DOMAIN_STAMP is stamp-checked, not
+        # only Ni and Domain.
+        prog = scan_mutated([
+            (HETERO_CPP, "    DR_STAMP_WRITE(staged);\n", "")])
+        self.assert_rule(prog.findings, "missing-stamp-check", HETERO_CPP)
 
     def test_mutant_stamp_bypass(self):
         # niInject drops its writer stamp while still mutating the NI.
