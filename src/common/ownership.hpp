@@ -142,7 +142,7 @@ assertPhaseDomain(int domain, const char *what)
 #ifdef DR_CHECKED
     const State &t = tls();
     if (t.kind == Kind::Compute && domain >= 0 && t.domain != domain) {
-        panic("phase violation: ", what, " owned by endpoint domain ",
+        panic("phase violation: ", what, " owned by domain ",
               domain, " entered from compute domain ", t.domain);
     }
 #else

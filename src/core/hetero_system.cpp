@@ -94,6 +94,9 @@ HeteroSystem::HeteroSystem(const SystemConfig &cfg,
     // so shared organizations parallelize too.
     const Network &req = ic_->net(NetKind::Request);
     endpointDomains_.resize(static_cast<std::size_t>(req.numDomains()));
+    commit_.resize(endpointDomains_.size());
+    for (std::size_t d = 0; d < commit_.size(); ++d)
+        DR_STAMP_SET_OWNER(commit_[d], d);
     auto join = [&](auto &endpoint) {
         const int d = req.domainOfNode(endpoint.nodeId());
         endpoint.setDomain(d);
@@ -110,23 +113,15 @@ HeteroSystem::HeteroSystem(const SystemConfig &cfg,
     }
     for (auto &c : cpuNodes_)
         endpointDomains_[join(*c)].cpus.push_back(c.get());
-    // Each class lists its endpoints in ascending node id (finalize)
-    // and domains are contiguous ascending node ranges, so a class's
-    // per-domain lists, concatenated over ascending domains, are that
-    // class in canonical order; commitEndpoints relies on it.
+    // GPU cores are listed in ascending node id (finalize) and domains
+    // are contiguous ascending node ranges, so the per-domain GPU lists,
+    // concatenated over ascending domains, are the cores in index
+    // order; commitEndpoints relies on it.
     if constexpr (checkedBuild()) {
-        [[maybe_unused]] const auto canonical = [this](auto list,
-                                                       const auto &all) {
-            std::size_t i = 0;
-            for (const EndpointDomain &p : endpointDomains_)
-                for (const auto *e : p.*list)
-                    if (e != all[i++].get())
-                        return false;
-            return true;
-        };
-        DR_ASSERT(canonical(&EndpointDomain::mems, memNodes_) &&
-                  canonical(&EndpointDomain::gpus, gpuCores_) &&
-                  canonical(&EndpointDomain::cpus, cpuNodes_));
+        [[maybe_unused]] std::size_t i = 0;
+        for (const EndpointDomain &p : endpointDomains_)
+            for ([[maybe_unused]] const SmCore *g : p.gpus)
+                DR_ASSERT(g == gpuCores_[i++].get());
     }
     endpointWork_ = [this](int d, Cycle now) { tickEndpoints(d, now); };
 
@@ -175,11 +170,6 @@ HeteroSystem::anyRemoteL1Has(int coreIdx, Addr line) const
 void
 HeteroSystem::advance(Cycle cycles)
 {
-    if (commit_.empty()) {
-        commit_.resize(endpointDomains_.size());
-        for (std::size_t d = 0; d < commit_.size(); ++d)
-            DR_STAMP_SET_OWNER(commit_[d], d);
-    }
     const Cycle end = now_ + cycles;
     while (now_ < end) {
         stepCycle();
@@ -215,12 +205,8 @@ void
 HeteroSystem::stepCycle()
 {
     // One compute run ticks each domain's networks and then its
-    // endpoints (DESIGN.md §13). Every send is staged in the per-node
-    // outboxes; the serial merge below drains them in the canonical
-    // order (memory nodes, GPU cores, CPU nodes — the historical
-    // serial tick order), so pool slots, packet ids and routing RNG
-    // draws replay the exact serial sequence at any thread count.
-    ic_->beginStaging();
+    // endpoints, which inject straight into their own NIs (DESIGN.md
+    // §13); the serial merge below commits what they staged.
     ic_->tick(now_, endpointWork_);
     commitEndpoints();
 
@@ -245,46 +231,27 @@ HeteroSystem::tickEndpoints(int d, Cycle now)
     // Canonical order within a domain mirrors the serial schedule
     // (memory nodes, then GPU cores, then CPU nodes); endpoints in one
     // domain are mutually independent during the compute phase, but
-    // keeping the order makes serial and parallel traces line up. An
-    // endpoint that staged something joins the commit list, which the
+    // keeping the order makes serial and parallel traces line up. A
+    // GPU core that staged something joins the commit list, which the
     // merge after this run walks and the next tick empties.
     const EndpointDomain &p = endpointDomains_[d];
     CommitList &staged = commit_[d];
     DR_STAMP_WRITE(staged);
-    staged.mems.clear();
     staged.gpus.clear();
-    staged.cpus.clear();
-    for (MemNode *m : p.mems) {
+    for (MemNode *m : p.mems)
         m->tick(now);
-        if (ic_->hasStaged(m->nodeId()))
-            staged.mems.push_back(m);
-    }
     for (SmCore *g : p.gpus) {
         g->tick(now);
-        if (ic_->hasStaged(g->nodeId()) || g->hasStagedEffects())
+        if (g->hasStagedEffects())
             staged.gpus.push_back(g);
     }
-    for (CpuNode *c : p.cpus) {
+    for (CpuNode *c : p.cpus)
         c->tick(now);
-        if (ic_->hasStaged(c->nodeId()))
-            staged.cpus.push_back(c);
-    }
 }
 
 void
 HeteroSystem::commitEndpoints()
 {
-    // One class's lists over ascending domains are the class in
-    // ascending node id, as the constructor asserts.
-    const auto drain = [this](auto list) {
-        for (const CommitList &c : commit_)
-            for (const auto *e : c.*list)
-                ic_->drainOutbox(e->nodeId(), now_);
-    };
-    drain(&CommitList::mems);
-    drain(&CommitList::gpus);
-    drain(&CommitList::cpus);
-    ic_->endStaging();
     // Drain the L1 organization's per-core staged effects (slice-port
     // claims, LRU touches, fills, DynEB's phase clock) in ascending
     // core order before anything below reads the tags (DESIGN.md §14).

@@ -173,17 +173,15 @@ class HeteroSystem
     };
 
     /**
-     * One tick domain's endpoints that staged something this cycle
-     * (DESIGN.md §13), appended by the domain's worker right after
-     * each tick, walked by the serial merge and emptied by the
-     * worker's next tick. Each list is in index order, like
+     * One tick domain's GPU cores that staged oracle queries or CTA
+     * refills this cycle (DESIGN.md §13), appended by the domain's
+     * worker right after each tick, walked by the serial merge and
+     * emptied by the worker's next tick. In index order, like
      * EndpointDomain's.
      */
     struct DR_DOMAIN_OWNED CommitList
     {
-        std::vector<MemNode *> mems;  //!< outbox non-empty
-        std::vector<SmCore *> gpus;   //!< outbox, oracle queries or refills
-        std::vector<CpuNode *> cpus;  //!< outbox non-empty
+        std::vector<SmCore *> gpus;
         DR_DOMAIN_STAMP;
     };
 
@@ -211,10 +209,7 @@ class HeteroSystem
     /** The endpoints partitioned over the request network's domains
      *  (attach-router domain, Network::domainOfNode). */
     std::vector<EndpointDomain> endpointDomains_ DR_SERIAL_ONLY;
-    /** Per-domain commit lists, made by the first advance(): a
-     *  construction-time allocation shifts the heap layout, which
-     *  figure_sweep's setup_s follows through glibc heap trimming
-     *  (DESIGN.md §13). */
+    /** Per-domain commit lists (DESIGN.md §13). */
     std::vector<CommitList> commit_ DR_DOMAIN_OWNED;
     /** tickEndpoints bound to this system, built once (DESIGN.md §13). */
     Network::DomainWork endpointWork_ DR_SERIAL_ONLY;

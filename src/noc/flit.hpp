@@ -21,11 +21,12 @@ namespace dr
 using PacketId = std::uint64_t;
 
 /**
- * Stable handle of an in-flight packet: an index into the Network's
- * PacketPool slab. Carried in every flit so the NI hot paths resolve
- * the parent packet with one array index instead of a hash lookup.
- * Handles are reused after the packet is delivered; PacketId stays
- * globally unique for diagnostics.
+ * Stable handle of an in-flight packet: a slot of the source domain's
+ * PacketPool, the pool named in the low bits. Carried in every flit so
+ * the NI hot paths resolve the parent packet with one array index
+ * instead of a hash lookup. Handles are reused after the packet is
+ * delivered; PacketId — (source node, the node's injection sequence) —
+ * stays unique for diagnostics.
  */
 using PacketHandle = std::int32_t;
 constexpr PacketHandle invalidPacket = -1;

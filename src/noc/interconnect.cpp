@@ -120,8 +120,6 @@ Interconnect::Interconnect(const SystemConfig &cfg,
     // so one pool sized to the request net's domains drives both.
     DR_ASSERT(!reply_ || reply_->numDomains() == request_->numDomains());
     pool_.emplace(request_->numDomains());
-
-    outbox_.resize(nodeTypes_.size());
 }
 
 int
@@ -146,30 +144,20 @@ Interconnect::net(NetKind kind) const
     return *reply_;
 }
 
-int
-Interconnect::reservedFlits(NodeId node, NetKind kind) const
-{
-    if (!staging_)
-        return 0;
-    const NodeOutbox &box = outbox_[node];
-    // In shared mode both kinds draw on the one physical injection
-    // buffer, so every staged flit counts against either query.
-    if (shared_)
-        return box.reservedFlits[0] + box.reservedFlits[1];
-    return box.reservedFlits[static_cast<int>(kind)];
-}
-
 bool
 Interconnect::canSend(const Message &msg) const
 {
-    const NetKind kind = kindFor(msg);
-    return net(kind).canInject(msg.src, flitsFor(msg) +
-                                            reservedFlits(msg.src, kind));
+    return net(kindFor(msg)).canInject(msg.src, flitsFor(msg));
 }
 
 void
-Interconnect::sendNow(const Message &msg, Cycle now)
+Interconnect::send(const Message &msg, Cycle now)
 {
+    // A message to its own node is ready at once, inside the sender's
+    // own tick; no endpoint sends one (delegates and probe targets are
+    // third parties, replies go to the requester).
+    DR_ASSERT_MSG(msg.src != msg.dst, "node ", msg.src,
+                  " sends a message to itself");
     const NetKind kind = kindFor(msg);
     const VirtualNet vn = vnetFor(msg);
     // The physical-network choice and the VN classification agree by
@@ -183,58 +171,10 @@ Interconnect::sendNow(const Message &msg, Cycle now)
     net(kind).inject(msg, flitsFor(msg), now, vn);
 }
 
-void
-Interconnect::send(const Message &msg, Cycle now)
-{
-    if (!staging_) {
-        // Outside a staging window the engine is serial by contract, so
-        // the immediate-injection path never runs from a parallel
-        // phase; the reachability analyzer cannot see the `staging_`
-        // guard, hence the suppression.
-        sendNow(msg, now);  // drlint-allow(phase-escape)
-        return;
-    }
-    NodeOutbox &box = outbox_[msg.src];
-    box.pending.push_back(msg);
-    box.reservedFlits[static_cast<int>(kindFor(msg))] += flitsFor(msg);
-}
-
-void
-Interconnect::beginStaging()
-{
-    DR_PHASE_ASSERT_COMMIT();
-    staging_ = true;
-}
-
-void
-Interconnect::drainOutbox(NodeId node, Cycle now)
-{
-    DR_PHASE_ASSERT_COMMIT();
-    NodeOutbox &box = outbox_[node];
-    for (const Message &msg : box.pending)
-        sendNow(msg, now);
-    box.pending.clear();
-    box.reservedFlits[0] = 0;
-    box.reservedFlits[1] = 0;
-}
-
-void
-Interconnect::endStaging()
-{
-    DR_PHASE_ASSERT_COMMIT();
-#ifdef DR_CHECKED
-    for (const NodeOutbox &box : outbox_) {
-        DR_ASSERT_MSG(box.pending.empty(),
-                      "endStaging with undrained outbox");
-    }
-#endif
-    staging_ = false;
-}
-
 int
 Interconnect::injectFree(NodeId node, NetKind kind) const
 {
-    return net(kind).injectFree(node) - reservedFlits(node, kind);
+    return net(kind).injectFree(node);
 }
 
 bool

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/ownership.hpp"
 #include "noc/network.hpp"
 #include "noc/topology.hpp"
 
@@ -44,42 +43,17 @@ class Interconnect
     /** Whether msg.src can accept the message into its injection buffer. */
     bool canSend(const Message &msg) const;
 
-    /** Queue a message for injection. @pre canSend(msg) */
+    /**
+     * Inject a message into its network. Legal from serial code and
+     * from the endpoint tick of the sender's domain (DESIGN.md §13):
+     * every piece of injection state is the source NI's or its
+     * domain's, so a send touches nothing another worker does.
+     * @pre canSend(msg)
+     */
     void send(const Message &msg, Cycle now);
 
     /** Free injection space (flits) on the network a message would use. */
     int injectFree(NodeId node, NetKind kind) const;
-
-    // --- endpoint staging (DESIGN.md §13) -----------------------------
-    //
-    // While the endpoint compute phase runs, sends must not touch
-    // network-global state (packet pool, packet ids, routing RNG). In
-    // staging mode send() appends to the sender's per-node outbox and
-    // reserves the flits; canSend()/injectFree() subtract the node's
-    // own reservations, which is exact because injection buffers are
-    // per-node and only the owning endpoint sends from its node. The
-    // serial merge then drains the outboxes that hold sends, in
-    // canonical endpoint order — the same order the old serial tick
-    // issued them — reproducing the identical pool-slot / packet-id /
-    // routing sequence.
-
-    /** Enter staging mode (before the endpoint compute phase). */
-    void beginStaging();
-
-    /** Whether the node has staged a send since its last drain. Read
-     *  by the node's own domain worker right after its tick. */
-    bool
-    hasStaged(NodeId node) const
-    {
-        return !outbox_[node].pending.empty();
-    }
-
-    /** Real-inject one node's staged sends, in issue order (serial). */
-    void drainOutbox(NodeId node, Cycle now) DR_COMMIT_PHASE;
-
-    /** Leave staging mode. @pre every outbox has been drained (checked
-     *  builds assert it: the merge drains only the listed nodes). */
-    void endStaging();
 
     bool hasMessage(NodeId node, NetKind kind) const;
     const Message &peekMessage(NodeId node, NetKind kind) const;
@@ -141,27 +115,11 @@ class Interconnect
     }
 
   private:
-    /**
-     * Staged sends of one node. Written only by the endpoint that owns
-     * the node (its domain's worker during the compute phase), drained
-     * by the serial merge — per-node exclusivity, no locking needed.
-     */
-    struct DR_DOMAIN_OWNED NodeOutbox
-    {
-        std::vector<Message> pending;
-        int reservedFlits[2] = {0, 0};  //!< per NetKind
-    };
-
     NetKind kindFor(const Message &msg) const
     {
         return onRequestNetwork(msg.type) ? NetKind::Request
                                           : NetKind::Reply;
     }
-
-    /** Flits this node has staged against the given network. */
-    int reservedFlits(NodeId node, NetKind kind) const;
-
-    void sendNow(const Message &msg, Cycle now);
 
     SystemConfig cfg_;
     Topology topo_;
@@ -170,8 +128,6 @@ class Interconnect
     std::unique_ptr<Network> request_;
     std::unique_ptr<Network> reply_;  //!< null in shared mode
     std::optional<TickPool> pool_;  //!< engaged once the nets exist
-    std::vector<NodeOutbox> outbox_ DR_DOMAIN_OWNED;
-    bool staging_ DR_SERIAL_ONLY = false;
 };
 
 } // namespace dr

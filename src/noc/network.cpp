@@ -23,12 +23,15 @@ resolveThreads(int configured)
         envWhole("DR_NOC_THREADS", 1, NocConfig::maxThreads, 1));
 }
 
+/** Bits of a PacketId below its source node: the node's injection
+ *  sequence number. */
+constexpr int kPacketSeqBits = 40;
+
 } // namespace
 
 Network::Network(const NetworkParams &params, const Topology &topo)
     : topo_(topo), params_(params),
-      routing_(params.routing, topo, params.numVcs, params.seed,
-               params.layout)
+      routing_(params.routing, topo, params.numVcs, params.layout)
 {
     if (static_cast<int>(params_.injBufferFlits.size()) != topo_.nodes())
         fatal("network ", params_.name, ": injBufferFlits must have one "
@@ -84,6 +87,11 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         // packet is at least one flit), so the queues never grow.
         ni.queue[0].reserve(static_cast<std::size_t>(ni.capacity));
         ni.queue[1].reserve(static_cast<std::size_t>(ni.capacity));
+        // One stream per node, seeded from (network seed, node): a
+        // draw depends on the node's own packet order only, not on
+        // which domain's worker injects or when the others do.
+        ni.routeRng = Rng(params_.seed * 0x9e3779b97f4a7c15ull +
+                          static_cast<std::uint64_t>(n));
     }
 
     // --- spatial-domain partition (DESIGN.md §11) ----------------------
@@ -137,9 +145,11 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         static_cast<std::size_t>(params_.routerStages) +
         static_cast<std::size_t>(params_.interposerLatency));
     domains_.resize(static_cast<std::size_t>(numDomains_));
-    for (Domain &d : domains_) {
+    for (int i = 0; i < numDomains_; ++i) {
+        Domain &d = domains_[i];
         d.activeNis = ActiveSet(topo_.nodes());
         d.activeRouters = ActiveSet(topo_.routers());
+        d.pool = PacketPool(i);
         d.wheel.resize(wheelSlots);
     }
 
@@ -190,41 +200,46 @@ Network::canInject(NodeId node, int flits) const
 void
 Network::inject(const Message &msg, int flits, Cycle now, VirtualNet vn)
 {
-    DR_PHASE_ASSERT_COMMIT();
+    phase::assertPhaseDomain(nodeDomain_[msg.src], "inject");
+    Domain &d = domains_[nodeDomain_[msg.src]];
+    DR_STAMP_WRITE(d);
     const int clsIdx = msg.cls == TrafficClass::Cpu ? 0 : 1;
-    const int vnIdx = static_cast<int>(vn);
-    ++stats_.packetsInjected;
-    ++stats_.vnPacketsInjected[vnIdx];
+    ++d.packetsInjected;
+    ++d.vnPacketsInjected[static_cast<int>(vn)];
 
     // Local delivery: the message loops back inside the NI without
     // entering the fabric. It completes in zero cycles — the minimum —
     // and that is sampled into the latency averages so local traffic is
     // not invisible to latency figures; flit, link, and router counters
-    // are untouched because no flit ever exists (DESIGN.md).
+    // are untouched because no flit ever exists (DESIGN.md). The
+    // message is ready at once; the chip never sends to itself
+    // (Interconnect::send), so no endpoint tick sees its own send.
     if (msg.src == msg.dst) {
+        Ni &ni = nis_[msg.dst];
+        DR_STAMP_WRITE(ni);
         const int kindIdx = onRequestNetwork(msg.type) ? 0 : 1;
-        nis_[msg.dst].ready[kindIdx].push_back({msg, 0});
-        ++stats_.packetsDelivered;
-        ++stats_.localDeliveries;
-        stats_.packetLatency.sample(0.0);
-        if (msg.cls == TrafficClass::Cpu)
-            stats_.cpuPacketLatency.sample(0.0);
-        else
-            stats_.gpuPacketLatency.sample(0.0);
+        ni.ready[kindIdx].push_back({msg, 0});
+        ++d.localDeliveries[clsIdx];
         return;
     }
 
-    const PacketHandle handle = pool_.alloc();
-    Packet &pkt = pool_[handle];
+    Ni &ni = nis_[msg.src];
+    DR_STAMP_WRITE(ni);
+    if (ni.capacity - ni.queuedFlits < flits)
+        panic("network ", params_.name, ": inject() without canInject()");
+    const PacketHandle handle = d.pool.alloc();
+    Packet &pkt = d.pool[handle];
     pkt.msg = msg;
-    pkt.id = nextPktId_++;
+    pkt.id = static_cast<PacketId>(msg.src) << kPacketSeqBits |
+             ++ni.packetsSent;
     pkt.flits = flits;
     pkt.srcRouter = static_cast<std::int16_t>(topo_.attachRouter(msg.src));
     pkt.destRouter = static_cast<std::int16_t>(topo_.attachRouter(msg.dst));
     pkt.destPort = static_cast<std::int16_t>(topo_.attachPort(msg.dst));
     pkt.cls = msg.cls;
     pkt.vnet = vn;
-    pkt.order = routing_.chooseOrder(pkt.srcRouter, pkt.destRouter, *this);
+    pkt.order = routing_.chooseOrder(pkt.srcRouter, pkt.destRouter, *this,
+                                     ni.routeRng);
     pkt.vcMask = routing_.packetMask(pkt.order, vn);
     if (!pkt.vcMask)
         panic("network ", params_.name, ": empty VC mask at injection");
@@ -237,12 +252,9 @@ Network::inject(const Message &msg, int flits, Cycle now, VirtualNet vn)
     pkt.queuedAt = now;
     pkt.injectedAt = 0;  // slot is recycled; set when the head flit leaves
 
-    Ni &ni = nis_[msg.src];
-    if (ni.capacity - ni.queuedFlits < flits)
-        panic("network ", params_.name, ": inject() without canInject()");
     ni.queuedFlits += flits;
     ni.queue[clsIdx].push_back(handle);
-    domains_[nodeDomain_[msg.src]].activeNis.add(msg.src);
+    d.activeNis.add(msg.src);
 }
 
 bool
@@ -305,7 +317,7 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
         const auto &ss = ni.vcSend[v];
         if (!ss.busy || ni.credits[v] <= 0)
             continue;
-        const Packet &p = pool_[ss.pkt];
+        const Packet &p = d.pool[ss.pkt];
         const int rank = arbRank(p.cls, p.vnet, params_.vnPriority);
         if (sendVc < 0 || rank < sendRank) {
             sendVc = v;
@@ -324,7 +336,7 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
                 break;
             if (ni.queue[clsIdx].empty())
                 continue;
-            const Packet &pkt = pool_[ni.queue[clsIdx].front()];
+            const Packet &pkt = d.pool[ni.queue[clsIdx].front()];
             Flit probe;  // only routing fields matter for the mask hook
             probe.destRouter = pkt.destRouter;
             probe.order = pkt.order;
@@ -359,7 +371,7 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
         return;
 
     auto &ss = ni.vcSend[sendVc];
-    Packet &pkt = pool_[ss.pkt];
+    Packet &pkt = d.pool[ss.pkt];
     Flit flit;
     flit.pkt = pkt.id;
     flit.slot = ss.pkt;
@@ -427,16 +439,20 @@ Network::niEject(Domain &d, Ni &ni, Cycle now)
     if (!flit.tail)
         return;
 
-    if (!pool_.isLive(flit.slot) || pool_[flit.slot].id != flit.pkt)
+    // The packet's slot is in its source domain's pool, which may be
+    // allocating right now; a live slot never moves (noc/packet_pool.hpp).
+    const int owner = PacketPool::ownerOf(flit.slot);
+    if (owner >= numDomains_ || !domains_[owner].pool.isLive(flit.slot) ||
+        domains_[owner].pool[flit.slot].id != flit.pkt)
         panic("network ", params_.name, ": unknown packet ejected");
-    const Packet &pkt = pool_[flit.slot];
+    const Packet &pkt = domains_[owner].pool[flit.slot];
     if (ni.assembledFlits[v] != pkt.flits)
         panic("network ", params_.name, ": flit count mismatch at "
               "reassembly");
 
     // The order-sensitive completion effects — floating-point latency
-    // sampling, the HARE history update, the packet-pool release
-    // (free-list order decides future handle reuse) — are recorded here
+    // sampling, the HARE history update — and the packet-pool release
+    // (which must not run while the source domain allocates) are recorded here
     // and replayed serially by mergeTick() in global NI order, so they
     // happen in exactly the sequential schedule's order no matter which
     // worker ran this NI. A packet queued before the warmup/measurement
@@ -512,10 +528,11 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now,
         if (work)
             work(d, now);
     });
-    if (idle)
-        return;
-    for (Network *net : nets)
-        net->mergeTick();
+    // A net that was idle is merged only if `work` injected into it.
+    for (Network *net : nets) {
+        if (!idle || !net->quiescent())
+            net->mergeTick();
+    }
 }
 
 void
@@ -603,6 +620,20 @@ Network::mergeTick()
             scheduleArrival(domains_[to], a);
         }
         d.outgoing.clear();
+        stats_.packetsInjected += d.packetsInjected;
+        d.packetsInjected = 0;
+        // Local deliveries count as zero-latency samples, and adding
+        // 0.0 to a sum changes nothing, so their order does not matter.
+        for (int cls = 0; cls < 2; ++cls) {
+            for (; d.localDeliveries[cls] > 0; --d.localDeliveries[cls]) {
+                ++stats_.packetsDelivered;
+                ++stats_.localDeliveries;
+                stats_.packetLatency.sample(0.0);
+                (cls == 0 ? stats_.cpuPacketLatency
+                          : stats_.gpuPacketLatency)
+                    .sample(0.0);
+            }
+        }
         conservInjected_ += d.conservInjected;
         d.conservInjected = 0;
         conservEjected_ += d.conservEjected;
@@ -610,6 +641,8 @@ Network::mergeTick()
         stats_.flitsDelivered += d.flitsDelivered;
         d.flitsDelivered = 0;
         for (int vn = 0; vn < numVnets; ++vn) {
+            stats_.vnPacketsInjected[vn] += d.vnPacketsInjected[vn];
+            d.vnPacketsInjected[vn] = 0;
             stats_.vnFlitsDelivered[vn] += d.vnFlitsDelivered[vn];
             d.vnFlitsDelivered[vn] = 0;
             stats_.vnInjectionStalls[vn] += d.vnInjectionStalls[vn];
@@ -656,7 +689,7 @@ Network::mergeTick()
             routing_.onDelivered(rec.srcRouter, rec.destRouter, rec.order,
                                  rec.latency);
             ++stats_.packetsDelivered;
-            pool_.release(rec.slot);
+            domains_[PacketPool::ownerOf(rec.slot)].pool.release(rec.slot);
         }
         d.delivered.clear();
     }
@@ -808,6 +841,12 @@ Network::resetStats()
     // Record the boundary: packets queued before this cycle must not
     // contribute latency samples to the fresh measurement window.
     statsResetAt_ = now_;
+    // Injections since the last merge belong to the old window.
+    for (Domain &d : domains_) {
+        d.packetsInjected = 0;
+        d.vnPacketsInjected = {};
+        d.localDeliveries = {};
+    }
     for (auto &router : routers_)
         router->resetStats();
     for (auto &ni : nis_) {

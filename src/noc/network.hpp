@@ -45,6 +45,7 @@ struct NetworkParams
     /** Injection buffer capacity per node (flits). */
     std::vector<int> injBufferFlits;
     RoutingKind routing = RoutingKind::DimOrderXY;
+    /** Seeds each node's routing stream, (seed, node) -> stream. */
     std::uint64_t seed = 1;
     /**
      * Virtual-network partition of the VCs (noc/vnet.hpp). Empty means
@@ -141,6 +142,9 @@ class Network : public RouterEnv, public CongestionProbe
      * packet is confined to the VN's reserved VC range for its whole
      * flight. The three-argument overload classifies the message itself
      * (defaultVnet — raw-kernel users: benches, synthetic traffic).
+     * Legal from serial code and from the worker owning msg.src's
+     * domain, after that domain's sweep (the endpoint ticks, DESIGN.md
+     * §13): everything it touches is the source NI's or its domain's.
      * @pre canInject(msg.src, flits)
      */
     void inject(const Message &msg, int flits, Cycle now, VirtualNet vn);
@@ -201,13 +205,6 @@ class Network : public RouterEnv, public CongestionProbe
     }
 
     const Topology &topology() const { return topo_; }
-
-    RoutingPolicy &
-    routing()
-    {
-        DR_PHASE_ASSERT_COMMIT();
-        return routing_;
-    }
 
     /** The VC partition this network runs with (uniform if VNs off). */
     const VnetLayout &
@@ -369,10 +366,11 @@ class Network : public RouterEnv, public CongestionProbe
      * flits arrive through its domain's wheel, so the NI is only swept
      * while it has packets to send or a flit to take on the due cycle.
      * The whole structure is owned by the spatial domain of the node's
-     * attach router: the parallel phases only touch it from that
-     * domain's worker (validated by the DR_CHECKED stamp below), and
-     * serial code (inject/popMessage, between ticks) has exclusive
-     * access by construction.
+     * attach router: the parallel phases (its endpoint's inject and
+     * popMessage included) only touch it from that domain's worker
+     * (validated by the DR_CHECKED stamp below), and serial code has
+     * exclusive access by construction. Its packets live in that
+     * domain's pool.
      */
     struct DR_DOMAIN_OWNED Ni
     {
@@ -394,6 +392,10 @@ class Network : public RouterEnv, public CongestionProbe
         std::vector<std::uint64_t> vcFlitsSent;  //!< per VC, for fairness
         std::vector<int> credits;       //!< per VC downstream credits
         std::uint64_t flitsInjected = 0;
+        /** Packets injected here: the low bits of their PacketIds. */
+        std::uint64_t packetsSent = 0;
+        /** This node's routing stream (adaptive routing draws only). */
+        Rng routeRng;
 
         // --- ejection side ---
         int ejFree = 0;
@@ -461,6 +463,13 @@ class Network : public RouterEnv, public CongestionProbe
 
         ActiveSet activeNis;      //!< NIs with pending work (own nodes)
         ActiveSet activeRouters;  //!< routers with pending work (own)
+        /** Packets its NIs inject; handles name this pool. */
+        PacketPool pool;
+        /** Injections since the last merge, by VN (local ones too). */
+        std::array<std::uint64_t, numVnets> vnPacketsInjected{};
+        std::uint64_t packetsInjected = 0;
+        /** Local deliveries since the last merge, per TrafficClass. */
+        std::array<std::uint64_t, 2> localDeliveries{};
         std::vector<DeliveredRecord> delivered;
         std::uint64_t conservInjected = 0;
         std::uint64_t conservEjected = 0;
@@ -490,11 +499,13 @@ class Network : public RouterEnv, public CongestionProbe
          *  send order; mergeTick() files them into their wheels. */
         std::vector<Arrival> outgoing;
 
+        /** Anything to sweep, or injections the merge has not yet
+         *  counted (a local delivery activates no NI). */
         bool
         hasWork() const
         {
             return wheelArrivals > 0 || !activeNis.empty() ||
-                   !activeRouters.empty();
+                   !activeRouters.empty() || packetsInjected > 0;
         }
     };
 
@@ -519,12 +530,6 @@ class Network : public RouterEnv, public CongestionProbe
     RoutingPolicy routing_ DR_SERIAL_ONLY;  //!< HARE EWMA mutates at merge
     std::vector<std::unique_ptr<Router>> routers_ DR_DOMAIN_OWNED;
     std::vector<Ni> nis_ DR_DOMAIN_OWNED;
-    /** Slab of in-flight packets. Slot-granular ownership: a live slot
-     *  belongs to the domain its packet's flits occupy (head-of-packet
-     *  fields are written there); structural mutation — alloc/release,
-     *  the free list — is commit-phase only (methods so annotated). */
-    PacketPool pool_ DR_DOMAIN_OWNED;
-    PacketId nextPktId_ DR_SERIAL_ONLY = 1;
     NetworkStats stats_ DR_SERIAL_ONLY;
     /** Live per-VN flit occupancy of the fabric (survives resetStats). */
     std::array<int, numVnets> vnInFabric_ DR_SERIAL_ONLY{};

@@ -11,16 +11,18 @@
  * slots go onto a free list and are reused, so steady-state traffic
  * allocates nothing.
  *
- * Ownership under the parallel tick engine (DESIGN.md §12): the pool's
- * *structure* (slab, free list, live map) is serial-only — slots are
- * claimed and released exclusively by serial code (NI injection runs in
- * the serial pre-tick, release in the serial merge). The *contents* of
- * an allocated slot are owned by whichever domain currently holds the
- * packet's flits, which is why slots_ is DR_DOMAIN_OWNED at slot
- * granularity while the bookkeeping is DR_SERIAL_ONLY.
+ * Ownership (DESIGN.md §11, §12): each spatial domain owns one pool,
+ * named in the low handle bits. alloc() runs in the owning domain's
+ * compute phase (the endpoints inject in their ticks), release() in
+ * the serial merge. The domain a tail ejects in reads the slot while
+ * the owner may be allocating, so slots never move: the slab grows by
+ * chunks that double in size.
  */
 
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/invariant.hpp"
@@ -33,24 +35,40 @@ namespace dr
 class PacketPool
 {
   public:
+    /** Low handle bits naming the owning pool (NocConfig::maxThreads
+     *  domains fit). */
+    static constexpr int kOwnerBits = 8;
+
+    /** The pool (domain) a handle belongs to. */
+    static int
+    ownerOf(PacketHandle h)
+    {
+        return h & ((1 << kOwnerBits) - 1);
+    }
+
+    explicit PacketPool(int owner = 0) : owner_(owner)
+    {
+        DR_ASSERT(owner >= 0 && owner < (1 << kOwnerBits));
+    }
+
     /** Claim a slot. The returned packet holds stale contents; the
      *  caller overwrites every field. */
     PacketHandle
-    alloc() DR_COMMIT_PHASE
+    alloc() DR_COMPUTE_PHASE
     {
-        DR_PHASE_ASSERT_COMMIT();
-        PacketHandle h;
+        std::size_t index;
         if (!free_.empty()) {
-            h = free_.back();
+            index = free_.back();
             free_.pop_back();
         } else {
-            h = static_cast<PacketHandle>(slots_.size());
-            slots_.emplace_back();
-            live_.push_back(0);
+            index = slots_++;
+            const std::size_t c = chunkOf(index);
+            DR_ASSERT(c < kChunks);
+            if (!chunks_[c])
+                chunks_[c] = std::make_unique<Slot[]>(kFirstChunk << c);
         }
-        live_[static_cast<std::size_t>(h)] = 1;
-        ++liveCount_;
-        return h;
+        slot(index).live = true;
+        return static_cast<PacketHandle>(index << kOwnerBits | owner_);
     }
 
     void
@@ -58,42 +76,79 @@ class PacketPool
     {
         DR_PHASE_ASSERT_COMMIT();
         DR_ASSERT(isLive(h));
-        live_[static_cast<std::size_t>(h)] = 0;
-        --liveCount_;
-        free_.push_back(h);
+        const std::size_t index = indexOf(h);
+        slot(index).live = false;
+        free_.push_back(index);
     }
 
     Packet &operator[](PacketHandle h) DR_PHASE_READ
     {
         DR_ASSERT(isLive(h));
-        return slots_[static_cast<std::size_t>(h)];
+        return slot(indexOf(h)).packet;
     }
 
     const Packet &operator[](PacketHandle h) const DR_PHASE_READ
     {
         DR_ASSERT(isLive(h));
-        return slots_[static_cast<std::size_t>(h)];
+        return slot(indexOf(h)).packet;
     }
 
-    /** Whether `h` names an allocated slot (cheap; any build type). */
+    /** Whether `h` names an allocated slot of this pool (cheap; any
+     *  build type; safe while the owner allocates). */
     bool
     isLive(PacketHandle h) const DR_PHASE_READ
     {
-        return h >= 0 && static_cast<std::size_t>(h) < live_.size() &&
-               live_[static_cast<std::size_t>(h)];
+        if (h < 0 || ownerOf(h) != owner_)
+            return false;
+        const std::size_t index = indexOf(h);
+        const std::size_t c = chunkOf(index);
+        return c < kChunks && chunks_[c] &&
+               chunks_[c][index - chunkBase(c)].live;
     }
 
-    /** Packets currently allocated. */
-    std::size_t liveCount() const DR_PHASE_READ { return liveCount_; }
-
-    /** Slab capacity high-water mark (diagnostics). */
-    std::size_t slotCount() const { return slots_.size(); }
-
   private:
-    std::vector<Packet> slots_ DR_DOMAIN_OWNED;  //!< slot-granular (see @file)
-    std::vector<std::uint8_t> live_ DR_SERIAL_ONLY;
-    std::vector<PacketHandle> free_ DR_SERIAL_ONLY;
-    std::size_t liveCount_ DR_SERIAL_ONLY = 0;
+    struct Slot
+    {
+        Packet packet;
+        bool live = false;
+    };
+
+    /** Chunk c holds 64 << c slots, from index 64 * (2^c - 1) on.
+     *  Seventeen chunks hold just under the 2^23 indices a handle can
+     *  name above its owner bits. */
+    static constexpr std::size_t kFirstChunk = 64;
+    static constexpr std::size_t kChunks = 17;
+
+    static std::size_t
+    chunkOf(std::size_t index)
+    {
+        return static_cast<std::size_t>(
+                   std::bit_width(index / kFirstChunk + 1)) - 1;
+    }
+
+    static std::size_t
+    chunkBase(std::size_t c)
+    {
+        return kFirstChunk * ((std::size_t{1} << c) - 1);
+    }
+
+    static std::size_t
+    indexOf(PacketHandle h)
+    {
+        return static_cast<std::size_t>(h) >> kOwnerBits;
+    }
+
+    Slot &
+    slot(std::size_t index) const
+    {
+        const std::size_t c = chunkOf(index);
+        return chunks_[c][index - chunkBase(c)];
+    }
+
+    int owner_ DR_DOMAIN_OWNED;
+    std::array<std::unique_ptr<Slot[]>, kChunks> chunks_ DR_DOMAIN_OWNED;
+    std::vector<std::size_t> free_ DR_DOMAIN_OWNED;
+    std::size_t slots_ DR_DOMAIN_OWNED = 0;  //!< indices handed out so far
 };
 
 } // namespace dr

@@ -6,11 +6,9 @@ namespace dr
 {
 
 RoutingPolicy::RoutingPolicy(RoutingKind kind, const Topology &topo,
-                             int numVcs, std::uint64_t seed,
-                             const VnetLayout &layout)
+                             int numVcs, const VnetLayout &layout)
     : kind_(kind), topo_(topo), numVcs_(numVcs),
-      layout_(layout.empty() ? VnetLayout::uniform(numVcs) : layout),
-      rng_(seed)
+      layout_(layout.empty() ? VnetLayout::uniform(numVcs) : layout)
 {
     if (kind_ == RoutingKind::ChipletHierarchical) {
         if (topo_.kind() != TopologyKind::ChipletMesh)
@@ -82,7 +80,7 @@ RoutingPolicy::firstHopPort(int router, int destRouter, DimOrder order) const
 
 DimOrder
 RoutingPolicy::chooseOrder(int srcRouter, int destRouter,
-                           const CongestionProbe &net)
+                           const CongestionProbe &net, Rng &rng) const
 {
     switch (kind_) {
       case RoutingKind::DimOrderXY:
@@ -101,7 +99,7 @@ RoutingPolicy::chooseOrder(int srcRouter, int destRouter,
         const int cx = net.freeCredits(srcRouter, px);
         const int cy = net.freeCredits(srcRouter, py);
         if (cx == cy)
-            return rng_.chance(0.5) ? DimOrder::XY : DimOrder::YX;
+            return rng.chance(0.5) ? DimOrder::XY : DimOrder::YX;
         return cx > cy ? DimOrder::XY : DimOrder::YX;
       }
       case RoutingKind::Footprint: {
@@ -120,8 +118,8 @@ RoutingPolicy::chooseOrder(int srcRouter, int destRouter,
             static_cast<std::uint32_t>(srcRouter) << 16 |
             static_cast<std::uint32_t>(destRouter);
         const auto it = history_.find(key);
-        if (it == history_.end() || rng_.chance(1.0 / 16.0))
-            return rng_.chance(0.5) ? DimOrder::XY : DimOrder::YX;
+        if (it == history_.end() || rng.chance(1.0 / 16.0))
+            return rng.chance(0.5) ? DimOrder::XY : DimOrder::YX;
         const History &h = it->second;
         if (!h.seen[0])
             return DimOrder::XY;

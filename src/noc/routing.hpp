@@ -54,7 +54,7 @@ class RoutingPolicy
      * at least two VCs (fatal at construction otherwise).
      */
     RoutingPolicy(RoutingKind kind, const Topology &topo, int numVcs,
-                  std::uint64_t seed, const VnetLayout &layout = {});
+                  const VnetLayout &layout = {});
 
     RoutingKind kind() const { return kind_; }
     bool adaptive() const;
@@ -63,10 +63,11 @@ class RoutingPolicy
     /**
      * Choose the dimension order for a packet at injection. Deterministic
      * kinds return their fixed order; adaptive kinds consult congestion
-     * or history.
+     * or history. Only DyXY ties and HARE draw from `rng`, the source
+     * node's own stream (Network::Ni::routeRng).
      */
     DimOrder chooseOrder(int srcRouter, int destRouter,
-                         const CongestionProbe &net);
+                         const CongestionProbe &net, Rng &rng) const;
 
     /**
      * VC mask a packet of the given order and virtual network may use:
@@ -103,7 +104,6 @@ class RoutingPolicy
     const Topology &topo_;
     int numVcs_;
     VnetLayout layout_;
-    Rng rng_;
 
     /** HARE history: EWMA latency per (src, dest) per order. */
     struct History

@@ -85,6 +85,33 @@ TEST(System, MemNodesBlockUnderGpuFlood)
     EXPECT_GT(r.memBlockingRate, 0.15);
 }
 
+/**
+ * Endpoints inject straight into their own NI inside their tick, so a
+ * message a node sent to itself would be ready in that same tick
+ * (DESIGN.md §13). No endpoint does: requests go to memory nodes,
+ * delegations and probes to other cores, replies to the requester.
+ * Every mechanism, with its delegation and probe traffic, counts no
+ * local delivery on either network.
+ */
+TEST(System, ChipNeverDeliversLocally)
+{
+    for (const Mechanism m :
+         {Mechanism::Baseline, Mechanism::RealisticProbing,
+          Mechanism::DelegatedReplies}) {
+        SystemConfig cfg = quickCfg(m);
+        cfg.warmupCycles = 0;
+        HeteroSystem sys(cfg, "HS", "blackscholes");
+        const RunResults r = sys.run();
+        EXPECT_GT(r.requestsInjected, 1000u) << mechanismName(m);
+        for (const NetKind kind : {NetKind::Request, NetKind::Reply}) {
+            EXPECT_EQ(sys.interconnect().net(kind).stats()
+                          .localDeliveries.value(),
+                      0u)
+                << mechanismName(m);
+        }
+    }
+}
+
 TEST(System, AllMechanismsRunAllTopologies)
 {
     for (const TopologyKind topo :

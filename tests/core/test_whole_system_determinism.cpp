@@ -138,25 +138,25 @@ INSTANTIATE_TEST_SUITE_P(
     caseName);
 
 /**
- * The serial merge drains the outboxes class by class (memory nodes,
- * GPU cores, CPU nodes), each class in ascending node id, walking only
- * the endpoints on the per-domain commit lists (DESIGN.md §13). With
- * the default dimension-order routing that order decides only packet
- * ids; Footprint and HARE draw one routing-RNG value per injected
- * packet, so any other order (domain by domain, say) hands the draws
- * to different packets and the 4-domain run diverges from the serial
- * one.
+ * Only DyXY ties and HARE draw from the routing RNG, and each node
+ * draws from its own stream, seeded from (network seed, node), at its
+ * own injections (DESIGN.md §13). So where a node's sends inject —
+ * which worker, before or after other domains' endpoints — cannot
+ * change its draws: 2 and 4 domains must reproduce the serial run. A
+ * stream shared by a domain or the whole network would hand draws to
+ * packets in an order that depends on the partition.
  */
-TEST(WholeSystemDeterminism, AdaptiveRoutingDrawsInCanonicalOrder)
+TEST(WholeSystemDeterminism, AdaptiveRoutingDrawsFromPerNodeStreams)
 {
-    for (const RoutingKind routing :
-         {RoutingKind::Footprint, RoutingKind::Hare}) {
+    for (const RoutingKind routing : {RoutingKind::DyXY, RoutingKind::Hare}) {
         SystemConfig cfg = matrixCfg(TopologyKind::Mesh, false);
         cfg.noc.requestRouting = routing;
         cfg.noc.replyRouting = routing;
         const std::string golden = runFingerprint(cfg, 1, false);
-        EXPECT_EQ(golden, runFingerprint(cfg, 4, true))
-            << routingName(routing) << ": 4 threads + skip diverged";
+        EXPECT_EQ(golden, runFingerprint(cfg, 2, true))
+            << routingName(routing) << ": 2 threads + skip diverged";
+        EXPECT_EQ(golden, runFingerprint(cfg, 4, false))
+            << routingName(routing) << ": 4 threads diverged";
     }
 }
 
@@ -220,6 +220,29 @@ TEST(WholeSystemDeterminism, CrossbarChipMatchesPinnedLiterals)
               "0.20242857142857146|0.52224999999999999|7171|4782|1500|1091|19|"
               "366|0|0|7659|42882|42911|42882|0.75595614589921989|"
               "0.45391517128874387");
+}
+
+/**
+ * The paper chip on its 8x8 mesh with Footprint routing, HS + bodytrack
+ * under DR. Footprint adapts from the first hop's free credits and draws
+ * no routing RNG, so where and when a packet is injected — not which
+ * stream it would draw from — decides its route. The literal was taken
+ * while sends were still staged in per-node outboxes and drained by the
+ * serial merge; direct injection in the endpoint's own tick must
+ * reproduce it.
+ */
+TEST(WholeSystemDeterminism, FootprintMeshMatchesPinnedLiteral)
+{
+    SystemConfig cfg = SystemConfig::makePaper();
+    cfg.mechanism = Mechanism::DelegatedReplies;
+    cfg.noc.requestRouting = RoutingKind::Footprint;
+    cfg.noc.replyRouting = RoutingKind::Footprint;
+    cfg.warmupCycles = 1000;
+    cfg.simCycles = 2500;
+    EXPECT_EQ(fingerprint(runWorkload(cfg, "HS", "bodytrack")),
+              "2500|5.9176000000000002|0.18875|378.42974693832099|0.11265|"
+              "0.73239999999999994|3230|1008|298|209|5|80|0|0|2272|74302|"
+              "74328|74302|0.99814585908529052|0.20627615062761506");
 }
 
 /** Threads of this process, counted from /proc/self/task. */

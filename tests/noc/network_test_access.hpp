@@ -53,8 +53,19 @@ struct NetworkTestAccess
         return net.domains_[net.nodeDomain_[node]].activeNis.contains(node);
     }
 
-    /** Take a packet-pool slot (a serial-only structural mutation). */
-    static PacketHandle allocPacket(Network &net) { return net.pool_.alloc(); }
+    /** Take a slot of `domain`'s packet pool. */
+    static PacketHandle
+    allocPacket(Network &net, int domain)
+    {
+        return net.domains_[domain].pool.alloc();
+    }
+
+    /** Give a packet-pool slot back (serial-only: the merge's job). */
+    static void
+    releasePacket(Network &net, PacketHandle h)
+    {
+        net.domains_[PacketPool::ownerOf(h)].pool.release(h);
+    }
 
     /** Record `writer` as the last writer of `node`'s NI without a
      *  checked write: what a path that dodged DR_STAMP_WRITE leaves. */

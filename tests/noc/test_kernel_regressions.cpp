@@ -606,6 +606,9 @@ TEST(LocalDelivery, SampledAtMinimumLatencyWithoutTouchingFabric)
     net.inject(makeMsg(5, 5, MsgType::ReadReply), 5, 10);
     // Available immediately; no ticks required.
     ASSERT_TRUE(net.hasMessage(5, NetKind::Reply));
+    // Injections are counted per domain and folded in by the merge,
+    // which the next tick runs.
+    net.tick(10);
     EXPECT_EQ(net.stats().localDeliveries.value(), 1u);
     EXPECT_EQ(net.stats().packetsDelivered.value(), 1u);
     // Minimum-latency sample: one zero-cycle observation.

@@ -382,6 +382,34 @@ TEST(ParallelEngine, BusyTickCostsOnePoolRun)
 }
 
 /**
+ * Endpoints inject inside the compute run, after their domain's sweep
+ * (DESIGN.md §11, §13), and the inject counters are per domain until
+ * the merge folds them. A net idle at the start of the cycle skips its
+ * sweep, but a send in the run must still be merged and counted in the
+ * same cycle, or a run's last cycle would drop it from the stats.
+ */
+TEST(ParallelEngine, WorkInjectingIntoIdleNetIsCountedThatCycle)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    NetworkParams params;
+    params.injBufferFlits.assign(topo.nodes(), 36);
+    params.threads = 2;
+    Network net(params, topo);
+    TickPool pool(net.numDomains());
+    const NodeId last = static_cast<NodeId>(topo.nodes() - 1);
+    ASSERT_TRUE(net.quiescent());
+    Network *const nets[] = {&net};
+    Network::tickAll(pool, nets, 0, [&](int d, Cycle now) {
+        if (d == net.domainOfNode(last))
+            net.inject(makeMsg(last, 0, MsgType::ReadReply,
+                               TrafficClass::Gpu, 1),
+                       5, now);
+    });
+    EXPECT_EQ(net.stats().packetsInjected.value(), 1u);
+    EXPECT_FALSE(net.quiescent()) << "the packet waits in its NI";
+}
+
+/**
  * Every built-in topology attaches nodes in router order, so the
  * partition always gets the domains it asks for: min(threads, routers),
  * and for chiplet meshes at most one per chiplet row. A topology that

@@ -117,15 +117,33 @@ TEST(PhaseOwnershipDeath, UnstagedCrossDomainFlitTrapped)
 TEST(PhaseOwnershipDeath, SerialStateTouchedInComputeTrapped)
 {
     DR_REQUIRE_CHECKED();
-    // The packet pool free list is serial-only; alloc() asserts the
-    // serial phase and must abort when entered from a compute scope.
+    // A domain's worker allocates from its own packet pool when its
+    // endpoints inject, but slots go back only in the serial merge:
+    // release() asserts the serial phase and must abort when entered
+    // from a compute scope, even by the pool's own domain.
+    TwoDomainMesh m;
+    const PacketHandle h = NetworkTestAccess::allocPacket(m.net, 0);
+    EXPECT_DEATH(
+        {
+            phase::ComputeScope cs(0);
+            NetworkTestAccess::releasePacket(m.net, h);
+        },
+        "serial-only");
+}
+
+TEST(PhaseOwnershipDeath, InjectIntoForeignDomainTrapped)
+{
+    DR_REQUIRE_CHECKED();
+    // An endpoint injects only from its own node, in its own domain's
+    // slot of the compute run; domain 0's worker injecting at domain
+    // 1's node must trap before touching that NI or its pool.
     TwoDomainMesh m;
     EXPECT_DEATH(
         {
             phase::ComputeScope cs(0);
-            (void)NetworkTestAccess::allocPacket(m.net);
+            m.net.inject(phaseMsg(m.lastNode, 0, 1), 1, 0);
         },
-        "serial-only");
+        "phase violation: inject owned by domain 1");
 }
 
 TEST(PhaseOwnershipDeath, StampBypassCaughtByAudit)

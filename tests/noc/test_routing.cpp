@@ -40,7 +40,7 @@ headFor(int destRouter, DimOrder order)
 TEST(RoutingXY, MovesXThenY)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2);
     // From router 0 (0,0) to router 15 (3,3): go east first.
     EXPECT_EQ(r.outputPort(0, headFor(15, DimOrder::XY)), meshEast);
     // From router 3 (3,0) to 15 (3,3): aligned in X, go south.
@@ -50,7 +50,7 @@ TEST(RoutingXY, MovesXThenY)
 TEST(RoutingYX, MovesYThenX)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DimOrderYX, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DimOrderYX, t, 2);
     EXPECT_EQ(r.outputPort(0, headFor(15, DimOrder::YX)), meshSouth);
     EXPECT_EQ(r.outputPort(12, headFor(15, DimOrder::YX)), meshEast);
 }
@@ -58,14 +58,14 @@ TEST(RoutingYX, MovesYThenX)
 TEST(Routing, EjectsAtDestination)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2);
     EXPECT_EQ(r.outputPort(15, headFor(15, DimOrder::XY)), meshLocal);
 }
 
 TEST(Routing, WestAndNorthDirections)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2);
     EXPECT_EQ(r.outputPort(15, headFor(0, DimOrder::XY)), meshWest);
     EXPECT_EQ(r.outputPort(12, headFor(0, DimOrder::XY)), meshNorth);
 }
@@ -73,7 +73,7 @@ TEST(Routing, WestAndNorthDirections)
 TEST(Routing, FullPathTerminates)
 {
     const Topology t = Topology::makeMesh(8, 8);
-    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2);
     for (int src = 0; src < 64; src += 7) {
         for (int dst = 0; dst < 64; dst += 5) {
             int cur = src;
@@ -91,17 +91,18 @@ TEST(Routing, FullPathTerminates)
 TEST(Routing, DeterministicKindsIgnoreCongestion)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy xy(RoutingKind::DimOrderXY, t, 2, 1);
-    RoutingPolicy yx(RoutingKind::DimOrderYX, t, 2, 1);
+    RoutingPolicy xy(RoutingKind::DimOrderXY, t, 2);
+    RoutingPolicy yx(RoutingKind::DimOrderYX, t, 2);
     FixedCongestion net({0, 0, 0, 0, 0});
-    EXPECT_EQ(xy.chooseOrder(0, 15, net), DimOrder::XY);
-    EXPECT_EQ(yx.chooseOrder(0, 15, net), DimOrder::YX);
+    Rng rng(1);
+    EXPECT_EQ(xy.chooseOrder(0, 15, net, rng), DimOrder::XY);
+    EXPECT_EQ(yx.chooseOrder(0, 15, net, rng), DimOrder::YX);
 }
 
 TEST(Routing, DeterministicMaskAllowsAllVcs)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2);
     EXPECT_EQ(r.packetMask(DimOrder::XY), 0x3);
     EXPECT_EQ(r.packetMask(DimOrder::YX), 0x3);
     EXPECT_FALSE(r.adaptive());
@@ -110,18 +111,19 @@ TEST(Routing, DeterministicMaskAllowsAllVcs)
 TEST(RoutingDyXY, PrefersLessCongestedDimension)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DyXY, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DyXY, t, 2);
+    Rng rng(1);
     // Router 0 -> 15: east port is meshEast, south is meshSouth.
     FixedCongestion eastFree({0, 8, 0, 0, 1});
-    EXPECT_EQ(r.chooseOrder(0, 15, eastFree), DimOrder::XY);
+    EXPECT_EQ(r.chooseOrder(0, 15, eastFree, rng), DimOrder::XY);
     FixedCongestion southFree({0, 1, 0, 0, 8});
-    EXPECT_EQ(r.chooseOrder(0, 15, southFree), DimOrder::YX);
+    EXPECT_EQ(r.chooseOrder(0, 15, southFree, rng), DimOrder::YX);
 }
 
 TEST(RoutingDyXY, AdaptiveMaskSplitsVcs)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DyXY, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DyXY, t, 2);
     EXPECT_TRUE(r.adaptive());
     EXPECT_EQ(r.packetMask(DimOrder::XY), 0x1);
     EXPECT_EQ(r.packetMask(DimOrder::YX), 0x2);
@@ -130,7 +132,7 @@ TEST(RoutingDyXY, AdaptiveMaskSplitsVcs)
 TEST(RoutingDyXY, FourVcMaskSplitsInHalves)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DyXY, t, 4, 1);
+    RoutingPolicy r(RoutingKind::DyXY, t, 4);
     EXPECT_EQ(r.packetMask(DimOrder::XY), 0x3);
     EXPECT_EQ(r.packetMask(DimOrder::YX), 0xc);
 }
@@ -138,18 +140,20 @@ TEST(RoutingDyXY, FourVcMaskSplitsInHalves)
 TEST(RoutingFootprint, SticksToXYUnlessBlocked)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::Footprint, t, 2, 1);
+    RoutingPolicy r(RoutingKind::Footprint, t, 2);
+    Rng rng(1);
     FixedCongestion open({0, 1, 0, 0, 0});
-    EXPECT_EQ(r.chooseOrder(0, 15, open), DimOrder::XY);
+    EXPECT_EQ(r.chooseOrder(0, 15, open, rng), DimOrder::XY);
     FixedCongestion blocked({0, 0, 0, 0, 5});
-    EXPECT_EQ(r.chooseOrder(0, 15, blocked), DimOrder::YX);
+    EXPECT_EQ(r.chooseOrder(0, 15, blocked, rng), DimOrder::YX);
 }
 
 TEST(RoutingHare, LearnsFromDeliveredLatency)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::Hare, t, 2, 1);
+    RoutingPolicy r(RoutingKind::Hare, t, 2);
     FixedCongestion net({0, 0, 0, 0, 0});
+    Rng rng(1);
     // Teach it that YX is much faster for 0 -> 15.
     for (int i = 0; i < 50; ++i) {
         r.onDelivered(0, 15, DimOrder::XY, 500);
@@ -157,7 +161,7 @@ TEST(RoutingHare, LearnsFromDeliveredLatency)
     }
     int yx = 0;
     for (int i = 0; i < 100; ++i)
-        yx += r.chooseOrder(0, 15, net) == DimOrder::YX;
+        yx += r.chooseOrder(0, 15, net, rng) == DimOrder::YX;
     // Exploration keeps a small random component.
     EXPECT_GT(yx, 80);
 }
@@ -165,7 +169,7 @@ TEST(RoutingHare, LearnsFromDeliveredLatency)
 TEST(RoutingTable, NonMeshUsesTables)
 {
     const Topology t = Topology::makeCrossbar(8);
-    RoutingPolicy r(RoutingKind::TableMinimal, t, 2, 1);
+    RoutingPolicy r(RoutingKind::TableMinimal, t, 2);
     Flit f = headFor(0, DimOrder::XY);
     f.destPort = 5;
     EXPECT_EQ(r.outputPort(0, f), 5);
@@ -174,7 +178,7 @@ TEST(RoutingTable, NonMeshUsesTables)
 TEST(RoutingDragonfly, VcPhaseEscalation)
 {
     const Topology t = Topology::makeDragonfly(64, 4, 4);
-    RoutingPolicy r(RoutingKind::TableMinimal, t, 2, 1);
+    RoutingPolicy r(RoutingKind::TableMinimal, t, 2);
     Flit f = headFor(/*destRouter=*/14, DimOrder::XY);  // group 3
     // Link into a router in the destination group: upper VC half.
     EXPECT_EQ(r.vcMaskForLink(12, f), 0x2);
@@ -186,7 +190,7 @@ TEST(RoutingDeath, AdaptiveOnNonMeshFails)
 {
     const Topology t = Topology::makeCrossbar(8);
     EXPECT_DEATH(
-        { RoutingPolicy r(RoutingKind::DyXY, t, 2, 1); (void)r; },
+        { RoutingPolicy r(RoutingKind::DyXY, t, 2); (void)r; },
         "table routing");
 }
 
@@ -208,7 +212,7 @@ TEST(RoutingVnet, AdaptiveEscapeClassesSplitWithinEachVnRange)
     // O1TURN escape classes compose with the VN partition: each order
     // owns half of the *VN's* reserved range, never another VN's VCs.
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DyXY, t, 4, 1, twoByTwoLayout());
+    RoutingPolicy r(RoutingKind::DyXY, t, 4, twoByTwoLayout());
     EXPECT_EQ(r.packetMask(DimOrder::XY, VirtualNet::Request), 0x1);
     EXPECT_EQ(r.packetMask(DimOrder::YX, VirtualNet::Request), 0x2);
     EXPECT_EQ(r.packetMask(DimOrder::XY, VirtualNet::ForwardedRequest),
@@ -220,7 +224,7 @@ TEST(RoutingVnet, AdaptiveEscapeClassesSplitWithinEachVnRange)
 TEST(RoutingVnet, DeterministicMaskIsTheVnReservation)
 {
     const Topology t = Topology::makeMesh(4, 4);
-    RoutingPolicy r(RoutingKind::DimOrderXY, t, 4, 1, twoByTwoLayout());
+    RoutingPolicy r(RoutingKind::DimOrderXY, t, 4, twoByTwoLayout());
     EXPECT_EQ(r.packetMask(DimOrder::XY, VirtualNet::Request), 0x3);
     EXPECT_EQ(r.packetMask(DimOrder::XY, VirtualNet::ForwardedRequest),
               0xc);
@@ -231,7 +235,7 @@ TEST(RoutingVnet, DragonflyPhaseEscalationStaysInVnRange)
     // Reaching the destination group escalates to the upper half of
     // the flit's own VN range — VCs of other VNs are never borrowed.
     const Topology t = Topology::makeDragonfly(64, 4, 4);
-    RoutingPolicy r(RoutingKind::TableMinimal, t, 4, 1, twoByTwoLayout());
+    RoutingPolicy r(RoutingKind::TableMinimal, t, 4, twoByTwoLayout());
     Flit f = headFor(/*destRouter=*/14, DimOrder::XY);  // group 3
     f.vnet = VirtualNet::ForwardedRequest;
     EXPECT_EQ(r.vcMaskForLink(12, f), 0x8);  // in dest group: upper half
@@ -247,7 +251,7 @@ TEST(RoutingVnetDeath, LayoutMustCoverTheNetworkVcs)
     VnetLayout l = twoByTwoLayout();  // covers 4 VCs
     EXPECT_DEATH(
         {
-            RoutingPolicy r(RoutingKind::DimOrderXY, t, 2, 1, l);
+            RoutingPolicy r(RoutingKind::DimOrderXY, t, 2, l);
             (void)r;
         },
         "layout covers");
@@ -263,7 +267,7 @@ TEST(RoutingVnetDeath, AdaptiveNeedsTwoVcsPerVnet)
     l.range[static_cast<int>(VirtualNet::ForwardedRequest)] = {1, 3};
     EXPECT_DEATH(
         {
-            RoutingPolicy r(RoutingKind::DyXY, t, 4, 1, l);
+            RoutingPolicy r(RoutingKind::DyXY, t, 4, l);
             (void)r;
         },
         "every virtual network");
@@ -276,7 +280,7 @@ TEST(RoutingVnetDeath, DragonflyNeedsTwoVcsPerVnet)
     l.range[static_cast<int>(VirtualNet::DelegatedReply)] = {3, 1};
     EXPECT_DEATH(
         {
-            RoutingPolicy r(RoutingKind::TableMinimal, t, 4, 1, l);
+            RoutingPolicy r(RoutingKind::TableMinimal, t, 4, l);
             (void)r;
         },
         "every virtual network");
@@ -305,7 +309,7 @@ TEST(RoutingChiplet, AllPathsTerminateWithMonotonePhases)
     // transit, intra-chiplet XY) must never step backwards — that
     // monotonicity is the deadlock-freedom argument.
     const Topology t = Topology::makeChipletMesh(2, 2, 4, 4, 2);
-    RoutingPolicy r(RoutingKind::ChipletHierarchical, t, 3, 1);
+    RoutingPolicy r(RoutingKind::ChipletHierarchical, t, 3);
     for (int src = 0; src < t.routers(); ++src) {
         for (int dst = 0; dst < t.routers(); ++dst) {
             const Flit f = headFor(dst, DimOrder::XY);
@@ -335,7 +339,7 @@ TEST(RoutingChiplet, CrossingDetoursToTheDestinationsGatewayRow)
     // Gateway rows of a 4x4 sub-mesh with 2 links per edge are {0, 2};
     // the row is hashed from the destination so all hops agree on it.
     const Topology t = Topology::makeChipletMesh(2, 2, 4, 4, 2);
-    RoutingPolicy r(RoutingKind::ChipletHierarchical, t, 3, 1);
+    RoutingPolicy r(RoutingKind::ChipletHierarchical, t, 3);
     // 0 (0,0) -> 7 (7,0): odd destination hashes to gateway row 2, so
     // phase 0 first walks south inside the chiplet...
     EXPECT_EQ(r.outputPort(0, headFor(7, DimOrder::XY)), meshSouth);
@@ -350,7 +354,7 @@ TEST(RoutingChiplet, PhaseSegmentsPartitionTheVcRange)
     // 6 uniform VCs split into thirds: phase 0 owns {0,1}, phase 1
     // owns {2,3}, phase 2 the remainder {4,5} — disjoint and covering.
     const Topology t = Topology::makeChipletMesh(2, 2, 4, 4, 2);
-    RoutingPolicy r(RoutingKind::ChipletHierarchical, t, 6, 1);
+    RoutingPolicy r(RoutingKind::ChipletHierarchical, t, 6);
     const Flit f = headFor(63, DimOrder::XY);  // chiplet 3 at (7,7)
     EXPECT_EQ(r.vcMaskForLink(0, f), 0x03);    // chiplet 0: E/W transit
     EXPECT_EQ(r.vcMaskForLink(4, f), 0x0c);    // chiplet 1: N/S transit
@@ -362,7 +366,7 @@ TEST(RoutingChiplet, FullGatewayMeshAcceptsPlainXY)
     // With every boundary channel present the chiplet mesh is
     // structurally a plain mesh, so dimension-order routing is legal.
     const Topology t = Topology::makeChipletMesh(2, 2, 2, 2, 0);
-    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2, 1);
+    RoutingPolicy r(RoutingKind::DimOrderXY, t, 2);
     EXPECT_EQ(r.outputPort(0, headFor(15, DimOrder::XY)), meshEast);
 }
 
@@ -371,7 +375,7 @@ TEST(RoutingChipletDeath, ConstructionGuards)
     const Topology mesh = Topology::makeMesh(4, 4);
     EXPECT_DEATH(
         {
-            RoutingPolicy r(RoutingKind::ChipletHierarchical, mesh, 3, 1);
+            RoutingPolicy r(RoutingKind::ChipletHierarchical, mesh, 3);
             (void)r;
         },
         "chiplet-mesh topology");
@@ -381,7 +385,7 @@ TEST(RoutingChipletDeath, ConstructionGuards)
     // boundary rows have no crossing channel.
     EXPECT_DEATH(
         {
-            RoutingPolicy r(RoutingKind::DimOrderXY, restricted, 3, 1);
+            RoutingPolicy r(RoutingKind::DimOrderXY, restricted, 3);
             (void)r;
         },
         "gateway-restricted");
@@ -389,7 +393,7 @@ TEST(RoutingChipletDeath, ConstructionGuards)
     EXPECT_DEATH(
         {
             RoutingPolicy r(RoutingKind::ChipletHierarchical, restricted,
-                            2, 1);
+                            2);
             (void)r;
         },
         "at least 3 VCs");

@@ -259,8 +259,14 @@ MEMBER_CALL_RE = re.compile(
     r"(?<![\w.>])([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)*"
     r"(?:->|\.)\s*([A-Za-z_]\w*)\s*\(")
 GETTER_CALL_RE = re.compile(
-    r"(?<![\w.>])([A-Za-z_]\w*)\s*\(\s*\)\s*\.\s*([A-Za-z_]\w*)\s*\(")
+    r"(?<![\w.>])([A-Za-z_]\w*)\s*\([^()]*\)\s*\.\s*([A-Za-z_]\w*)\s*\(")
 BARE_CALL_RE = re.compile(r"(?<![\w.>:])([A-Za-z_]\w*)\s*\(")
+# A call through a field chain: base[i].field->callee( (subscripts
+# allowed after every link).
+CHAIN_CALL_RE = re.compile(
+    r"(?<![\w.>])([A-Za-z_]\w*)\s*"
+    r"((?:(?:\[[^\]]*\]\s*)*(?:->|\.)\s*[A-Za-z_]\w*\s*)+)\(")
+CHAIN_LINK_RE = re.compile(r"(?:->|\.)\s*([A-Za-z_]\w*)")
 CAST_RE = re.compile(r"\bstatic_cast\s*\(\s*")
 
 CONTROL_KEYWORDS = {
@@ -883,6 +889,26 @@ def compute_writes(line: str, member: str) -> bool:
         binds_mutable(line, member)
 
 
+def chain_targets(prog: Program, c: Cls, body: Body, base: str,
+                  fields: list[str]) -> list[Cls]:
+    """Classes a call on base.fields... may land on: the base is a
+    member of `c` or a local `Type &base` / `Type *base` of the body,
+    and each field resolves through the first known class holding it."""
+    def known(type_text: str) -> list[Cls]:
+        return [prog.classes[t] for t in IDENT_RE.findall(
+            strip_templates(type_text)) if t in prog.classes]
+    local = re.search(r"\b([A-Za-z_]\w*)\s*[&*]\s*%s\b" % re.escape(base),
+                      body.text)
+    type_text = c.members[base].type if base in c.members else \
+        local.group(1) if local else ""
+    for field in fields:
+        holders = [k for k in known(type_text) if field in k.members]
+        if not holders:
+            return []
+        type_text = holders[0].members[field].type
+    return known(type_text)
+
+
 def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
     def add(lineno: int, rule: str, line: str) -> None:
         prog.report(body.rel, lineno, rule, line)
@@ -914,21 +940,17 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
         for name in serial_callables:
             if re.search(r"(?<![\w.>])%s\s*\(" % re.escape(name), line):
                 add(lineno, "serial-call-in-compute", line)
-        # Calls into commit-phase methods: own-class bare calls and
-        # member-object calls resolved through the declared member type.
+        # Calls into commit-phase methods: own-class bare calls and calls
+        # through a member or a local reference, field chains followed
+        # through the declared types (`d.pool.release(h)`).
         for m in BARE_CALL_RE.finditer(line):
             if c.phase(m.group(1)) == "commit":
                 add(lineno, "compute-calls-commit", line)
-        for m in MEMBER_CALL_RE.finditer(line):
-            base, callee = m.group(1), m.group(2)
-            if base not in c.members:
-                continue
-            for tname in IDENT_RE.findall(
-                    strip_templates(c.members[base].type)):
-                target = prog.classes.get(tname)
-                if target and target.phase(callee) == "commit":
-                    add(lineno, "compute-calls-commit", line)
-                    break
+        for m in CHAIN_CALL_RE.finditer(line):
+            links = CHAIN_LINK_RE.findall(m.group(2))
+            if any(t.phase(links[-1]) == "commit" for t in
+                   chain_targets(prog, c, body, m.group(1), links[:-1])):
+                add(lineno, "compute-calls-commit", line)
         # Direct arrival into a resolved foreign domain: a push into
         # its wheel or an apply on its router (the producer's outgoing
         # list is the legal alternative).

@@ -48,6 +48,7 @@ HETERO_HPP = "src/core/hetero_system.hpp"
 
 # Anchor lines in the live tree (asserted before patching).
 EJECT_STAMP = "    DR_STAMP_WRITE(ni);\n    if (!ni.ejDue)\n        return;"
+INJECT_COUNT = "    ++d.packetsInjected;"
 FLUSHES_GETTER = ("    const Counter &flushes() const DR_PHASE_READ "
                   "{ return flushes_; }")
 FILL_CALL = "    l1_.fill(coreIdx_, line);"
@@ -356,8 +357,9 @@ class PhaseModelTest(LiveTreeCase):
         net = self.classes["Network"]
         self.assertEqual(net.phase("niInject"), "compute")
         self.assertEqual(net.phase("mergeTick"), "commit")
-        self.assertEqual(self.classes["PacketPool"].phase("alloc"),
-                         "commit")
+        pool = self.classes["PacketPool"]
+        self.assertEqual(pool.phase("alloc"), "compute")
+        self.assertEqual(pool.phase("release"), "commit")
 
     def test_stamped_structures_detected(self):
         for name in ("Ni", "Domain", "Router", "CommitList"):
@@ -431,12 +433,13 @@ class PhaseRuleMutantTest(MutantCase):
         self.assert_rule(prog.findings, "unannotated-state", NETWORK_HPP)
 
     def test_mutant_commit_call_in_compute(self):
-        # niInject (compute) churns the serial packet pool free list.
+        # niInject (compute) gives a packet slot back to its domain's
+        # pool: alloc() is legal there, release() belongs to the merge.
         head = ("Network::niInject(Domain &d, Ni &ni, NodeId node, "
                 "Cycle now)\n{\n    DR_STAMP_WRITE(ni);")
         prog = scan_mutated([
             (NETWORK_CPP, head,
-             head + "\n    pool_.release(pool_.alloc());")])
+             head + "\n    d.pool.release(ni.vcSend[0].pkt);")])
         self.assert_rule(prog.findings, "compute-calls-commit",
                          NETWORK_CPP)
 
@@ -562,6 +565,16 @@ class ReachMutantTest(MutantCase):
         ])
         self.assert_rule(prog.findings, "virtual-dispatch-unclassified",
                          SM_CORE, contains="prefetch")
+
+    def test_mutant_inject_writes_serial(self):
+        # Endpoints inject straight into their own NI, so a serial
+        # counter bumped in Network::inject is a compute-phase write,
+        # reached through Interconnect::send's net(kind) getter.
+        prog = scan_mutated([
+            (NETWORK_CPP, INJECT_COUNT,
+             INJECT_COUNT + "\n    ++stats_.packetsInjected;")])
+        self.assert_rule(prog.findings, "phase-escape", NETWORK_CPP,
+                         contains="Interconnect::send -> Network::inject")
 
     def test_mutant_cross_core_bank_write(self):
         # The staged claim lands in core 0's bank regardless of the
