@@ -10,35 +10,32 @@
  *    ranges.
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-int
-main()
+void
+ablation_dr(Sweep &s)
 {
     const std::vector<std::string> benchSet = {"2DCON", "HS", "BT"};
-    std::printf("=== Delegated Replies ablations ===\n");
-    std::printf("%-8s %12s %12s %12s %14s %12s\n", "bench", "baseline",
-                "DR", "DR-always", "DR-localFirst", "DR-legacyVC");
+    s.print("=== Delegated Replies ablations ===\n");
+    s.print("%-8s %12s %12s %12s %14s %12s\n", "bench", "baseline",
+            "DR", "DR-always", "DR-localFirst", "DR-legacyVC");
     for (const auto &gpu : benchSet) {
         const std::string cpu = cpuCoRunnersFor(gpu)[0];
         const double base =
-            runWorkload(benchConfig(Mechanism::Baseline), gpu, cpu)
+            s.run(benchConfig(Mechanism::Baseline), gpu, cpu)
                 .gpuIpc;
 
         SystemConfig drCfg = benchConfig(Mechanism::DelegatedReplies);
-        const double dr = runWorkload(drCfg, gpu, cpu).gpuIpc;
+        const double dr = s.run(drCfg, gpu, cpu).gpuIpc;
 
         drCfg.dr.delegateAlways = true;
-        const double always = runWorkload(drCfg, gpu, cpu).gpuIpc;
+        const double always = s.run(drCfg, gpu, cpu).gpuIpc;
         drCfg.dr.delegateAlways = false;
 
         drCfg.dr.frqRemotePriority = false;
-        const double localFirst = runWorkload(drCfg, gpu, cpu).gpuIpc;
+        const double localFirst = s.run(drCfg, gpu, cpu).gpuIpc;
         drCfg.dr.frqRemotePriority = true;
 
         // Legacy layout: DR without the reserved per-class VC ranges,
@@ -46,19 +43,16 @@ main()
         // and adds one VC per side for the DR-only VNs; undo both).
         drCfg.noc.vnets = false;
         drCfg.noc.vcsPerNet = 2;
-        const double legacy = runWorkload(drCfg, gpu, cpu).gpuIpc;
+        const double legacy = s.run(drCfg, gpu, cpu).gpuIpc;
 
-        std::printf("%-8s %12.3f %12.3f %12.3f %14.3f %12.3f\n",
-                    gpu.c_str(), 1.0, dr / base, always / base,
-                    localFirst / base, legacy / base);
+        s.print("%-8s %12.3f %12.3f %12.3f %14.3f %12.3f\n", gpu.c_str(), 1.0,
+                dr / base, always / base, localFirst / base, legacy / base);
     }
-    std::printf("\nexpected: reactive DR comparable to delegate-always "
-                "on the 4-VN fabric (the reserved delegated VN absorbs "
-                "gratuitous delegation; on the legacy split it erases "
-                "most of the gain); remote priority comparable to "
-                "local-first (paper found both safe variants perform "
-                "similarly); 4-VN layout >= legacy Table I split (one "
-                "extra reserved VC per side, priced by the area "
-                "model)\n");
-    return 0;
+    s.print("\nexpected: reactive DR comparable to delegate-always "
+            "on the 4-VN fabric (the reserved delegated VN absorbs "
+            "gratuitous delegation; on the legacy split it erases "
+            "most of the gain); remote priority comparable to "
+            "local-first (paper found both safe variants perform "
+            "similarly); 4-VN layout >= legacy Table I split (one "
+            "extra reserved VC per side, priced by the area model)\n");
 }

@@ -6,15 +6,12 @@
  * BP because it steals (virtual) request-network capacity.
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-int
-main()
+void
+fig06_avcp(Sweep &s)
 {
     const std::vector<std::string> benchSet = {"2DCON", "HS", "MM", "NN",
                                                "BP"};
@@ -25,36 +22,34 @@ main()
     };
     const std::vector<Split> splits = {{2, 2}, {1, 3}, {3, 1}};
 
-    std::printf("=== Figure 6: asymmetric VC partitioning (shared "
-                "network) ===\n");
-    std::printf("%-8s", "bench");
-    for (const auto &s : splits)
-        std::printf("   req%d:rep%d", s.req, s.reply);
-    std::printf("   (normalized to the 2:2 split)\n");
+    s.print("=== Figure 6: asymmetric VC partitioning (shared "
+            "network) ===\n");
+    s.print("%-8s", "bench");
+    for (const auto &split : splits)
+        s.print("   req%d:rep%d", split.req, split.reply);
+    s.print("   (normalized to the 2:2 split)\n");
 
     std::vector<std::vector<double>> perSplit(splits.size());
     for (const auto &gpu : benchSet) {
         std::vector<double> ipcs;
-        for (const auto &s : splits) {
+        for (const auto &split : splits) {
             SystemConfig cfg = benchConfig(Mechanism::Baseline);
             cfg.noc.sharedPhysical = true;
-            cfg.noc.sharedReqVcs = s.req;
-            cfg.noc.sharedReplyVcs = s.reply;
-            const RunResults r =
-                runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]);
+            cfg.noc.sharedReqVcs = split.req;
+            cfg.noc.sharedReplyVcs = split.reply;
+            const RunResults r = s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]);
             ipcs.push_back(r.gpuIpc);
         }
-        std::printf("%-8s", gpu.c_str());
+        s.print("%-8s", gpu.c_str());
         for (std::size_t i = 0; i < splits.size(); ++i) {
-            std::printf("   %9.3f", ipcs[i] / ipcs[0]);
+            s.print("   %9.3f", ipcs[i] / ipcs[0]);
             perSplit[i].push_back(ipcs[i] / ipcs[0]);
         }
-        std::printf("\n");
+        s.print("\n");
     }
-    std::printf("%-8s", "HM");
+    s.print("%-8s", "HM");
     for (auto &column : perSplit)
-        std::printf("   %9.3f", harmonicMean(column));
-    std::printf("\n\npaper: best case +3%%, harmonic mean flat, BP hurt "
-                "by fewer request VCs\n");
-    return 0;
+        s.print("   %9.3f", harmonicMean(column));
+    s.print("\n\npaper: best case +3%%, harmonic mean flat, BP hurt "
+            "by fewer request VCs\n");
 }

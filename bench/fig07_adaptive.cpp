@@ -6,52 +6,47 @@
  * and typically costs a little performance.
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-int
-main()
+void
+fig07_adaptive(Sweep &s)
 {
     const std::vector<std::string> benchSet = {"2DCON", "HS", "MM", "LUD",
                                                "SRAD"};
-    std::printf("=== Figure 7: adaptive routing vs CDR baseline ===\n");
-    std::printf("%-8s %10s %10s %10s %10s\n", "bench", "DyXY",
-                "Footprint", "HARE", "DyXY-4VC");
+    s.print("=== Figure 7: adaptive routing vs CDR baseline ===\n");
+    s.print("%-8s %10s %10s %10s %10s\n", "bench", "DyXY",
+            "Footprint", "HARE", "DyXY-4VC");
 
     std::vector<double> dyxy, fp, hare, dyxy4;
     for (const auto &gpu : benchSet) {
         SystemConfig cfg = benchConfig(Mechanism::Baseline);
-        const double base =
-            runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
+        const double base = s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
 
         auto measure = [&](RoutingKind kind, int vcs) {
             SystemConfig c = benchConfig(Mechanism::Baseline);
             c.noc.requestRouting = kind;
             c.noc.replyRouting = kind;
             c.noc.vcsPerNet = vcs;
-            return runWorkload(c, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc /
+            return s.run(c, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc /
                    base;
         };
         const double d = measure(RoutingKind::DyXY, 2);
         const double f = measure(RoutingKind::Footprint, 2);
         const double h = measure(RoutingKind::Hare, 2);
         const double d4 = measure(RoutingKind::DyXY, 4);
-        std::printf("%-8s %10.3f %10.3f %10.3f %10.3f\n", gpu.c_str(), d,
-                    f, h, d4);
+        s.print("%-8s %10.3f %10.3f %10.3f %10.3f\n", gpu.c_str(), d,
+                f, h, d4);
         dyxy.push_back(d);
         fp.push_back(f);
         hare.push_back(h);
         dyxy4.push_back(d4);
     }
-    std::printf("%-8s %10.3f %10.3f %10.3f %10.3f\n", "GM", geomean(dyxy),
-                geomean(fp), geomean(hare), geomean(dyxy4));
-    std::printf("\npaper: all adaptive schemes at or slightly below "
-                "1.0x; the footnote reports that extra VCs (DyXY-4VC "
-                "column) partially close the gap but never beat the "
-                "baseline\n");
-    return 0;
+    s.print("%-8s %10.3f %10.3f %10.3f %10.3f\n", "GM", geomean(dyxy),
+            geomean(fp), geomean(hare), geomean(dyxy4));
+    s.print("\npaper: all adaptive schemes at or slightly below "
+            "1.0x; the footnote reports that extra VCs (DyXY-4VC "
+            "column) partially close the gap but never beat the "
+            "baseline\n");
 }

@@ -6,47 +6,37 @@
  * needs XY-YX ordering; layout C favours CPUs; layout D favours GPUs.
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-namespace
+void
+fig09_layout_routing(Sweep &s)
 {
+    const std::vector<std::string> benchSet = {"2DCON", "HS", "MM"};
 
-const std::vector<std::string> benchSet = {"2DCON", "HS", "MM"};
+    struct Point
+    {
+        double gpu;
+        double cpu;
+    };
 
-struct Point
-{
-    double gpu;
-    double cpu;
-};
-
-Point
-run(ChipLayout layout, RoutingKind req, RoutingKind reply)
-{
-    std::vector<double> gpu, cpu;
-    for (const auto &g : benchSet) {
-        SystemConfig cfg = benchConfig(Mechanism::Baseline);
-        cfg.layout = layout;
-        cfg.noc.requestRouting = req;
-        cfg.noc.replyRouting = reply;
-        const RunResults r = runWorkload(cfg, g, cpuCoRunnersFor(g)[0]);
-        gpu.push_back(r.gpuIpc);
-        cpu.push_back(r.cpuIpc);
-    }
-    return {geomean(gpu), geomean(cpu)};
-}
-
-} // namespace
-
-int
-main()
-{
-    std::printf("=== Figure 9: layouts x routing (normalized to "
-                "Baseline YX-XY) ===\n");
+    const auto run = [&](ChipLayout layout, RoutingKind req,
+                         RoutingKind reply) -> Point {
+        std::vector<double> gpu, cpu;
+        for (const auto &g : benchSet) {
+            SystemConfig cfg = benchConfig(Mechanism::Baseline);
+            cfg.layout = layout;
+            cfg.noc.requestRouting = req;
+            cfg.noc.replyRouting = reply;
+            const RunResults r = s.run(cfg, g, cpuCoRunnersFor(g)[0]);
+            gpu.push_back(r.gpuIpc);
+            cpu.push_back(r.cpuIpc);
+        }
+        return {geomean(gpu), geomean(cpu)};
+    };
+    s.print("=== Figure 9: layouts x routing (normalized to "
+            "Baseline YX-XY) ===\n");
     const Point base =
         run(ChipLayout::Baseline, RoutingKind::DimOrderYX,
             RoutingKind::DimOrderXY);
@@ -75,13 +65,12 @@ main()
          RoutingKind::DimOrderXY},
     };
 
-    std::printf("%-12s %10s %10s\n", "config", "GPUperf", "CPUperf");
+    s.print("%-12s %10s %10s\n", "config", "GPUperf", "CPUperf");
     for (const auto &c : configs) {
         const Point p = run(c.layout, c.req, c.reply);
-        std::printf("%-12s %10.3f %10.3f\n", c.name, p.gpu / base.gpu,
-                    p.cpu / base.cpu);
+        s.print("%-12s %10.3f %10.3f\n", c.name, p.gpu / base.gpu,
+                p.cpu / base.cpu);
     }
-    std::printf("\npaper: Baseline YX-XY best overall; B loses GPU perf; "
-                "C favours CPUs; D favours GPUs\n");
-    return 0;
+    s.print("\npaper: Baseline YX-XY best overall; B loses GPU perf; "
+            "C favours CPUs; D favours GPUs\n");
 }

@@ -15,17 +15,12 @@
  * benchmark; any other value is fatal.
  */
 
-#include <algorithm>
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/gpu_benchmarks.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-int
-main()
+void
+fig10_14_headline(Sweep &s)
 {
     const int cpusPer = benchCpus();
 
@@ -45,16 +40,16 @@ main()
             for (const Mechanism mech :
                  {Mechanism::Baseline, Mechanism::RealisticProbing,
                   Mechanism::DelegatedReplies}) {
-                cell.r[m++] = runWorkload(benchConfig(mech), gpu, cpus[c]);
+                cell.r[m++] = s.run(benchConfig(mech), gpu, cpus[c]);
             }
             results.back().push_back(cell);
         }
     }
 
     // ---- Figure 10: GPU performance ----
-    std::printf("=== Figure 10: GPU performance improvement ===\n");
-    std::printf("%-8s %9s %9s %9s %9s %9s\n", "bench", "RP/base",
-                "DR/base", "DR/RP", "min", "max");
+    s.print("=== Figure 10: GPU performance improvement ===\n");
+    s.print("%-8s %9s %9s %9s %9s %9s\n", "bench", "RP/base",
+            "DR/base", "DR/RP", "min", "max");
     std::vector<double> rpG, drG, drRpG;
     for (std::size_t g = 0; g < results.size(); ++g) {
         std::vector<double> rp, dr, drrp;
@@ -63,24 +58,24 @@ main()
             dr.push_back(cell.r[2].gpuIpc / cell.r[0].gpuIpc);
             drrp.push_back(cell.r[2].gpuIpc / cell.r[1].gpuIpc);
         }
-        std::printf("%-8s %9.3f %9.3f %9.3f %9.3f %9.3f\n",
-                    gpuNames[g].c_str(), mean(rp), mean(dr), mean(drrp),
-                    *std::min_element(dr.begin(), dr.end()),
-                    *std::max_element(dr.begin(), dr.end()));
+        s.print("%-8s %9.3f %9.3f %9.3f %9.3f %9.3f\n",
+                gpuNames[g].c_str(), mean(rp), mean(dr), mean(drrp),
+                *std::min_element(dr.begin(), dr.end()),
+                *std::max_element(dr.begin(), dr.end()));
         rpG.push_back(mean(rp));
         drG.push_back(mean(dr));
         drRpG.push_back(mean(drrp));
     }
-    std::printf("%-8s %9.3f %9.3f %9.3f\n", "AVG", mean(rpG), mean(drG),
-                mean(drRpG));
-    std::printf("paper: RP 1.101, DR 1.257 (up to 1.659 vs baseline), "
-                "DR/RP 1.142 (up to 1.306)\n\n");
+    s.print("%-8s %9.3f %9.3f %9.3f\n", "AVG", mean(rpG), mean(drG),
+            mean(drRpG));
+    s.print("paper: RP 1.101, DR 1.257 (up to 1.659 vs baseline), "
+            "DR/RP 1.142 (up to 1.306)\n\n");
 
     // ---- Figure 11: received data rate ----
-    std::printf("=== Figure 11: received data rate (flits/cycle per GPU "
-                "core) ===\n");
-    std::printf("%-8s %9s %9s %9s %9s %9s\n", "bench", "base", "RP", "DR",
-                "RP/base", "DR/base");
+    s.print("=== Figure 11: received data rate (flits/cycle per GPU "
+            "core) ===\n");
+    s.print("%-8s %9s %9s %9s %9s %9s\n", "bench", "base", "RP", "DR",
+            "RP/base", "DR/base");
     std::vector<double> drRate, rpRate;
     for (std::size_t g = 0; g < results.size(); ++g) {
         std::vector<double> base, rp, dr;
@@ -89,19 +84,19 @@ main()
             rp.push_back(cell.r[1].gpuDataRate);
             dr.push_back(cell.r[2].gpuDataRate);
         }
-        std::printf("%-8s %9.3f %9.3f %9.3f %9.3f %9.3f\n",
-                    gpuNames[g].c_str(), mean(base), mean(rp), mean(dr),
-                    mean(rp) / mean(base), mean(dr) / mean(base));
+        s.print("%-8s %9.3f %9.3f %9.3f %9.3f %9.3f\n",
+                gpuNames[g].c_str(), mean(base), mean(rp), mean(dr),
+                mean(rp) / mean(base), mean(dr) / mean(base));
         rpRate.push_back(mean(rp) / mean(base));
         drRate.push_back(mean(dr) / mean(base));
     }
-    std::printf("%-8s %39.3f %9.3f\n", "AVG", mean(rpRate), mean(drRate));
-    std::printf("paper: DR +26.5%% avg (up to +70.9%%), RP +11.9%%\n\n");
+    s.print("%-8s %39.3f %9.3f\n", "AVG", mean(rpRate), mean(drRate));
+    s.print("paper: DR +26.5%% avg (up to +70.9%%), RP +11.9%%\n\n");
 
     // ---- Figure 12: CPU network latency ----
-    std::printf("=== Figure 12: CPU request latency (normalized to "
-                "baseline) ===\n");
-    std::printf("%-8s %9s %9s\n", "bench", "RP", "DR");
+    s.print("=== Figure 12: CPU request latency (normalized to "
+            "baseline) ===\n");
+    s.print("%-8s %9s %9s\n", "bench", "RP", "DR");
     std::vector<double> drLat;
     for (std::size_t g = 0; g < results.size(); ++g) {
         std::vector<double> rp, dr;
@@ -109,18 +104,16 @@ main()
             rp.push_back(cell.r[1].cpuLatency / cell.r[0].cpuLatency);
             dr.push_back(cell.r[2].cpuLatency / cell.r[0].cpuLatency);
         }
-        std::printf("%-8s %9.3f %9.3f\n", gpuNames[g].c_str(), mean(rp),
-                    mean(dr));
+        s.print("%-8s %9.3f %9.3f\n", gpuNames[g].c_str(), mean(rp), mean(dr));
         drLat.push_back(mean(dr));
     }
-    std::printf("%-8s %19.3f\n", "AVG", mean(drLat));
-    std::printf("paper: DR reduces CPU packet latency 44.2%% avg (to "
-                "~0.56x)\n\n");
+    s.print("%-8s %19.3f\n", "AVG", mean(drLat));
+    s.print("paper: DR reduces CPU packet latency 44.2%% avg (to "
+            "~0.56x)\n\n");
 
     // ---- Figure 13: CPU performance ----
-    std::printf("=== Figure 13: CPU performance improvement ===\n");
-    std::printf("%-8s %9s %9s %9s\n", "bench", "RP/base", "DR/base",
-                "blocked?");
+    s.print("=== Figure 13: CPU performance improvement ===\n");
+    s.print("%-8s %9s %9s %9s\n", "bench", "RP/base", "DR/base", "blocked?");
     std::vector<double> drCpuAll, drCpuClogged;
     for (std::size_t g = 0; g < results.size(); ++g) {
         std::vector<double> rp, dr;
@@ -132,22 +125,21 @@ main()
         }
         blocking /= static_cast<double>(results[g].size());
         const bool clogged = blocking > 0.3;
-        std::printf("%-8s %9.3f %9.3f %9s\n", gpuNames[g].c_str(),
-                    mean(rp), mean(dr), clogged ? "yes" : "no");
+        s.print("%-8s %9.3f %9.3f %9s\n", gpuNames[g].c_str(),
+                mean(rp), mean(dr), clogged ? "yes" : "no");
         drCpuAll.push_back(mean(dr));
         if (clogged)
             drCpuClogged.push_back(mean(dr));
     }
-    std::printf("%-8s %19.3f  (clogged-only: %.3f)\n", "AVG",
-                mean(drCpuAll), mean(drCpuClogged));
-    std::printf("paper: +3.8%% avg over all workloads, +8.8%% over "
-                "clogged ones (up to +19.8%%)\n\n");
+    s.print("%-8s %19.3f  (clogged-only: %.3f)\n", "AVG",
+            mean(drCpuAll), mean(drCpuClogged));
+    s.print("paper: +3.8%% avg over all workloads, +8.8%% over "
+            "clogged ones (up to +19.8%%)\n\n");
 
     // ---- Figure 14: L1 miss breakdown under DR ----
-    std::printf("=== Figure 14: L1 miss breakdown (Delegated Replies) "
-                "===\n");
-    std::printf("%-8s %10s %10s %10s %10s\n", "bench", "fwd%", "rHit%",
-                "rDelay%", "rMiss%");
+    s.print("=== Figure 14: L1 miss breakdown (Delegated Replies) ===\n");
+    s.print("%-8s %10s %10s %10s %10s\n", "bench", "fwd%", "rHit%",
+            "rDelay%", "rMiss%");
     std::vector<double> fwd, rhr;
     for (std::size_t g = 0; g < results.size(); ++g) {
         std::uint64_t misses = 0, dlg = 0, rh = 0, rd = 0, rm = 0;
@@ -158,22 +150,20 @@ main()
             rd += cell.r[2].frqDelayedHits;
             rm += cell.r[2].frqRemoteMisses;
         }
-        const double resolved =
-            static_cast<double>(rh + rd + rm) + 1e-9;
-        std::printf("%-8s %10.1f %10.1f %10.1f %10.1f\n",
-                    gpuNames[g].c_str(),
-                    100.0 * static_cast<double>(dlg) /
-                        static_cast<double>(misses ? misses : 1),
-                    100.0 * static_cast<double>(rh) / resolved,
-                    100.0 * static_cast<double>(rd) / resolved,
-                    100.0 * static_cast<double>(rm) / resolved);
+        const double resolved = static_cast<double>(rh + rd + rm) + 1e-9;
+        s.print("%-8s %10.1f %10.1f %10.1f %10.1f\n",
+                gpuNames[g].c_str(),
+                100.0 * static_cast<double>(dlg) /
+                    static_cast<double>(misses ? misses : 1),
+                100.0 * static_cast<double>(rh) / resolved,
+                100.0 * static_cast<double>(rd) / resolved,
+                100.0 * static_cast<double>(rm) / resolved);
         fwd.push_back(static_cast<double>(dlg) /
                       static_cast<double>(misses ? misses : 1));
         rhr.push_back(static_cast<double>(rh + rd) / resolved);
     }
-    std::printf("%-8s %10.1f %10.1f (remote hits incl. delayed)\n", "AVG",
-                100.0 * mean(fwd), 100.0 * mean(rhr));
-    std::printf("paper: 54.8%% of misses forwarded; 74.4%% of those are "
-                "remote hits\n");
-    return 0;
+    s.print("%-8s %10.1f %10.1f (remote hits incl. delayed)\n", "AVG",
+            100.0 * mean(fwd), 100.0 * mean(rhr));
+    s.print("paper: 54.8%% of misses forwarded; 74.4%% of those are "
+            "remote hits\n");
 }

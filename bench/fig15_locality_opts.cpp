@@ -7,49 +7,36 @@
  * round-robin scheduling, +9.9% with distributed scheduling).
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-namespace
+void
+fig15_locality_opts(Sweep &s)
 {
+    const std::vector<std::string> benchSet = {"2DCON", "SC", "HS", "NN",
+                                               "LUD"};
+    const auto gm = [&](L1Organization org, CtaSchedule sched,
+                        Mechanism mech) {
+        std::vector<double> ipcs;
+        for (const auto &gpu : benchSet) {
+            SystemConfig cfg = benchConfig(mech);
+            cfg.gpu.l1Org = org;
+            cfg.gpu.ctaSchedule = sched;
+            ipcs.push_back(
+                s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc);
+        }
+        return geomean(ipcs);
+    };
 
-const std::vector<std::string> benchSet = {"2DCON", "SC", "HS", "NN",
-                                           "LUD"};
-
-double
-gm(L1Organization org, CtaSchedule sched, Mechanism mech)
-{
-    std::vector<double> ipcs;
-    for (const auto &gpu : benchSet) {
-        SystemConfig cfg = benchConfig(mech);
-        cfg.gpu.l1Org = org;
-        cfg.gpu.ctaSchedule = sched;
-        ipcs.push_back(
-            runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc);
-    }
-    return geomean(ipcs);
-}
-
-} // namespace
-
-int
-main()
-{
-    std::printf("=== Figure 15: DR on top of shared-L1 organizations "
-                "===\n");
-    std::printf("(geomean over %zu benchmarks, normalized to private L1 "
-                "+ RR baseline)\n\n",
-                benchSet.size());
+    s.print("=== Figure 15: DR on top of shared-L1 organizations ===\n");
+    s.print("(geomean over %zu benchmarks, normalized to private L1 "
+            "+ RR baseline)\n\n", benchSet.size());
 
     const double base = gm(L1Organization::Private,
                            CtaSchedule::RoundRobin, Mechanism::Baseline);
 
-    std::printf("%-26s %10s %10s %10s\n", "config", "baseline", "+DR",
-                "DR gain");
+    s.print("%-26s %10s %10s %10s\n", "config", "baseline", "+DR", "DR gain");
     for (const CtaSchedule sched :
          {CtaSchedule::RoundRobin, CtaSchedule::Distributed}) {
         for (const L1Organization org :
@@ -60,11 +47,10 @@ main()
             char label[64];
             std::snprintf(label, sizeof(label), "%s + %s",
                           l1OrganizationName(org), ctaScheduleName(sched));
-            std::printf("%-26s %10.3f %10.3f %10.3f\n", label,
-                        plain / base, dr / base, dr / plain);
+            s.print("%-26s %10.3f %10.3f %10.3f\n", label,
+                    plain / base, dr / base, dr / plain);
         }
     }
-    std::printf("\npaper: DynEB >= DC-L1 >= private on average; DR adds "
-                "+23.5%% (RR) / +9.9%% (distributed) over DynEB\n");
-    return 0;
+    s.print("\npaper: DynEB >= DC-L1 >= private on average; DR adds "
+            "+23.5%% (RR) / +9.9%% (distributed) over DynEB\n");
 }

@@ -7,20 +7,17 @@
  * single reply link.
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-int
-main()
+void
+fig16_topologies(Sweep &s)
 {
     const std::vector<std::string> benchSet = {"2DCON", "HS", "MM",
                                                "SRAD"};
-    std::printf("=== Figure 16: DR gain per topology ===\n");
-    std::printf("%-22s %10s\n", "topology", "DR gain");
+    s.print("=== Figure 16: DR gain per topology ===\n");
+    s.print("%-22s %10s\n", "topology", "DR gain");
     for (const TopologyKind topo :
          {TopologyKind::Mesh, TopologyKind::FlattenedButterfly,
           TopologyKind::Dragonfly, TopologyKind::Crossbar}) {
@@ -29,15 +26,13 @@ main()
             SystemConfig cfg = benchConfig(Mechanism::Baseline);
             cfg.noc.topology = topo;
             const double base =
-                runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
+                s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
             cfg.mechanism = Mechanism::DelegatedReplies;
-            const double dr =
-                runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
+            const double dr = s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
             gains.push_back(dr / base);
         }
-        std::printf("%-22s %10.3f\n", topologyName(topo), geomean(gains));
+        s.print("%-22s %10.3f\n", topologyName(topo), geomean(gains));
     }
-    std::printf("\npaper: mesh 1.258, flattened butterfly 1.219, "
-                "dragonfly 1.239, crossbar 1.283\n");
-    return 0;
+    s.print("\npaper: mesh 1.258, flattened butterfly 1.219, "
+            "dragonfly 1.239, crossbar 1.283\n");
 }

@@ -7,20 +7,17 @@
  * worst (13.4% and 20.9%).
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-int
-main()
+void
+fig17_18_layouts(Sweep &s)
 {
     const std::vector<std::string> benchSet = {"2DCON", "HS", "MM",
                                                "SRAD"};
-    std::printf("=== Figures 17/18: DR gain per chip layout ===\n");
-    std::printf("%-12s %10s %10s\n", "layout", "GPU gain", "CPU gain");
+    s.print("=== Figures 17/18: DR gain per chip layout ===\n");
+    s.print("%-12s %10s %10s\n", "layout", "GPU gain", "CPU gain");
     for (const ChipLayout layout :
          {ChipLayout::Baseline, ChipLayout::LayoutB, ChipLayout::LayoutC,
           ChipLayout::LayoutD}) {
@@ -29,19 +26,16 @@ main()
             SystemConfig cfg = benchConfig(Mechanism::Baseline);
             cfg.layout = layout;
             applyDefaultRouting(cfg);
-            const RunResults base =
-                runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]);
+            const RunResults base = s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]);
             cfg.mechanism = Mechanism::DelegatedReplies;
-            const RunResults dr =
-                runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]);
+            const RunResults dr = s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]);
             gpuGain.push_back(dr.gpuIpc / base.gpuIpc);
             cpuGain.push_back(dr.cpuIpc / base.cpuIpc);
         }
-        std::printf("%-12s %10.3f %10.3f\n", layoutName(layout),
-                    geomean(gpuGain), geomean(cpuGain));
+        s.print("%-12s %10.3f %10.3f\n", layoutName(layout),
+                geomean(gpuGain), geomean(cpuGain));
     }
-    std::printf("\npaper: GPU 1.258/1.253/1.290/1.270; CPU "
-                "1.038/1.134/1.022/1.209 (B and D suffer the most "
-                "interference)\n");
-    return 0;
+    s.print("\npaper: GPU 1.258/1.253/1.290/1.270; CPU "
+            "1.038/1.134/1.022/1.209 (B and D suffer the most "
+            "interference)\n");
 }

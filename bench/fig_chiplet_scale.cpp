@@ -15,10 +15,7 @@
  * scale-out projection the chiplet subsystem exists to measure.
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
@@ -74,15 +71,15 @@ scaleConfig(Mechanism mechanism, const Scale &scale)
 
 } // namespace
 
-int
-main()
+void
+fig_chiplet_scale(Sweep &s)
 {
     const std::vector<std::string> benchSet = {"HS", "SRAD"};
     const Scale scales[] = {{"8x8 mesh (64 nodes)", false},
                             {"4x4 chiplets x 4x4 (256)", true}};
-    std::printf("=== Chiplet scale-out: DR vs baseline and RP ===\n");
-    std::printf("%-26s %10s %10s %10s %12s\n", "chip", "mech",
-                "geo IPC", "vs base", "mem block");
+    s.print("=== Chiplet scale-out: DR vs baseline and RP ===\n");
+    s.print("%-26s %10s %10s %10s %12s\n", "chip", "mech",
+            "geo IPC", "vs base", "mem block");
     for (const Scale &scale : scales) {
         double baseIpc = 0.0;
         for (const Mechanism mech :
@@ -92,21 +89,18 @@ main()
             std::vector<double> ipcs;
             std::vector<double> blocking;
             for (const auto &gpu : benchSet) {
-                const RunResults r =
-                    runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]);
+                const RunResults r = s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]);
                 ipcs.push_back(r.gpuIpc);
                 blocking.push_back(r.memBlockingRate);
             }
             const double ipc = geomean(ipcs);
             if (mech == Mechanism::Baseline)
                 baseIpc = ipc;
-            std::printf("%-26s %10s %10.3f %10.3f %12.3f\n", scale.name,
-                        mechanismName(mech), ipc, ipc / baseIpc,
-                        mean(blocking));
+            s.print("%-26s %10s %10.3f %10.3f %12.3f\n", scale.name,
+                    mechanismName(mech), ipc, ipc / baseIpc, mean(blocking));
         }
     }
-    std::printf("\nexpected: DR ahead of the baseline and RP on both "
-                "chips; mem block shows the 64-node chip clogged and the "
-                "256-node chip hardly clogged, where DR's lead is small\n");
-    return 0;
+    s.print("\nexpected: DR ahead of the baseline and RP on both "
+            "chips; mem block shows the 64-node chip clogged and the "
+            "256-node chip hardly clogged, where DR's lead is small\n");
 }

@@ -8,15 +8,12 @@
  * which is why no topology change fixes clogging (Figure 5).
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "noc/synthetic_traffic.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-int
-main()
+void
+synthetic_noc(Sweep &s)
 {
     const Cycle cycles = benchCycles(8000);
     const double rates[] = {0.01, 0.03, 0.06, 0.10};
@@ -24,27 +21,26 @@ main()
     for (const TopologyKind topo :
          {TopologyKind::Mesh, TopologyKind::FlattenedButterfly,
           TopologyKind::Dragonfly, TopologyKind::Crossbar}) {
-        std::printf("=== %s ===\n", topologyName(topo));
-        std::printf("%-14s", "pattern");
+        s.print("=== %s ===\n", topologyName(topo));
+        s.print("%-14s", "pattern");
         for (const double r : rates)
-            std::printf("   @%.2f lat/thru", r);
-        std::printf("\n");
+            s.print("   @%.2f lat/thru", r);
+        s.print("\n");
         for (const TrafficPattern pattern :
              {TrafficPattern::UniformRandom, TrafficPattern::Transpose,
               TrafficPattern::BitComplement, TrafficPattern::Hotspot}) {
-            std::printf("%-14s", trafficPatternName(pattern));
+            s.print("%-14s", trafficPatternName(pattern));
             for (const double rate : rates) {
-                const SyntheticResult res = runSyntheticLoad(
-                    topo, 64, 8, 8, pattern, rate, 5, cycles);
-                std::printf("   %6.0f/%5.2f", res.avgLatency,
-                            res.acceptedFlitsPerNode);
+                const SyntheticResult res = s.run(
+                    SyntheticPoint{topo, 64, 8, 8, pattern, rate, 5, cycles});
+                s.print("   %6.0f/%5.2f", res.avgLatency,
+                        res.acceptedFlitsPerNode);
             }
-            std::printf("\n");
+            s.print("\n");
         }
-        std::printf("\n");
+        s.print("\n");
     }
-    std::printf("note: hotspot accepted throughput is pinned by the two "
-                "receivers' ejection links on every topology — the "
-                "topology-independence of endpoint clogging\n");
-    return 0;
+    s.print("note: hotspot accepted throughput is pinned by the two "
+            "receivers' ejection links on every topology — the "
+            "topology-independence of endpoint clogging\n");
 }

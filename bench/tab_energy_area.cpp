@@ -8,38 +8,32 @@
  * inflation, probe misses).
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
+#include "figures.hpp"
 #include "power/noc_power.hpp"
 #include "power/sram_area.hpp"
-#include "workloads/workload_table.hpp"
 
 using namespace dr;
 
-int
-main()
+void
+tab_energy_area(Sweep &s)
 {
-    std::printf("=== NoC area (DSENT-like, 22 nm) ===\n");
+    s.print("=== NoC area (DSENT-like, 22 nm) ===\n");
     SystemConfig cfg = SystemConfig::makePaper();
     const double nominal = nocAreaMm2(cfg);
     cfg.noc.bandwidthScale = 2.0;
     const double doubled = nocAreaMm2(cfg);
     cfg.noc.bandwidthScale = 1.0;
-    std::printf("baseline mesh:          %6.2f mm^2 (paper 2.27)\n",
-                nominal);
-    std::printf("double-bandwidth mesh:  %6.2f mm^2 (paper 5.76, "
-                "%.2fx)\n",
-                doubled, doubled / nominal);
-    std::printf("DR core pointers:       %6.3f mm^2 (paper 0.080)\n",
-                drPointerAreaMm2(cfg));
-    std::printf("DR FRQs:                %6.3f mm^2 (paper 0.092)\n",
-                drFrqAreaMm2(cfg));
-    std::printf("DR total:               %6.3f mm^2 (paper 0.172, ~5%% "
-                "of the 2x-BW extra area)\n",
-                drTotalAreaMm2(cfg));
-    std::printf("DR / (2xBW extra):      %6.1f %%\n",
-                100.0 * drTotalAreaMm2(cfg) / (doubled - nominal));
+    s.print("baseline mesh:          %6.2f mm^2 (paper 2.27)\n", nominal);
+    s.print("double-bandwidth mesh:  %6.2f mm^2 (paper 5.76, %.2fx)\n",
+            doubled, doubled / nominal);
+    s.print("DR core pointers:       %6.3f mm^2 (paper 0.080)\n",
+            drPointerAreaMm2(cfg));
+    s.print("DR FRQs:                %6.3f mm^2 (paper 0.092)\n",
+            drFrqAreaMm2(cfg));
+    s.print("DR total:               %6.3f mm^2 (paper 0.172, ~5%% "
+            "of the 2x-BW extra area)\n", drTotalAreaMm2(cfg));
+    s.print("DR / (2xBW extra):      %6.1f %%\n",
+            100.0 * drTotalAreaMm2(cfg) / (doubled - nominal));
     // The headline DR configuration (core/experiment.cpp) runs the
     // first-class 4-VN layout with one extra reserved VC per side
     // (vcsPerNet 2 -> 3) on top of the paper's pointer+FRQ hardware;
@@ -47,18 +41,17 @@ main()
     cfg.noc.vcsPerNet = 3;
     const double drFabric = nocAreaMm2(cfg);
     cfg.noc.vcsPerNet = 2;
-    std::printf("DR 4-VN fabric (+1 VC/side): %.2f mm^2 (+%.2f over "
-                "baseline)\n",
-                drFabric, drFabric - nominal);
-    std::printf("DR total incl. fabric / (2xBW extra): %.1f %%\n\n",
-                100.0 * (drTotalAreaMm2(cfg) + drFabric - nominal) /
-                    (doubled - nominal));
+    s.print("DR 4-VN fabric (+1 VC/side): %.2f mm^2 (+%.2f over "
+            "baseline)\n", drFabric, drFabric - nominal);
+    s.print("DR total incl. fabric / (2xBW extra): %.1f %%\n\n",
+            100.0 * (drTotalAreaMm2(cfg) + drFabric - nominal) /
+                (doubled - nominal));
 
-    std::printf("=== NoC dynamic energy and request inflation ===\n");
+    s.print("=== NoC dynamic energy and request inflation ===\n");
     const std::vector<std::string> benchSet = {"2DCON", "HS", "MM"};
     const NocEnergyModel model;
-    std::printf("%-8s %12s %12s %12s %12s\n", "bench", "RP energy",
-                "DR energy", "RPreq/base", "DRreq/base");
+    s.print("%-8s %12s %12s %12s %12s\n", "bench", "RP energy",
+            "DR energy", "RPreq/base", "DRreq/base");
     std::vector<double> rpE, drE, rpReq;
     for (const auto &gpu : benchSet) {
         RunResults r[3];
@@ -66,8 +59,7 @@ main()
         for (const Mechanism m :
              {Mechanism::Baseline, Mechanism::RealisticProbing,
               Mechanism::DelegatedReplies}) {
-            r[i++] = runWorkload(benchConfig(m), gpu,
-                                 cpuCoRunnersFor(gpu)[0]);
+            r[i++] = s.run(benchConfig(m), gpu, cpuCoRunnersFor(gpu)[0]);
         }
         // Energy per unit of work (per GPU instruction): mechanisms
         // execute different amounts of work per cycle.
@@ -88,15 +80,14 @@ main()
              (r[2].gpuIpc * r[2].cycles)) /
             (static_cast<double>(r[0].requestsInjected) /
              (r[0].gpuIpc * r[0].cycles));
-        std::printf("%-8s %12.3f %12.3f %12.2f %12.2f\n", gpu.c_str(),
-                    rpRatio, drRatio, rpInflate, drInflate);
+        s.print("%-8s %12.3f %12.3f %12.2f %12.2f\n", gpu.c_str(),
+                rpRatio, drRatio, rpInflate, drInflate);
         rpE.push_back(rpRatio);
         drE.push_back(drRatio);
         rpReq.push_back(rpInflate);
     }
-    std::printf("%-8s %12.3f %12.3f %12.2f\n", "GM", geomean(rpE),
-                geomean(drE), geomean(rpReq));
-    std::printf("\npaper: RP +9.4%% dynamic NoC energy and 5.9x NoC "
-                "requests; DR -1.1%% energy\n");
-    return 0;
+    s.print("%-8s %12.3f %12.3f %12.2f\n", "GM", geomean(rpE),
+            geomean(drE), geomean(rpReq));
+    s.print("\npaper: RP +9.4%% dynamic NoC energy and 5.9x NoC "
+            "requests; DR -1.1%% energy\n");
 }

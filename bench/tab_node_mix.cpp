@@ -7,56 +7,43 @@
  * grows as compute outnumbers memory.
  */
 
-#include <cstdio>
-
-#include "core/experiment.hpp"
-#include "workloads/workload_table.hpp"
+#include "figures.hpp"
 
 using namespace dr;
 
-namespace
+void
+tab_node_mix(Sweep &s)
 {
+    const std::vector<std::string> benchSet = {"2DCON", "HS"};
+    const auto drGain = [&](int cpus, int mems) {
+        std::vector<double> gains;
+        for (const auto &gpu : benchSet) {
+            SystemConfig cfg = benchConfig(Mechanism::Baseline);
+            cfg.cpu.numCores = cpus;
+            cfg.mem.numNodes = mems;
+            cfg.gpu.numCores = 64 - cpus - mems;
+            const double base =
+                s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
+            cfg.mechanism = Mechanism::DelegatedReplies;
+            const double dr = s.run(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
+            gains.push_back(dr / base);
+        }
+        return geomean(gains);
+    };
 
-const std::vector<std::string> benchSet = {"2DCON", "HS"};
-
-double
-drGain(int cpus, int mems)
-{
-    std::vector<double> gains;
-    for (const auto &gpu : benchSet) {
-        SystemConfig cfg = benchConfig(Mechanism::Baseline);
-        cfg.cpu.numCores = cpus;
-        cfg.mem.numNodes = mems;
-        cfg.gpu.numCores = 64 - cpus - mems;
-        const double base =
-            runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
-        cfg.mechanism = Mechanism::DelegatedReplies;
-        const double dr =
-            runWorkload(cfg, gpu, cpuCoRunnersFor(gpu)[0]).gpuIpc;
-        gains.push_back(dr / base);
-    }
-    return geomean(gains);
-}
-
-} // namespace
-
-int
-main()
-{
-    std::printf("=== Node mix (64 tiles) ===\n");
-    std::printf("-- varying CPU cores, 8 memory nodes (paper: "
-                "1.305/1.258/1.226) --\n");
+    s.print("=== Node mix (64 tiles) ===\n");
+    s.print("-- varying CPU cores, 8 memory nodes (paper: "
+            "1.305/1.258/1.226) --\n");
     for (const int cpus : {8, 16, 24}) {
-        std::printf("  %2d CPUs / %2d GPUs: DR gain %.3f\n", cpus,
-                    64 - cpus - 8, drGain(cpus, 8));
+        s.print("  %2d CPUs / %2d GPUs: DR gain %.3f\n", cpus,
+                64 - cpus - 8, drGain(cpus, 8));
     }
-    std::printf("-- varying memory nodes, 8 CPU cores (paper: "
-                "1.382/1.305/1.107) --\n");
+    s.print("-- varying memory nodes, 8 CPU cores (paper: "
+            "1.382/1.305/1.107) --\n");
     for (const int mems : {4, 8, 16}) {
-        std::printf("  %2d MCs / %2d GPUs: DR gain %.3f\n", mems,
-                    64 - 8 - mems, drGain(8, mems));
+        s.print("  %2d MCs / %2d GPUs: DR gain %.3f\n", mems,
+                64 - 8 - mems, drGain(8, mems));
     }
-    std::printf("\npaper: fewer memory nodes or more GPU cores -> more "
-                "clogging -> larger DR gains\n");
-    return 0;
+    s.print("\npaper: fewer memory nodes or more GPU cores -> more "
+            "clogging -> larger DR gains\n");
 }

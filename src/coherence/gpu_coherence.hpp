@@ -29,10 +29,10 @@ namespace dr
 /**
  * Chip-wide software-coherence state for the GPU domain.
  *
- * Pre-classified for the ROADMAP's endpoint partitioning (DESIGN.md
- * §12): the epoch table is shared by every SM core and memory node, so
- * it is DR_SERIAL_ONLY — mutations (flush) may only run in serial
- * sections; the parallel phases may read it (frozen while workers run).
+ * The epoch table is shared by every SM core and memory node, so it is
+ * DR_SERIAL_ONLY (DESIGN.md §12): flush() runs only in the serial
+ * merge, from the CTA refill at a kernel boundary (DESIGN.md §13); the
+ * parallel phases may read it (frozen while workers run).
  */
 class GpuCoherence
 {

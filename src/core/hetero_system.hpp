@@ -129,7 +129,7 @@ class HeteroSystem
      */
     MesiStats mesiStats() const;
 
-    /** Endpoint tick domains in use (1 = serial endpoint phase). */
+    /** Endpoint tick domains: the request network's domains. */
     int
     endpointDomains() const
     {

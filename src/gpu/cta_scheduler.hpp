@@ -31,10 +31,10 @@ struct CtaAssignment
 /**
  * Grid-wide CTA scheduler shared by all SM cores.
  *
- * Pre-classified for the ROADMAP's endpoint partitioning (DESIGN.md
- * §12): one scheduler is shared by every SM core, so its cursors are
- * DR_SERIAL_ONLY — next() may only run in serial sections until CTA
- * hand-out is staged per domain.
+ * One scheduler is shared by every SM core, so its cursors are
+ * DR_SERIAL_ONLY (DESIGN.md §12): next() runs only in the serial merge,
+ * where SmCore::refillCtas hands out the CTA slots each core's tick
+ * staged (DESIGN.md §13).
  */
 class CtaScheduler
 {

@@ -153,11 +153,6 @@ Interconnect::canSend(const Message &msg) const
 void
 Interconnect::send(const Message &msg, Cycle now)
 {
-    // A message to its own node is ready at once, inside the sender's
-    // own tick; no endpoint sends one (delegates and probe targets are
-    // third parties, replies go to the requester).
-    DR_ASSERT_MSG(msg.src != msg.dst, "node ", msg.src,
-                  " sends a message to itself");
     const NetKind kind = kindFor(msg);
     const VirtualNet vn = vnetFor(msg);
     // The physical-network choice and the VN classification agree by

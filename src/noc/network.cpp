@@ -201,27 +201,16 @@ void
 Network::inject(const Message &msg, int flits, Cycle now, VirtualNet vn)
 {
     phase::assertPhaseDomain(nodeDomain_[msg.src], "inject");
+    // No endpoint sends to itself: requests go to memory nodes,
+    // delegations and probes to other cores, replies to the requester.
+    if (msg.src == msg.dst)
+        panic("network ", params_.name, ": node ", msg.src,
+              " injects a message to itself");
     Domain &d = domains_[nodeDomain_[msg.src]];
     DR_STAMP_WRITE(d);
     const int clsIdx = msg.cls == TrafficClass::Cpu ? 0 : 1;
     ++d.packetsInjected;
     ++d.vnPacketsInjected[static_cast<int>(vn)];
-
-    // Local delivery: the message loops back inside the NI without
-    // entering the fabric. It completes in zero cycles — the minimum —
-    // and that is sampled into the latency averages so local traffic is
-    // not invisible to latency figures; flit, link, and router counters
-    // are untouched because no flit ever exists (DESIGN.md). The
-    // message is ready at once; the chip never sends to itself
-    // (Interconnect::send), so no endpoint tick sees its own send.
-    if (msg.src == msg.dst) {
-        Ni &ni = nis_[msg.dst];
-        DR_STAMP_WRITE(ni);
-        const int kindIdx = onRequestNetwork(msg.type) ? 0 : 1;
-        ni.ready[kindIdx].push_back({msg, 0});
-        ++d.localDeliveries[clsIdx];
-        return;
-    }
 
     Ni &ni = nis_[msg.src];
     DR_STAMP_WRITE(ni);
@@ -622,18 +611,6 @@ Network::mergeTick()
         d.outgoing.clear();
         stats_.packetsInjected += d.packetsInjected;
         d.packetsInjected = 0;
-        // Local deliveries count as zero-latency samples, and adding
-        // 0.0 to a sum changes nothing, so their order does not matter.
-        for (int cls = 0; cls < 2; ++cls) {
-            for (; d.localDeliveries[cls] > 0; --d.localDeliveries[cls]) {
-                ++stats_.packetsDelivered;
-                ++stats_.localDeliveries;
-                stats_.packetLatency.sample(0.0);
-                (cls == 0 ? stats_.cpuPacketLatency
-                          : stats_.gpuPacketLatency)
-                    .sample(0.0);
-            }
-        }
         conservInjected_ += d.conservInjected;
         d.conservInjected = 0;
         conservEjected_ += d.conservEjected;
@@ -845,7 +822,6 @@ Network::resetStats()
     for (Domain &d : domains_) {
         d.packetsInjected = 0;
         d.vnPacketsInjected = {};
-        d.localDeliveries = {};
     }
     for (auto &router : routers_)
         router->resetStats();

@@ -91,9 +91,10 @@ struct NetworkStats
      */
     Counter warmupStraddlers;
     /**
-     * src == dst messages, delivered NI-to-NI without entering the
-     * fabric: a zero-cycle (minimum) latency sample, excluded from all
-     * flit, link, and router counters (see DESIGN.md).
+     * Always 0: Network::inject panics on a message to its own node.
+     * Kept because dropping these 8 bytes shifts the heap layout, and
+     * drbench's figure_sweep setup_s then reads about +86% through
+     * glibc heap trimming (CHANGES.md).
      */
     Counter localDeliveries;
 
@@ -465,11 +466,9 @@ class Network : public RouterEnv, public CongestionProbe
         ActiveSet activeRouters;  //!< routers with pending work (own)
         /** Packets its NIs inject; handles name this pool. */
         PacketPool pool;
-        /** Injections since the last merge, by VN (local ones too). */
+        /** Injections since the last merge, by VN. */
         std::array<std::uint64_t, numVnets> vnPacketsInjected{};
         std::uint64_t packetsInjected = 0;
-        /** Local deliveries since the last merge, per TrafficClass. */
-        std::array<std::uint64_t, 2> localDeliveries{};
         std::vector<DeliveredRecord> delivered;
         std::uint64_t conservInjected = 0;
         std::uint64_t conservEjected = 0;
@@ -499,13 +498,13 @@ class Network : public RouterEnv, public CongestionProbe
          *  send order; mergeTick() files them into their wheels. */
         std::vector<Arrival> outgoing;
 
-        /** Anything to sweep, or injections the merge has not yet
-         *  counted (a local delivery activates no NI). */
+        /** Anything to sweep: an active NI or router, or an arrival
+         *  due (every injection activates its NI). */
         bool
         hasWork() const
         {
             return wheelArrivals > 0 || !activeNis.empty() ||
-                   !activeRouters.empty() || packetsInjected > 0;
+                   !activeRouters.empty();
         }
     };
 

@@ -90,8 +90,8 @@ TEST(System, MemNodesBlockUnderGpuFlood)
  * message a node sent to itself would be ready in that same tick
  * (DESIGN.md §13). No endpoint does: requests go to memory nodes,
  * delegations and probes to other cores, replies to the requester.
- * Every mechanism, with its delegation and probe traffic, counts no
- * local delivery on either network.
+ * Network::inject panics on one, so every mechanism, with its
+ * delegation and probe traffic, runs to the end.
  */
 TEST(System, ChipNeverDeliversLocally)
 {
@@ -103,12 +103,6 @@ TEST(System, ChipNeverDeliversLocally)
         HeteroSystem sys(cfg, "HS", "blackscholes");
         const RunResults r = sys.run();
         EXPECT_GT(r.requestsInjected, 1000u) << mechanismName(m);
-        for (const NetKind kind : {NetKind::Request, NetKind::Reply}) {
-            EXPECT_EQ(sys.interconnect().net(kind).stats()
-                          .localDeliveries.value(),
-                      0u)
-                << mechanismName(m);
-        }
     }
 }
 

@@ -208,14 +208,6 @@ TEST(Network, LatencyGrowsWithDistance)
               netNear.stats().packetLatency.mean());
 }
 
-TEST(Network, LocalDeliveryBypassesNetwork)
-{
-    const Topology topo = Topology::makeMesh(4, 4);
-    Network net(paramsFor(topo), topo);
-    net.inject(makeMsg(5, 5), 1, 0);
-    EXPECT_TRUE(net.hasMessage(5, NetKind::Request));
-}
-
 TEST(Network, InjectionBufferFillsUp)
 {
     const Topology topo = Topology::makeMesh(4, 4);

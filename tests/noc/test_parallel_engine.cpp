@@ -163,7 +163,7 @@ fingerprint(TopologyKind kind, int threads, bool vnets,
        << ' ' << s.packetLatency.count() << ' '
        << s.cpuPacketLatency.sum() << ' ' << s.gpuPacketLatency.sum()
        << ' ' << s.warmupStraddlers.value() << ' '
-       << s.localDeliveries.value() << ' ' << net.totalLinkTraversals()
+       << net.totalLinkTraversals()
        << ' ' << net.totalSwitchTraversals() << ' '
        << net.totalBufferWrites() << ' ' << net.flitsInFlight();
     for (int vn = 0; vn < numVnets; ++vn) {

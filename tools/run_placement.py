@@ -10,7 +10,7 @@ IPC. Candidate generation is a pure function of the chip shape, every
 simulation is deterministically seeded, and the report is assembled in
 a fixed order after all runs finish, so the report bytes are identical
 for every shard count: `-j` only changes the wall clock, exactly like
-tools/run_sweep.py.
+build/bench/figures.
 
 Usage:
     tools/run_placement.py [-j JOBS] [--drsim PATH] [-o REPORT]
