@@ -599,9 +599,10 @@ TEST(NiVcFairness, AllSendVcsProgressUnderSaturation)
 
 /**
  * No endpoint sends to itself, so a message to its own node is a
- * simulator bug, on either network and in every build type.
+ * simulator bug, in every build type: there is no local-delivery
+ * sample, and the inject dies instead of reaching the fabric.
  */
-TEST(LocalDeliveryDeathTest, InjectToSelfPanics)
+TEST(LocalDelivery, SampledAtMinimumLatencyWithoutTouchingFabric)
 {
     const Topology topo = Topology::makeMesh(4, 4);
     EXPECT_DEATH(
@@ -610,12 +611,23 @@ TEST(LocalDeliveryDeathTest, InjectToSelfPanics)
             net.inject(makeMsg(5, 5, MsgType::ReadReply), 5, 10);
         },
         "node 5 injects a message to itself");
-    EXPECT_DEATH(
-        {
-            Network net(paramsFor(topo), topo);
-            net.inject(makeMsg(5, 5, MsgType::ReadReq), 1, 0);
-        },
-        "node 5 injects a message to itself");
+}
+
+/**
+ * The self-send check comes before any buffer accounting: with the
+ * injection buffer full, a message to its own node still names the
+ * self-send, not the missing canInject().
+ */
+TEST(LocalDelivery, DoesNotConsumeInjectionOrEjectionBuffers)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    NetworkParams p = paramsFor(topo);
+    p.injBufferFlits.assign(topo.nodes(), 5);
+    Network net(p, topo);
+    net.inject(makeMsg(5, 6, MsgType::ReadReply), 5, 0);
+    ASSERT_FALSE(net.canInject(5, 1));
+    EXPECT_DEATH(net.inject(makeMsg(5, 5, MsgType::ReadReply), 5, 0),
+                 "node 5 injects a message to itself");
 }
 
 } // namespace

@@ -208,6 +208,18 @@ TEST(Network, LatencyGrowsWithDistance)
               netNear.stats().packetLatency.mean());
 }
 
+/** A message to its own node panics on the request network too. */
+TEST(Network, LocalDeliveryBypassesNetwork)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    EXPECT_DEATH(
+        {
+            Network net(paramsFor(topo), topo);
+            net.inject(makeMsg(5, 5), 1, 0);
+        },
+        "node 5 injects a message to itself");
+}
+
 TEST(Network, InjectionBufferFillsUp)
 {
     const Topology topo = Topology::makeMesh(4, 4);
