@@ -1,28 +1,26 @@
 /**
  * @file
- * Kernel-performance benchmark for the cycle-level NoC engine itself
- * (not a paper figure): how many simulated cycles per wall-clock second
- * the Network kernel sustains under synthetic uniform-random and
- * hotspot traffic at several injection rates. Emits a single JSON
+ * Kernel-performance benchmark for the simulator itself (not a paper
+ * figure): simulated cycles per wall-clock second of the raw Network
+ * kernel under synthetic traffic (driveSyntheticLoad) and of the whole
+ * chip under the paper configuration (runWorkload). Emits one JSON
  * object on stdout; `tools/run_perf_kernel.sh` wraps it into
  * `BENCH_noc_kernel.json` and the CI perf smoke job diffs the summary
- * against the committed baseline.
- *
- * Simulated-cycles/sec is the figure of merit: it bounds how large a
- * `DR_BENCH_CYCLES` horizon the paper benches can afford (EXPERIMENTS.md
- * "kernel performance").
+ * against the committed baseline. The figure of merit bounds how large
+ * a `DR_BENCH_CYCLES` horizon the paper benches can afford. Every
+ * column pins its thread count; statistics are bit-identical across
+ * thread counts (DESIGN.md §11), so only wall-clock moves.
  */
 
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "noc/network.hpp"
 #include "noc/synthetic_traffic.hpp"
@@ -32,41 +30,45 @@ using namespace dr;
 namespace
 {
 
+constexpr int meshWidth = 8;
+constexpr int packetFlits = 5;
+
 struct WorkloadResult
 {
     const char *pattern;
     double rate;
     int threads;
-    Cycle cycles;
     double wallSeconds;
     double cyclesPerSec;
     double flitHopsPerSec;
     std::uint64_t packetsDelivered;
 };
 
-/**
- * One timed run of the raw Network kernel (no memory system). With
- * `vnets` on the network runs the virtual-network partition (4 VCs, one
- * per VN, (class, VN) arbitration) and the traffic mixes all four
- * message classes — the configurations the CI perf gate tracks as
- * `vnet_uniform_cycles_per_sec` / `vnet_hotspot_cycles_per_sec`.
- * `threads` pins the parallel tick engine's domain count; results are
- * bit-identical across values, only wall-clock changes (DESIGN.md §11).
- */
-WorkloadResult
-timeWorkload(TrafficPattern pattern, double rate, Cycle cycles,
-             std::uint64_t seed, bool vnets = false, int threads = 1)
+double
+secondsSince(std::chrono::steady_clock::time_point start)
 {
-    const int nodes = 64;
-    const int width = 8;
-    const int packetFlits = 5;
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    return std::chrono::duration<double>(elapsed).count();
+}
 
-    const Topology topo = Topology::makeMesh(width, width);
+WorkloadResult
+row(const char *name, double rate, int threads, Cycle cycles, double wall,
+    std::uint64_t flitHops, std::uint64_t packets)
+{
+    const double perSec = wall > 0.0 ? 1.0 / wall : 0.0;
+    return {name, rate, threads, wall, cycles * perSec, flitHops * perSec,
+            packets};
+}
+
+/** The 8x8 mesh: XY routing, 36-flit injection buffers. With `vnets`,
+ *  the virtual-network partition: 4 VCs, one per VN, (class, VN)
+ *  arbitration. */
+NetworkParams
+meshParams(bool vnets)
+{
     NetworkParams params;
     params.routing = RoutingKind::DimOrderXY;
-    params.injBufferFlits.assign(nodes, 36);
-    params.seed = seed;
-    params.threads = threads;
+    params.injBufferFlits.assign(meshWidth * meshWidth, 36);
     if (vnets) {
         params.numVcs = numVnets;
         params.vnPriority = true;
@@ -74,150 +76,47 @@ timeWorkload(TrafficPattern pattern, double rate, Cycle cycles,
         for (int vn = 0; vn < numVnets; ++vn)
             params.layout.range[vn] = {static_cast<std::uint8_t>(vn), 1};
     }
-    Network net(params, topo);
-
-    SyntheticTraffic traffic(
-        pattern, nodes, width,
-        pattern == TrafficPattern::Hotspot
-            ? std::vector<NodeId>{0, static_cast<NodeId>(nodes / 2)}
-            : std::vector<NodeId>{});
-    Rng rng(seed * 31 + 7);
-
-    const auto start = std::chrono::steady_clock::now();
-    std::uint64_t id = 1;
-    for (Cycle now = 0; now < cycles; ++now) {
-        for (NodeId src = 0; src < nodes; ++src) {
-            if (!rng.chance(rate))
-                continue;
-            if (!net.canInject(src, packetFlits))
-                continue;
-            Message m;
-            m.type = MsgType::ReadReply;
-            m.cls = TrafficClass::Gpu;
-            m.src = src;
-            m.dst = traffic.dest(src, rng);
-            m.id = id++;
-            if (vnets) {
-                // Spread over all four VNs: request-side classes carry
-                // 1-flit requests, reply-side classes 5-flit replies.
-                const VirtualNet vn =
-                    static_cast<VirtualNet>(rng.next() % numVnets);
-                const bool reqSide =
-                    vn == VirtualNet::Request ||
-                    vn == VirtualNet::ForwardedRequest;
-                m.type = reqSide ? MsgType::ReadReq : MsgType::ReadReply;
-                net.inject(m, reqSide ? 1 : packetFlits, now, vn);
-            } else {
-                net.inject(m, packetFlits, now);
-            }
-        }
-        net.tick(now);
-        for (NodeId n = 0; n < nodes; ++n) {
-            while (net.hasMessage(n, NetKind::Reply))
-                net.popMessage(n, NetKind::Reply);
-            while (net.hasMessage(n, NetKind::Request))
-                net.popMessage(n, NetKind::Request);
-        }
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    const double wall =
-        std::chrono::duration<double>(stop - start).count();
-
-    WorkloadResult r;
-    r.pattern = !vnets ? trafficPatternName(pattern)
-                       : (pattern == TrafficPattern::Hotspot
-                              ? "vnet_hotspot"
-                              : "vnet_uniform");
-    r.rate = rate;
-    r.threads = threads;
-    r.cycles = cycles;
-    r.wallSeconds = wall;
-    r.cyclesPerSec = wall > 0.0 ? static_cast<double>(cycles) / wall : 0.0;
-    r.flitHopsPerSec =
-        wall > 0.0
-            ? static_cast<double>(net.totalLinkTraversals()) / wall
-            : 0.0;
-    r.packetsDelivered = net.stats().packetsDelivered.value();
-    return r;
+    return params;
 }
 
-/**
- * One timed run of the raw Network kernel on the chiplet mesh: 2x2
- * chiplets of 4x4 routers (the same 64 nodes as the plain-mesh
- * columns), gateway-restricted interposer links with half-width
- * serialization, and 3-phase hierarchical routing with its 3-VC
- * escalation. Uniform-random traffic, so a fixed share of packets
- * crosses the interposer and the gateway/serialization hot path is
- * what the CI perf gate tracks as `chiplet_uniform_cycles_per_sec`.
- */
-WorkloadResult
-timeChipletWorkload(double rate, Cycle cycles, std::uint64_t seed)
+/** The chiplet mesh's network: 3-phase hierarchical routing with its
+ *  3-VC escalation, interposer links at half width. */
+NetworkParams
+chipletParams()
 {
-    const int nodes = 64;
-    const int width = 8;
-    const int packetFlits = 5;
-
-    const Topology topo = Topology::makeChipletMesh(2, 2, 4, 4, 2);
     NetworkParams params;
     params.routing = RoutingKind::ChipletHierarchical;
     params.numVcs = 3;
-    params.injBufferFlits.assign(nodes, 36);
-    params.seed = seed;
+    params.injBufferFlits.assign(meshWidth * meshWidth, 36);
     params.interposerSerialization = 2;
+    return params;
+}
+
+/**
+ * One timed run of the raw Network kernel (no memory system) on
+ * `threads` domains. Only the driver call is timed, not construction.
+ */
+WorkloadResult
+timeNetwork(const char *name, const Topology &topo, NetworkParams params,
+            TrafficPattern pattern, double rate, Cycle cycles,
+            bool mixVnets, int threads)
+{
+    params.threads = threads;
     Network net(params, topo);
-
-    SyntheticTraffic traffic(TrafficPattern::UniformRandom, nodes, width,
-                             {});
-    Rng rng(seed * 31 + 7);
-
     const auto start = std::chrono::steady_clock::now();
-    std::uint64_t id = 1;
-    for (Cycle now = 0; now < cycles; ++now) {
-        for (NodeId src = 0; src < nodes; ++src) {
-            if (!rng.chance(rate) || !net.canInject(src, packetFlits))
-                continue;
-            Message m;
-            m.type = MsgType::ReadReply;
-            m.cls = TrafficClass::Gpu;
-            m.src = src;
-            m.dst = traffic.dest(src, rng);
-            m.id = id++;
-            net.inject(m, packetFlits, now);
-        }
-        net.tick(now);
-        for (NodeId n = 0; n < nodes; ++n) {
-            while (net.hasMessage(n, NetKind::Reply))
-                net.popMessage(n, NetKind::Reply);
-            while (net.hasMessage(n, NetKind::Request))
-                net.popMessage(n, NetKind::Request);
-        }
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    const double wall =
-        std::chrono::duration<double>(stop - start).count();
-
-    WorkloadResult r;
-    r.pattern = "chiplet_uniform";
-    r.rate = rate;
-    r.threads = 1;
-    r.cycles = cycles;
-    r.wallSeconds = wall;
-    r.cyclesPerSec = wall > 0.0 ? static_cast<double>(cycles) / wall : 0.0;
-    r.flitHopsPerSec =
-        wall > 0.0
-            ? static_cast<double>(net.totalLinkTraversals()) / wall
-            : 0.0;
-    r.packetsDelivered = net.stats().packetsDelivered.value();
-    return r;
+    const SyntheticResult res =
+        driveSyntheticLoad(net, pattern, meshWidth, rate, packetFlits,
+                           cycles, /*seed=*/1, mixVnets);
+    const double wall = secondsSince(start);
+    return row(name, rate, threads, cycles, wall, net.totalLinkTraversals(),
+               res.packetsDelivered);
 }
 
 /**
  * One timed end-to-end run of the full heterogeneous system (SM cores,
  * CPU cores, memory nodes, coherence — not just the NoC kernel) under
  * the paper configuration. `threads` drives both the NoC domain
- * workers and the endpoint compute phase (DESIGN.md §13); results are
- * bit-identical across values, so the threads1/threads4 column pair
- * measures parallel-engine scaling over the whole simulator. `l1Org`
+ * workers and the endpoint compute phase (DESIGN.md §13). `l1Org`
  * selects the GPU L1 organization: the shared DC-L1 column exercises
  * the staged slice-port path (DESIGN.md §14), whose per-core banking
  * is what lets the endpoint phase stay parallel under sharing.
@@ -235,23 +134,11 @@ timeE2eHetero(int threads, Cycle cycles,
 
     const auto start = std::chrono::steady_clock::now();
     const RunResults res = runWorkload(cfg, "HS", "blackscholes");
-    const auto stop = std::chrono::steady_clock::now();
-    const double wall =
-        std::chrono::duration<double>(stop - start).count();
-    const Cycle total = cfg.warmupCycles + cfg.simCycles;
-
-    WorkloadResult r;
-    r.pattern = l1Org == L1Organization::DcL1 ? "e2e_hetero_sharedL1"
-                                              : "e2e_hetero";
-    r.rate = 0.0;
-    r.threads = threads;
-    r.cycles = total;
-    r.wallSeconds = wall;
-    r.cyclesPerSec = wall > 0.0 ? static_cast<double>(total) / wall : 0.0;
-    r.flitHopsPerSec =
-        wall > 0.0 ? static_cast<double>(res.linkTraversals) / wall : 0.0;
-    r.packetsDelivered = res.requestsInjected;
-    return r;
+    const double wall = secondsSince(start);
+    return row(l1Org == L1Organization::DcL1 ? "e2e_hetero_sharedL1"
+                                             : "e2e_hetero",
+               0.0, threads, cfg.warmupCycles + cfg.simCycles, wall,
+               res.linkTraversals, res.requestsInjected);
 }
 
 long
@@ -269,88 +156,67 @@ int
 main()
 {
     // Long enough that per-run timing noise stays in the low percent
-    // range on a loaded machine; DR_BENCH_CYCLES scales it.
+    // range on a loaded machine; DR_BENCH_CYCLES scales it. The full
+    // system simulates far fewer cycles per second, so the e2e columns
+    // run a shorter horizon.
     const Cycle cycles = benchCycles(300000);
+    const Cycle e2eCycles = std::max<Cycle>(cycles / 10, 5000);
 
-    struct Load
+    const Topology mesh = Topology::makeMesh(meshWidth, meshWidth);
+    // 2x2 chiplets of 4x4 routers, the same 64 nodes, with two gateway
+    // links per chiplet edge: a fixed share of uniform packets crosses
+    // the interposer.
+    const Topology chiplet = Topology::makeChipletMesh(2, 2, 4, 4, 2);
+    const NetworkParams plain = meshParams(false);
+    const NetworkParams vn = meshParams(true);
+    const NetworkParams chip = chipletParams();
+    constexpr TrafficPattern uniform = TrafficPattern::UniformRandom;
+    constexpr TrafficPattern hotspot = TrafficPattern::Hotspot;
+
+    // Every column, in the JSON's row order (a braced list runs its
+    // elements in order). The vnet columns mix all four VNs; the
+    // threads 2/4 and e2e columns measure parallel-engine scaling.
+    const std::vector<WorkloadResult> results = {
+        timeNetwork("uniform", mesh, plain, uniform, 0.02, cycles, false, 1),
+        timeNetwork("uniform", mesh, plain, uniform, 0.05, cycles, false, 1),
+        timeNetwork("uniform", mesh, plain, uniform, 0.10, cycles, false, 1),
+        timeNetwork("hotspot", mesh, plain, hotspot, 0.02, cycles, false, 1),
+        timeNetwork("hotspot", mesh, plain, hotspot, 0.05, cycles, false, 1),
+        timeNetwork("vnet_uniform", mesh, vn, uniform, 0.05, cycles, true, 1),
+        timeNetwork("vnet_hotspot", mesh, vn, hotspot, 0.05, cycles, true, 1),
+        timeNetwork("chiplet_uniform", chiplet, chip, uniform, 0.02, cycles,
+                    false, 1),
+        timeNetwork("chiplet_uniform", chiplet, chip, uniform, 0.05, cycles,
+                    false, 1),
+        timeNetwork("uniform", mesh, plain, uniform, 0.10, cycles, false, 2),
+        timeNetwork("uniform", mesh, plain, uniform, 0.10, cycles, false, 4),
+        timeE2eHetero(1, e2eCycles),
+        timeE2eHetero(4, e2eCycles),
+        timeE2eHetero(1, e2eCycles, L1Organization::DcL1),
+        timeE2eHetero(4, e2eCycles, L1Organization::DcL1),
+    };
+
+    // The throughput summaries: the geomean of a name's threads-1 rows.
+    const auto geomeanOf = [&](std::string_view name) {
+        std::vector<double> cps;
+        for (const WorkloadResult &r : results) {
+            if (r.threads == 1 && r.pattern == name)
+                cps.push_back(r.cyclesPerSec);
+        }
+        return geomean(cps);
+    };
+    // The scaling summaries: one per row of a (name, rate), in row order.
+    struct Scaling
     {
-        TrafficPattern pattern;
+        const char *key;
+        std::string_view name;
         double rate;
     };
-    const Load loads[] = {
-        {TrafficPattern::UniformRandom, 0.02},
-        {TrafficPattern::UniformRandom, 0.05},
-        {TrafficPattern::UniformRandom, 0.10},
-        {TrafficPattern::Hotspot, 0.02},
-        {TrafficPattern::Hotspot, 0.05},
+    const Scaling scaling[] = {
+        {"uniform_r10", "uniform", 0.10},
+        {"e2e_hetero", "e2e_hetero", 0.0},
+        {"e2e_hetero_sharedL1", "e2e_hetero_sharedL1", 0.0},
     };
-
-    std::vector<WorkloadResult> results;
-    for (const Load &load : loads)
-        results.push_back(timeWorkload(load.pattern, load.rate, cycles, 1));
-    // VN-enabled runs so the perf gate tracks the partitioned hot path
-    // (VC-range allocation + (class, VN) arbitration) under both
-    // spread and concentrated traffic.
-    results.push_back(timeWorkload(TrafficPattern::UniformRandom, 0.05,
-                                   cycles, 1, /*vnets=*/true));
-    results.push_back(timeWorkload(TrafficPattern::Hotspot, 0.05, cycles,
-                                   1, /*vnets=*/true));
-    // Chiplet-mesh runs: hierarchical routing, gateway restriction and
-    // interposer serialization on the raw kernel hot path.
-    results.push_back(timeChipletWorkload(0.02, cycles, 1));
-    results.push_back(timeChipletWorkload(0.05, cycles, 1));
-    // Parallel tick engine scaling: uniform rate 0.10 at 2 and 4
-    // domains (threads=1 is loads[2] above). Statistics are
-    // bit-identical across the column; only wall-clock moves.
-    const std::size_t uniformR10Idx = 2;
-    const std::size_t threads2Idx = results.size();
-    results.push_back(timeWorkload(TrafficPattern::UniformRandom, 0.10,
-                                   cycles, 1, /*vnets=*/false,
-                                   /*threads=*/2));
-    const std::size_t threads4Idx = results.size();
-    results.push_back(timeWorkload(TrafficPattern::UniformRandom, 0.10,
-                                   cycles, 1, /*vnets=*/false,
-                                   /*threads=*/4));
-    // End-to-end scaling over the whole simulator (endpoint compute
-    // phase + NoC domains). A shorter horizon than the raw kernel: the
-    // full system simulates far fewer cycles per second.
-    const Cycle e2eCycles = std::max<Cycle>(cycles / 10, 5000);
-    const std::size_t e2eThreads1Idx = results.size();
-    results.push_back(timeE2eHetero(/*threads=*/1, e2eCycles));
-    const std::size_t e2eThreads4Idx = results.size();
-    results.push_back(timeE2eHetero(/*threads=*/4, e2eCycles));
-    // Same end-to-end pair under the shared DC-L1 organization: the
-    // staged lookup path adds per-core banking plus a commit drain, so
-    // its scaling is tracked as its own column pair (excluded from the
-    // geomeans like the private-L1 e2e columns).
-    const std::size_t e2eSharedThreads1Idx = results.size();
-    results.push_back(
-        timeE2eHetero(/*threads=*/1, e2eCycles, L1Organization::DcL1));
-    const std::size_t e2eSharedThreads4Idx = results.size();
-    results.push_back(
-        timeE2eHetero(/*threads=*/4, e2eCycles, L1Organization::DcL1));
-
-    std::vector<double> uniformCps;
-    std::vector<double> hotspotCps;
-    std::vector<double> vnetUniformCps;
-    std::vector<double> vnetHotspotCps;
-    std::vector<double> chipletCps;
-    for (const WorkloadResult &r : results) {
-        if (r.threads != 1)
-            continue;  // summary geomeans stay a single-thread metric
-        if (std::string(r.pattern).rfind("e2e_hetero", 0) == 0)
-            continue;  // reported via their own summary columns below
-        if (r.pattern == std::string("uniform"))
-            uniformCps.push_back(r.cyclesPerSec);
-        else if (r.pattern == std::string("vnet_uniform"))
-            vnetUniformCps.push_back(r.cyclesPerSec);
-        else if (r.pattern == std::string("vnet_hotspot"))
-            vnetHotspotCps.push_back(r.cyclesPerSec);
-        else if (r.pattern == std::string("chiplet_uniform"))
-            chipletCps.push_back(r.cyclesPerSec);
-        else
-            hotspotCps.push_back(r.cyclesPerSec);
-    }
 
     std::printf("{\n");
     std::printf("  \"bench\": \"noc_kernel\",\n");
@@ -374,32 +240,17 @@ main()
     }
     std::printf("  ],\n");
     std::printf("  \"summary\": {\n");
-    std::printf("    \"uniform_cycles_per_sec\": %.0f,\n",
-                geomean(uniformCps));
-    std::printf("    \"hotspot_cycles_per_sec\": %.0f,\n",
-                geomean(hotspotCps));
-    std::printf("    \"vnet_uniform_cycles_per_sec\": %.0f,\n",
-                geomean(vnetUniformCps));
-    std::printf("    \"vnet_hotspot_cycles_per_sec\": %.0f,\n",
-                geomean(vnetHotspotCps));
-    std::printf("    \"chiplet_uniform_cycles_per_sec\": %.0f,\n",
-                geomean(chipletCps));
-    std::printf("    \"uniform_r10_threads1_cycles_per_sec\": %.0f,\n",
-                results[uniformR10Idx].cyclesPerSec);
-    std::printf("    \"uniform_r10_threads2_cycles_per_sec\": %.0f,\n",
-                results[threads2Idx].cyclesPerSec);
-    std::printf("    \"uniform_r10_threads4_cycles_per_sec\": %.0f,\n",
-                results[threads4Idx].cyclesPerSec);
-    std::printf("    \"e2e_hetero_threads1_cycles_per_sec\": %.0f,\n",
-                results[e2eThreads1Idx].cyclesPerSec);
-    std::printf("    \"e2e_hetero_threads4_cycles_per_sec\": %.0f,\n",
-                results[e2eThreads4Idx].cyclesPerSec);
-    std::printf(
-        "    \"e2e_hetero_sharedL1_threads1_cycles_per_sec\": %.0f,\n",
-        results[e2eSharedThreads1Idx].cyclesPerSec);
-    std::printf(
-        "    \"e2e_hetero_sharedL1_threads4_cycles_per_sec\": %.0f,\n",
-        results[e2eSharedThreads4Idx].cyclesPerSec);
+    for (const char *name : {"uniform", "hotspot", "vnet_uniform",
+                             "vnet_hotspot", "chiplet_uniform"})
+        std::printf("    \"%s_cycles_per_sec\": %.0f,\n", name,
+                    geomeanOf(name));
+    for (const Scaling &s : scaling) {
+        for (const WorkloadResult &r : results) {
+            if (r.pattern == s.name && r.rate == s.rate)
+                std::printf("    \"%s_threads%d_cycles_per_sec\": %.0f,\n",
+                            s.key, r.threads, r.cyclesPerSec);
+        }
+    }
     std::printf("    \"peak_rss_kb\": %ld\n", peakRssKb());
     std::printf("  }\n");
     std::printf("}\n");

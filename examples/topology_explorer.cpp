@@ -3,65 +3,15 @@
  * NoC playground: drive the network substrate directly (without the
  * full chip) to measure zero-load latency and saturation throughput of
  * every topology under uniform-random traffic — the classic
- * interconnection-network characterization, built from this library's
- * Network/Topology API.
+ * interconnection-network characterization, driven by this library's
+ * synthetic-traffic driver (noc/synthetic_traffic.hpp).
  */
 
 #include <cstdio>
 
-#include "common/rng.hpp"
-#include "noc/network.hpp"
+#include "noc/synthetic_traffic.hpp"
 
 using namespace dr;
-
-namespace
-{
-
-struct Sample
-{
-    double offeredFlitsPerNode;
-    double latency;
-    double throughput;  //!< delivered flits/cycle/node
-};
-
-Sample
-measure(TopologyKind kind, double injectProb)
-{
-    const Topology topo = Topology::make(kind, 64, 8, 8);
-    NetworkParams params;
-    params.routing = kind == TopologyKind::Mesh
-                         ? RoutingKind::DimOrderXY
-                         : RoutingKind::TableMinimal;
-    params.injBufferFlits.assign(64, 36);
-    Network net(params, topo);
-    Rng rng(7);
-    std::uint64_t id = 1;
-    const Cycle horizon = 20000;
-    for (Cycle now = 0; now < horizon; ++now) {
-        for (NodeId src = 0; src < 64; ++src) {
-            if (rng.chance(injectProb) && net.canInject(src, 5)) {
-                Message m;
-                m.type = MsgType::ReadReply;
-                m.src = src;
-                m.dst = static_cast<NodeId>(rng.below(64));
-                if (m.dst == src)
-                    m.dst = static_cast<NodeId>((src + 1) % 64);
-                m.id = id++;
-                net.inject(m, 5, now);
-            }
-        }
-        net.tick(now);
-        for (NodeId n = 0; n < 64; ++n) {
-            while (net.hasMessage(n, NetKind::Reply))
-                net.popMessage(n, NetKind::Reply);
-        }
-    }
-    return {injectProb * 5.0, net.stats().packetLatency.mean(),
-            static_cast<double>(net.stats().flitsDelivered.value()) /
-                horizon / 64.0};
-}
-
-} // namespace
 
 int
 main()
@@ -74,9 +24,12 @@ main()
         std::printf("%10s %12s %14s\n", "offered", "latency",
                     "throughput");
         for (const double p : {0.005, 0.02, 0.05, 0.08, 0.12}) {
-            const Sample s = measure(kind, p);
+            const SyntheticResult s =
+                runSyntheticLoad(kind, 64, 8, 8,
+                                 TrafficPattern::UniformRandom, p, 5,
+                                 20000, /*seed=*/0);
             std::printf("%10.3f %12.1f %14.3f\n", s.offeredFlitsPerNode,
-                        s.latency, s.throughput);
+                        s.avgLatency, s.acceptedFlitsPerNode);
         }
         std::printf("\n");
     }

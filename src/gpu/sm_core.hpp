@@ -152,7 +152,6 @@ class DR_DOMAIN_OWNED SmCore
 
     /** Instantaneous occupancy diagnostics. */
     int frqOccupancy() const { return static_cast<int>(frq_.size()); }
-    int outstandingMisses() const { return mshrs_.used(); }
 
     /** Age of the longest-outstanding L1 MSHR entry. */
     Cycle mshrOldestAge(Cycle now) const { return mshrs_.oldestAge(now); }

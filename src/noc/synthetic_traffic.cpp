@@ -58,6 +58,57 @@ SyntheticTraffic::dest(NodeId src, Rng &rng) const
 }
 
 SyntheticResult
+driveSyntheticLoad(Network &net, TrafficPattern pattern, int meshWidth,
+                   double rate, int packetFlits, Cycle cycles,
+                   std::uint64_t seed, bool mixVnets)
+{
+    const int nodes = net.topology().nodes();
+    SyntheticTraffic traffic(
+        pattern, nodes, meshWidth,
+        pattern == TrafficPattern::Hotspot
+            ? std::vector<NodeId>{0, static_cast<NodeId>(nodes / 2)}
+            : std::vector<NodeId>{});
+    Rng rng(seed * 31 + 7);
+
+    std::uint64_t id = 1;
+    for (Cycle now = 0; now < cycles; ++now) {
+        for (NodeId src = 0; src < nodes; ++src) {
+            if (!rng.chance(rate) || !net.canInject(src, packetFlits))
+                continue;  // offered load beyond acceptance
+            Message m;
+            m.type = MsgType::ReadReply;
+            m.cls = TrafficClass::Gpu;
+            m.src = src;
+            m.dst = traffic.dest(src, rng);
+            m.id = id++;
+            if (!mixVnets) {
+                net.inject(m, packetFlits, now);
+                continue;
+            }
+            const auto vn = static_cast<VirtualNet>(rng.next() % numVnets);
+            const bool reqSide = vn == VirtualNet::Request ||
+                                 vn == VirtualNet::ForwardedRequest;
+            if (reqSide)
+                m.type = MsgType::ReadReq;
+            net.inject(m, reqSide ? 1 : packetFlits, now, vn);
+        }
+        net.tick(now);
+        for (NodeId n = 0; n < nodes; ++n) {
+            for (const NetKind kind : {NetKind::Reply, NetKind::Request}) {
+                while (net.hasMessage(n, kind))
+                    net.popMessage(n, kind);
+            }
+        }
+    }
+
+    const NetworkStats &stats = net.stats();
+    return {rate * packetFlits,
+            static_cast<double>(stats.flitsDelivered.value()) /
+                static_cast<double>(cycles) / nodes,
+            stats.packetLatency.mean(), stats.packetsDelivered.value()};
+}
+
+SyntheticResult
 runSyntheticLoad(TopologyKind topo, int nodes, int meshWidth,
                  int meshHeight, TrafficPattern pattern,
                  double injectionRate, int packetFlits, Cycle cycles,
@@ -71,47 +122,8 @@ runSyntheticLoad(TopologyKind topo, int nodes, int meshWidth,
     params.injBufferFlits.assign(nodes, 36);
     params.seed = seed;
     Network net(params, topology);
-
-    SyntheticTraffic traffic(
-        pattern, nodes, meshWidth,
-        pattern == TrafficPattern::Hotspot
-            ? std::vector<NodeId>{0, static_cast<NodeId>(nodes / 2)}
-            : std::vector<NodeId>{});
-    Rng rng(seed * 31 + 7);
-
-    std::uint64_t id = 1;
-    std::uint64_t attempts = 0;
-    for (Cycle now = 0; now < cycles; ++now) {
-        for (NodeId src = 0; src < nodes; ++src) {
-            if (!rng.chance(injectionRate))
-                continue;
-            ++attempts;
-            if (!net.canInject(src, packetFlits))
-                continue;  // offered load beyond acceptance
-            Message m;
-            m.type = MsgType::ReadReply;
-            m.cls = TrafficClass::Gpu;
-            m.src = src;
-            m.dst = traffic.dest(src, rng);
-            m.id = id++;
-            net.inject(m, packetFlits, now);
-        }
-        net.tick(now);
-        for (NodeId n = 0; n < nodes; ++n) {
-            while (net.hasMessage(n, NetKind::Reply))
-                net.popMessage(n, NetKind::Reply);
-        }
-    }
-
-    SyntheticResult result;
-    result.offeredFlitsPerNode = injectionRate * packetFlits;
-    result.acceptedFlitsPerNode =
-        static_cast<double>(net.stats().flitsDelivered.value()) /
-        static_cast<double>(cycles) / nodes;
-    result.avgLatency = net.stats().packetLatency.mean();
-    result.packetsDelivered = net.stats().packetsDelivered.value();
-    (void)attempts;
-    return result;
+    return driveSyntheticLoad(net, pattern, meshWidth, injectionRate,
+                              packetFlits, cycles, seed);
 }
 
 } // namespace dr

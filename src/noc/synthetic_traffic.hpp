@@ -68,10 +68,28 @@ struct SyntheticResult
 };
 
 /**
- * Drive a fresh network of the given topology with the pattern at one
- * injection probability (packets/node/cycle) for `cycles` cycles.
+ * Drive `net` with the pattern for `cycles` cycles. Each cycle every
+ * node in ascending order draws `rng.chance(rate)` and, if there is room
+ * for `packetFlits` flits, injects a GPU-class message: it draws the
+ * destination, then (with `mixVnets`) the VN. The network then ticks
+ * and both queues of every node are drained. The stream is
+ * `Rng(seed * 31 + 7)`; hotspot traffic goes to nodes 0 and nodes/2.
  *
  * @param packetFlits flits per packet (e.g., 5 for 64 B replies)
+ * @param mixVnets spread packets uniformly over the four VNs:
+ *        request-side VNs carry 1-flit ReadReqs, the others ReadReplies.
+ *        Otherwise every packet is a ReadReply on its default VN.
+ */
+SyntheticResult driveSyntheticLoad(Network &net, TrafficPattern pattern,
+                                   int meshWidth, double rate,
+                                   int packetFlits, Cycle cycles,
+                                   std::uint64_t seed,
+                                   bool mixVnets = false);
+
+/**
+ * driveSyntheticLoad() on a fresh network of the given topology: XY
+ * routing on a mesh, table-minimal routing elsewhere, 36-flit injection
+ * buffers, `seed` for both the network and the traffic.
  */
 SyntheticResult runSyntheticLoad(TopologyKind topo, int nodes,
                                  int meshWidth, int meshHeight,

@@ -7,17 +7,18 @@
 #   BUILD_DIR      build tree containing bench/perf_kernel (default: build)
 #   OUTPUT_JSON    where to write the result (default: BENCH_noc_kernel.json)
 #   BASELINE_JSON  optional committed baseline; when given, exit non-zero
-#                  if any gated cycles/sec summary (uniform, hotspot and
-#                  the vnet workloads) regressed by more than
+#                  if any gated cycles/sec summary (uniform, hotspot,
+#                  vnet_uniform, vnet_hotspot, chiplet_uniform) regressed
+#                  by more than
 #                  DR_PERF_REGRESSION_PCT percent (default 20).
 #
 # The emitted JSON is annotated with host provenance (core count, 1-min
-# loadavg, DR_NOC_THREADS) so committed baselines stay comparable across
-# machines. Writing a *baseline* (an output named like the committed
+# loadavg) so committed baselines stay comparable across machines. Every
+# column pins its own thread count, so DR_NOC_THREADS has no effect.
+# Writing a *baseline* (an output named like the committed
 # BENCH_noc_kernel.json) is refused on a visibly loaded machine — 1-min
 # loadavg above cores/2 — or on a host with fewer cores than the bench's
-# widest thread-scaling column (4, or DR_NOC_THREADS if larger); set
-# DR_BENCH_FORCE=1 to override.
+# widest thread-scaling column (4); set DR_BENCH_FORCE=1 to override.
 #
 # When BASELINE_JSON is given, the gate also checks end-to-end thread
 # scaling on hosts with >= 4 cores: e2e_hetero threads4 must beat
@@ -44,9 +45,6 @@ LOADAVG="$(cut -d' ' -f1 /proc/loadavg 2>/dev/null || echo 0)"
 # cores than that time-slices the domain workers, so its threads>1
 # columns record slowdown, not scaling.
 THREADS_NEEDED=4
-if [ -n "${DR_NOC_THREADS:-}" ] && [ "${DR_NOC_THREADS}" -gt "$THREADS_NEEDED" ] 2>/dev/null; then
-    THREADS_NEEDED="$DR_NOC_THREADS"
-fi
 
 # A baseline measured while the machine was busy — or with fewer cores
 # than the bench's widest thread column — undercuts every future
@@ -75,7 +73,6 @@ esac
 # Annotate with host provenance so the numbers can be judged later.
 python3 - "$OUTPUT.tmp" "$OUTPUT" "$CORES" "$LOADAVG" <<'EOF'
 import json
-import os
 import sys
 
 tmp_path, out_path, cores, loadavg = sys.argv[1:5]
@@ -84,7 +81,6 @@ with open(tmp_path) as f:
 result["host"] = {
     "cores": int(cores),
     "loadavg_1min": float(loadavg),
-    "noc_threads_env": os.environ.get("DR_NOC_THREADS", ""),
 }
 with open(out_path, "w") as f:
     json.dump(result, f, indent=2)
