@@ -32,28 +32,44 @@ using PacketHandle = std::int32_t;
 constexpr PacketHandle invalidPacket = -1;
 
 /**
+ * Reassembly identity of a packet: its PacketId folded to 16 bits.
+ * Every flit carries its packet's tag beside the pool slot, and the
+ * ejecting NI compares it against the slot's packet, so a flit whose
+ * slot was released and reused is caught without a 64-bit id per flit.
+ */
+constexpr std::uint16_t
+packetTag(PacketId id)
+{
+    return static_cast<std::uint16_t>(id ^ id >> 16 ^ id >> 32 ^ id >> 48);
+}
+
+/**
  * One flow-control unit. Flits carry the routing state they need so that
- * routers never have to look up the parent packet.
+ * routers never have to look up the parent packet; the parent's
+ * PacketId is resolved from `slot` through its source domain's pool.
  */
 struct Flit
 {
-    PacketId pkt = 0;
     PacketHandle slot = invalidPacket; //!< PacketPool slot of the parent
-    std::uint16_t seq = 0;        //!< position within the packet
-    bool head = false;
-    bool tail = false;
-    std::uint8_t vc = 0;          //!< VC on the current link
     std::int16_t destRouter = -1; //!< router the destination NI attaches to
     std::int16_t destPort = -1;   //!< ejection port at that router
+    std::uint16_t tag = 0;        //!< packetTag of the parent's PacketId
+    std::uint8_t vc = 0;          //!< VC on the current link
+    std::uint8_t vcMask = 0xff;   //!< VCs the packet may use
     TrafficClass cls = TrafficClass::Gpu;
     DimOrder order = DimOrder::XY;//!< dimension order chosen at injection
-    std::uint8_t vcMask = 0xff;   //!< VCs the packet may use
     VirtualNet vnet = VirtualNet::Request; //!< message class (VN)
+    bool head : 1 = false;
+    bool tail : 1 = false;
 };
+
+// A flit is copied into a router buffer and an arrival-wheel entry on
+// every hop: keep it to a quarter of a cache line.
+static_assert(sizeof(Flit) <= 16);
 
 /**
  * A packet: a message plus its NoC-level framing. The Network owns the
- * packet table; flits reference packets by id.
+ * packet pools; flits reference packets by pool slot.
  */
 struct Packet
 {

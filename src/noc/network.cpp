@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <ostream>
+#include <utility>
 
 #include "common/invariant.hpp"
 #include "common/log.hpp"
@@ -43,19 +44,26 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         fatal("network ", params_.name, ": interposerSerialization must "
               "be >= 1, got ", params_.interposerSerialization);
 
+    // Routers read their attached nodes' ejection space in place; the
+    // NIs never move (the Network is neither copied nor moved). Their
+    // contents are built after the routers, in the order chip setup has
+    // always allocated in: drbench's setup_s reads glibc heap trimming,
+    // which moves with that order.
+    nis_.resize(topo_.nodes());
     routers_.reserve(topo_.routers());
     for (int r = 0; r < topo_.routers(); ++r) {
         const int radix = topo_.radix(r);
         std::vector<std::uint8_t> isLink(radix, 0);
-        std::vector<NodeId> node(radix, invalidNode);
+        std::vector<const int *> ejFree(radix, nullptr);
         for (int p = 0; p < radix; ++p) {
             const auto &conn = topo_.port(r, p);
             isLink[p] = conn.kind == PortConn::Kind::Link;
-            node[p] = conn.node;
+            if (conn.kind == PortConn::Kind::Node)
+                ejFree[p] = &nis_[conn.node].ejFree;
         }
         routers_.push_back(std::make_unique<Router>(
             r, radix, params_.numVcs, params_.vcDepthFlits,
-            params_.routerStages, *this, isLink, node,
+            params_.routerStages, *this, isLink, std::move(ejFree),
             params_.vnPriority));
     }
 
@@ -73,7 +81,6 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         }
     }
 
-    nis_.resize(topo_.nodes());
     for (NodeId n = 0; n < topo_.nodes(); ++n) {
         Ni &ni = nis_[n];
         ni.capacity = params_.injBufferFlits[n];
@@ -81,7 +88,7 @@ Network::Network(const NetworkParams &params, const Topology &topo)
         ni.vcFlitsSent.assign(params_.numVcs, 0);
         ni.credits.assign(params_.numVcs, params_.vcDepthFlits);
         ni.ejFree = params_.ejBufferFlits;
-        ni.assembling.assign(params_.numVcs, 0);
+        ni.assembling.assign(params_.numVcs, invalidPacket);
         ni.assembledFlits.assign(params_.numVcs, 0);
         // Queued packets are bounded by the injection buffer (every
         // packet is at least one flit), so the queues never grow.
@@ -298,85 +305,84 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
     // starts at a per-NI round-robin pointer — a fixed starting index
     // would let the lowest-index VC monopolize the attach link and
     // starve packets mid-flight on higher VCs under saturation.
+    const int vcs = params_.numVcs;
     int sendVc = -1;
     int sendRank = 0;
-    bool sendCpu = false;
-    for (int i = 0; i < params_.numVcs; ++i) {
-        const int v = (ni.sendRr + i) % params_.numVcs;
+    for (int i = 0, v = ni.sendRr; i < vcs; ++i, v = v + 1 == vcs ? 0 : v + 1) {
         const auto &ss = ni.vcSend[v];
         if (!ss.busy || ni.credits[v] <= 0)
             continue;
-        const Packet &p = d.pool[ss.pkt];
-        const int rank = arbRank(p.cls, p.vnet, params_.vnPriority);
-        if (sendVc < 0 || rank < sendRank) {
+        if (sendVc < 0 || ss.rank < sendRank) {
             sendVc = v;
-            sendRank = rank;
-            sendCpu = p.cls == TrafficClass::Cpu;
+            sendRank = ss.rank;
         }
     }
+    const bool sendCpu = sendVc >= 0 && ni.vcSend[sendVc].cpu;
 
     // Try to start a new packet on a free VC. CPU packets may start (and
     // thus preempt the link) even while a GPU packet is mid-flight on
     // another VC; GPU packets only start when nothing else can send.
     if (sendVc < 0 || !sendCpu) {
+        // VCs a new packet could take: idle, with a credit.
+        unsigned freeVcs = 0;
+        for (int v = 0; v < vcs; ++v) {
+            freeVcs |= static_cast<unsigned>(!ni.vcSend[v].busy &&
+                                             ni.credits[v] > 0)
+                       << v;
+        }
         const bool gpuMayStart = sendVc < 0;
         for (int clsIdx = 0; clsIdx < 2; ++clsIdx) {
             if (clsIdx == 1 && !gpuMayStart)
                 break;
             if (ni.queue[clsIdx].empty())
                 continue;
-            const Packet &pkt = d.pool[ni.queue[clsIdx].front()];
-            Flit probe;  // only routing fields matter for the mask hook
-            probe.destRouter = pkt.destRouter;
-            probe.order = pkt.order;
-            probe.vnet = pkt.vnet;
-            const std::uint8_t mask =
-                pkt.vcMask & routing_.vcMaskForLink(attachRouter, probe);
-            bool assigned = false;
-            for (int v = 0; v < params_.numVcs; ++v) {
-                if (!(mask & (1u << v)) || ni.vcSend[v].busy ||
-                    ni.credits[v] <= 0) {
-                    continue;
-                }
-                ni.vcSend[v].busy = true;
-                ni.vcSend[v].pkt = ni.queue[clsIdx].front();
-                ni.vcSend[v].sent = 0;
-                ni.queue[clsIdx].pop_front();
-                sendVc = v;
-                assigned = true;
-                break;
-            }
-            if (!assigned) {
+            const PacketHandle handle = ni.queue[clsIdx].front();
+            const Packet &pkt = d.pool[handle];
+            Flit flit;
+            flit.slot = handle;
+            flit.tag = packetTag(pkt.id);
+            flit.destRouter = pkt.destRouter;
+            flit.destPort = pkt.destPort;
+            flit.cls = pkt.cls;
+            flit.order = pkt.order;
+            flit.vcMask = pkt.vcMask;
+            flit.vnet = pkt.vnet;
+            const unsigned fit =
+                freeVcs ? freeVcs & pkt.vcMask &
+                              routing_.vcMaskForLink(attachRouter, flit)
+                        : 0;
+            if (!fit) {
                 // Head-of-line packet found no free, credited VC in its
                 // virtual network's range this cycle.
                 ++d.vnInjectionStalls[static_cast<int>(pkt.vnet)];
+                continue;
             }
-            if (assigned)
-                break;
+            sendVc = std::countr_zero(fit);
+            auto &ss = ni.vcSend[sendVc];
+            ss.busy = true;
+            ss.cpu = pkt.cls == TrafficClass::Cpu;
+            ss.rank = static_cast<std::uint8_t>(
+                arbRank(pkt.cls, pkt.vnet, params_.vnPriority));
+            ss.flits = pkt.flits;
+            ss.sent = 0;
+            ss.flit = flit;
+            ni.queue[clsIdx].pop_front();
+            break;
         }
     }
 
     if (sendVc < 0)
         return;
 
+    // The packet's flits differ only in head, tail and link VC.
     auto &ss = ni.vcSend[sendVc];
-    Packet &pkt = d.pool[ss.pkt];
-    Flit flit;
-    flit.pkt = pkt.id;
-    flit.slot = ss.pkt;
-    flit.seq = static_cast<std::uint16_t>(ss.sent);
+    Flit flit = ss.flit;
     flit.head = ss.sent == 0;
-    flit.tail = ss.sent == pkt.flits - 1;
+    flit.tail = ss.sent == ss.flits - 1;
     flit.vc = static_cast<std::uint8_t>(sendVc);
-    flit.destRouter = pkt.destRouter;
-    flit.destPort = pkt.destPort;
-    flit.cls = pkt.cls;
-    flit.order = pkt.order;
-    flit.vcMask = pkt.vcMask;
-    flit.vnet = pkt.vnet;
 
     if (flit.head)
-        pkt.injectedAt = now;
+        d.pool[flit.slot].injectedAt = now;
     DR_INVARIANT(ni.credits[sendVc] > 0, "network ", params_.name,
                  ": NI injection without a credit on VC ", sendVc);
     // Per-VN occupancy moves through domain-local (delta, max-prefix)
@@ -384,12 +390,11 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
     // which reconstructs the exact sequential running occupancy and its
     // peak. Only increments can set a new peak, so tracking the max on
     // the increment side alone is exact.
-    const int vnIdx = static_cast<int>(pkt.vnet);
+    const int vnIdx = static_cast<int>(flit.vnet);
     if (++d.vnDelta[vnIdx] > d.vnMaxPrefix[vnIdx])
         d.vnMaxPrefix[vnIdx] = d.vnDelta[vnIdx];
     scheduleArrival(d, {now + 1, static_cast<std::int16_t>(attachRouter),
-                        static_cast<std::int16_t>(attachPort), false, false,
-                        flit});
+                        static_cast<std::int16_t>(attachPort), false, flit});
     --ni.credits[sendVc];
     --ni.queuedFlits;
     DR_ASSERT(ni.queuedFlits >= 0);
@@ -399,7 +404,7 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
     ++ss.sent;
     if (flit.tail)
         ss.busy = false;
-    ni.sendRr = (sendVc + 1) % params_.numVcs;
+    ni.sendRr = sendVc + 1 == vcs ? 0 : sendVc + 1;
 }
 
 void
@@ -416,12 +421,14 @@ Network::niEject(Domain &d, Ni &ni, Cycle now)
     ++d.vnFlitsDelivered[static_cast<int>(flit.vnet)];
     --d.vnDelta[static_cast<int>(flit.vnet)];
 
+    // A packet's slot names it while any of its flits is in flight: it
+    // is released only after the tail ejects.
     const int v = flit.vc;
     if (flit.head) {
-        ni.assembling[v] = flit.pkt;
+        ni.assembling[v] = flit.slot;
         ni.assembledFlits[v] = 0;
     }
-    if (ni.assembling[v] != flit.pkt)
+    if (ni.assembling[v] != flit.slot)
         panic("network ", params_.name, ": interleaved packets on one "
               "ejection VC");
     ++ni.assembledFlits[v];
@@ -430,9 +437,10 @@ Network::niEject(Domain &d, Ni &ni, Cycle now)
 
     // The packet's slot is in its source domain's pool, which may be
     // allocating right now; a live slot never moves (noc/packet_pool.hpp).
+    // The tag catches a flit whose slot went to another packet.
     const int owner = PacketPool::ownerOf(flit.slot);
     if (owner >= numDomains_ || !domains_[owner].pool.isLive(flit.slot) ||
-        domains_[owner].pool[flit.slot].id != flit.pkt)
+        packetTag(domains_[owner].pool[flit.slot].id) != flit.tag)
         panic("network ", params_.name, ": unknown packet ejected");
     const Packet &pkt = domains_[owner].pool[flit.slot];
     if (ni.assembledFlits[v] != pkt.flits)
@@ -441,8 +449,8 @@ Network::niEject(Domain &d, Ni &ni, Cycle now)
 
     // The order-sensitive completion effects — floating-point latency
     // sampling, the HARE history update — and the packet-pool release
-    // (which must not run while the source domain allocates) are recorded here
-    // and replayed serially by mergeTick() in global NI order, so they
+    // (which must not run while the source domain allocates) are
+    // recorded here and replayed by mergeTick() in global NI order, so they
     // happen in exactly the sequential schedule's order no matter which
     // worker ran this NI. A packet queued before the warmup/measurement
     // boundary straddles both phases; its latency is dropped from the
@@ -457,6 +465,7 @@ Network::niEject(Domain &d, Ni &ni, Cycle now)
     // The completed packet's ejection slots are now accounted against
     // the ready-queue entry (returned by popMessage).
     ni.assembledFlits[v] = 0;
+    ni.assembling[v] = invalidPacket;
 }
 
 void
@@ -528,6 +537,13 @@ void
 Network::tickDomain(Domain &d, Cycle now)
 {
     DR_STAMP_WRITE(d);
+    // Slots of the packets the last merge saw delivered go back to this
+    // domain's pool, in that merge's order, before anything here can
+    // allocate.
+    for (const PacketHandle slot : d.released)
+        d.pool.release(slot);
+    d.released.clear();
+
     // Apply this cycle's arrivals before any NI or router ticks. Every
     // arrival was scheduled at least one cycle ahead, so nothing this
     // cycle can observe the difference from applying them inside each
@@ -537,16 +553,23 @@ Network::tickDomain(Domain &d, Cycle now)
     // flight stays out of the active set until the arrival is due. An
     // NI credit needs no sweep (a credit alone sends nothing); an
     // ejected flit waits in the NI's slot for the ascending-NI sweep.
-    std::vector<Arrival> &due = d.wheel[now & (d.wheel.size() - 1)];
-    for (const Arrival &a : due) {
+    WheelSlot &due = d.wheel[now & (d.wheel.size() - 1)];
+    for (const Credit &c : due.credits) {
+        if (c.toNi) {
+            Ni &ni = nis_[c.to];
+            DR_STAMP_WRITE(ni);
+            ++ni.credits[c.vc];
+            continue;
+        }
+        Router &router = *routers_[c.to];
+        router.applyCredit(c.port, c.vc);
+        d.activeRouters.add(c.to);
+    }
+    for (const Arrival &a : due.flits) {
         DR_ASSERT(a.when == now);
         if (a.toNi) {
             Ni &ni = nis_[a.to];
             DR_STAMP_WRITE(ni);
-            if (a.credit) {
-                ++ni.credits[a.flit.vc];
-                continue;
-            }
             DR_ASSERT_MSG(!ni.ejDue, "network ", params_.name, ": NI",
                           a.to, " ejects two flits on cycle ", now);
             ni.ejDue = true;
@@ -555,14 +578,12 @@ Network::tickDomain(Domain &d, Cycle now)
             continue;
         }
         Router &router = *routers_[a.to];
-        if (a.credit)
-            router.applyCredit(a.port, a.flit.vc);
-        else
-            router.applyFlit(a.port, a.flit);
+        router.applyFlit(a.port, a.flit);
         d.activeRouters.add(a.to);
     }
-    d.wheelArrivals -= due.size();
-    due.clear();
+    d.wheelArrivals -= due.flits.size() + due.credits.size();
+    due.flits.clear();
+    due.credits.clear();
 
     // Active-set scheduling: only NIs and routers holding work are
     // visited; everything else is skipped outright. Members re-register
@@ -576,10 +597,72 @@ Network::tickDomain(Domain &d, Cycle now)
         niInject(d, ni, node, now);
         return ni.queuedFlits > 0;
     });
+    const int self = static_cast<int>(&d - domains_.data());
     d.activeRouters.sweep([&](int r) {
-        routers_[r]->tick(now);
-        return !routers_[r]->idle();
+        Router &router = *routers_[r];
+        router.tick(now);
+        sendGrants(d, self, r, now);
+        return !router.idle();
     });
+}
+
+void
+Network::sendGrants(Domain &d, int self, int router, Cycle now)
+{
+    DR_STAMP_WRITE(d);
+    // Same-domain flits and credits go straight into the wheel (they
+    // are future-timestamped, so the receiver cannot consume them this
+    // cycle either way); cross-domain ones wait in this domain's
+    // outgoing lists for the serial merge. Attach links never cross a
+    // domain boundary: an NI lives in its router's domain.
+    const Router &r = *routers_[router];
+    const Hop *hops = &hops_[static_cast<std::size_t>(router) * hopStride_];
+    const Cycle latency = static_cast<Cycle>(params_.interposerLatency);
+    for (const Router::Grant &g : r.grants()) {
+        // The flit, to the peer router's input port or into the attached
+        // node's ejection buffer, whose slot it takes now.
+        const Hop &out = hops[g.outPort];
+        Arrival a{r.flitDue(now), out.to, out.port, out.toNi, g.flit};
+        if (out.toNi) {
+            Ni &ni = nis_[out.to];
+            DR_STAMP_WRITE(ni);
+            if (ni.ejFree <= 0)
+                panic("ejection reservation without space");
+            --ni.ejFree;
+        }
+        if (out.interposer) {
+            // Interposer link class: extra hop latency, plus occupancy
+            // tracking (a flit occupies the downstream interposer buffer
+            // until its credit crosses back). Both touches are events of
+            // the sending router's tick, so the per-domain
+            // delta/max-prefix merge reconstructs the serial event order.
+            ++d.interposerFlits;
+            if (++d.ipDelta > d.ipMaxPrefix)
+                d.ipMaxPrefix = d.ipDelta;
+            a.when += latency;
+        }
+        if (out.domain == self)
+            scheduleArrival(d, a);
+        else
+            d.outgoing.push_back(a);
+
+        // The credit for the freed input slot, to whoever feeds that
+        // port. Crossing the interposer back takes the same added
+        // latency and ends the flit's interposer occupancy.
+        const Hop &in = hops[g.inPort];
+        if (in.domain < 0)
+            panic("credit to unconnected port");
+        Cycle when = now + 1;
+        if (in.interposer) {
+            --d.ipDelta;
+            when += latency;
+        }
+        const Credit c{in.to, in.port, g.inVc, in.toNi};
+        if (in.domain == self)
+            scheduleCredit(d, when, c);
+        else
+            d.outgoingCredits.push_back({when, c});
+    }
 }
 
 void
@@ -587,7 +670,16 @@ Network::scheduleArrival(Domain &d, const Arrival &a)
 {
     DR_STAMP_WRITE(d);
     DR_ASSERT(a.when > now_ && a.when - now_ <= d.wheel.size());
-    d.wheel[a.when & (d.wheel.size() - 1)].push_back(a);
+    d.wheel[a.when & (d.wheel.size() - 1)].flits.push_back(a);
+    ++d.wheelArrivals;
+}
+
+void
+Network::scheduleCredit(Domain &d, Cycle when, const Credit &c)
+{
+    DR_STAMP_WRITE(d);
+    DR_ASSERT(when > now_ && when - now_ <= d.wheel.size());
+    d.wheel[when & (d.wheel.size() - 1)].credits.push_back(c);
     ++d.wheelArrivals;
 }
 
@@ -609,6 +701,12 @@ Network::mergeTick()
             scheduleArrival(domains_[to], a);
         }
         d.outgoing.clear();
+        for (const OutgoingCredit &oc : d.outgoingCredits) {
+            const Credit &c = oc.credit;
+            const int to = c.toNi ? nodeDomain_[c.to] : routerDomain_[c.to];
+            scheduleCredit(domains_[to], oc.when, c);
+        }
+        d.outgoingCredits.clear();
         stats_.packetsInjected += d.packetsInjected;
         d.packetsInjected = 0;
         conservInjected_ += d.conservInjected;
@@ -666,7 +764,8 @@ Network::mergeTick()
             routing_.onDelivered(rec.srcRouter, rec.destRouter, rec.order,
                                  rec.latency);
             ++stats_.packetsDelivered;
-            domains_[PacketPool::ownerOf(rec.slot)].pool.release(rec.slot);
+            domains_[PacketPool::ownerOf(rec.slot)].released.push_back(
+                rec.slot);
         }
         d.delivered.clear();
     }
@@ -685,81 +784,6 @@ Network::vcMaskForOutput(int router, int port, const Flit &flit) const
     if (conn.kind == PortConn::Kind::Link)
         return routing_.vcMaskForLink(conn.peerRouter, flit);
     return 0xff;
-}
-
-void
-Network::sendArrival(int producer, int consumer, const Arrival &a)
-{
-    // Called from the compute run on the sending router's worker.
-    // Same-domain arrivals go straight into the wheel (they are
-    // future-timestamped, so the receiver cannot consume them this
-    // cycle either way); cross-domain ones wait in the producer's
-    // outgoing list for the serial merge. Attach links never cross a
-    // domain boundary: an NI lives in its router's domain.
-    if (producer == consumer) {
-        scheduleArrival(domains_[consumer], a);
-        return;
-    }
-    Domain &pd = domains_[producer];
-    DR_STAMP_WRITE(pd);
-    pd.outgoing.push_back(a);
-}
-
-void
-Network::deliverToRouter(int router, int port, const Flit &flit, Cycle when)
-{
-    const Hop &h = hops_[router * hopStride_ + port];
-    const int producer = routerDomain_[router];
-    Arrival a{when, h.to, h.port, false, h.toNi, flit};
-    if (h.interposer) {
-        // Interposer link class: extra hop latency, plus occupancy
-        // tracking (a flit occupies the downstream interposer buffer
-        // until its credit crosses back). Both touches are events of
-        // the sending router's tick, so the per-domain delta/max-prefix
-        // merge reconstructs the serial event order exactly.
-        Domain &pd = domains_[producer];
-        DR_STAMP_WRITE(pd);
-        ++pd.interposerFlits;
-        if (++pd.ipDelta > pd.ipMaxPrefix)
-            pd.ipMaxPrefix = pd.ipDelta;
-        a.when += static_cast<Cycle>(params_.interposerLatency);
-    }
-    sendArrival(producer, h.domain, a);
-}
-
-int
-Network::nodeEjectFree(NodeId node) const
-{
-    return nis_[node].ejFree;
-}
-
-void
-Network::nodeEjectReserve(NodeId node)
-{
-    Ni &ni = nis_[node];
-    DR_STAMP_WRITE(ni);
-    if (ni.ejFree <= 0)
-        panic("ejection reservation without space");
-    --ni.ejFree;
-}
-
-void
-Network::creditToFeeder(int router, int inputPort, int vc, Cycle when)
-{
-    const Hop &h = hops_[router * hopStride_ + inputPort];
-    if (h.domain < 0)
-        panic("credit to unconnected port");
-    const int producer = routerDomain_[router];
-    Arrival a{when, h.to, h.port, true, h.toNi, {}};
-    a.flit.vc = static_cast<std::uint8_t>(vc);
-    if (h.interposer) {
-        // Credit return crosses the interposer too: same added latency,
-        // and the freed buffer slot ends the flit's interposer
-        // occupancy (an event of this router's tick).
-        --domains_[producer].ipDelta;
-        a.when += static_cast<Cycle>(params_.interposerLatency);
-    }
-    sendArrival(producer, h.domain, a);
 }
 
 int
@@ -835,9 +859,12 @@ void
 Network::debugDump(std::ostream &os) const
 {
     DR_PHASE_ASSERT_COMMIT();
+    const auto packetId = [this](PacketHandle slot) {
+        return domains_[PacketPool::ownerOf(slot)].pool[slot].id;
+    };
     for (const auto &router : routers_) {
         if (router->bufferedFlits() > 0)
-            router->debugDump(os);
+            router->debugDump(os, packetId);
     }
     for (NodeId n = 0; n < static_cast<NodeId>(nis_.size()); ++n) {
         const Ni &ni = nis_[n];
@@ -879,6 +906,15 @@ Network::totalBufferWrites() const
     return total;
 }
 
+std::vector<BlockedHead>
+Network::blockedHeads(int router) const
+{
+    std::vector<BlockedHead> heads = routers_[router]->blockedHeads();
+    for (BlockedHead &head : heads)
+        head.pkt = domains_[PacketPool::ownerOf(head.slot)].pool[head.slot].id;
+    return heads;
+}
+
 int
 Network::flitsInFlight() const
 {
@@ -886,10 +922,8 @@ Network::flitsInFlight() const
     for (const auto &router : routers_)
         total += router->bufferedFlits();
     for (const Domain &d : domains_) {
-        for (const auto &slot : d.wheel) {
-            for (const Arrival &a : slot)
-                total += a.credit ? 0 : 1;
-        }
+        for (const WheelSlot &slot : d.wheel)
+            total += static_cast<int>(slot.flits.size());
     }
     return total;
 }
@@ -923,15 +957,18 @@ Network::checkCreditConservation() const
     std::vector<int> flitsDue(firstKey.back()), creditsDue(firstKey.back());
     std::vector<int> niCreditsDue(nis_.size() * vcs), ejectionsDue(nis_.size());
     for (const Domain &d : domains_) {
-        for (const auto &slot : d.wheel) {
-            for (const Arrival &a : slot) {
-                if (a.toNi && a.credit)
-                    ++niCreditsDue[a.to * vcs + a.flit.vc];
-                else if (a.toNi)
+        for (const WheelSlot &slot : d.wheel) {
+            for (const Arrival &a : slot.flits) {
+                if (a.toNi)
                     ++ejectionsDue[a.to];
                 else
-                    ++(a.credit ? creditsDue : flitsDue)
-                        [firstKey[a.to] + a.port * vcs + a.flit.vc];
+                    ++flitsDue[firstKey[a.to] + a.port * vcs + a.flit.vc];
+            }
+            for (const Credit &c : slot.credits) {
+                if (c.toNi)
+                    ++niCreditsDue[c.to * vcs + c.vc];
+                else
+                    ++creditsDue[firstKey[c.to] + c.port * vcs + c.vc];
             }
         }
     }

@@ -188,12 +188,9 @@ class Network : public RouterEnv, public CongestionProbe
     std::uint8_t vcMaskForOutput(int router, int port,
                                  const Flit &flit) const override
         DR_COMPUTE_PHASE;
-    void deliverToRouter(int router, int port, const Flit &flit,
-                         Cycle when) override DR_COMPUTE_PHASE;
-    int nodeEjectFree(NodeId node) const override DR_COMPUTE_PHASE;
-    void nodeEjectReserve(NodeId node) override DR_COMPUTE_PHASE;
-    void creditToFeeder(int router, int inputPort, int vc,
-                        Cycle when) override DR_COMPUTE_PHASE;
+
+    /** Free flit slots in a node's ejection buffer. */
+    int nodeEjectFree(NodeId node) const { return nis_[node].ejFree; }
 
     // CongestionProbe interface
     int freeCredits(int router, int port) const override;
@@ -291,11 +288,9 @@ class Network : public RouterEnv, public CongestionProbe
     /** Flits currently inside the network fabric. */
     int flitsInFlight() const;
 
-    /** Blocked input-VC heads of one router (watchdog triage). */
-    std::vector<BlockedHead> blockedHeads(int router) const
-    {
-        return routers_[router]->blockedHeads();
-    }
+    /** Blocked input-VC heads of one router (watchdog triage), each
+     *  with its packet's id. */
+    std::vector<BlockedHead> blockedHeads(int router) const;
 
     /** Spatial domain that owns a router (watchdog attribution). */
     int domainOfRouter(int router) const { return routerDomain_[router]; }
@@ -382,11 +377,15 @@ class Network : public RouterEnv, public CongestionProbe
         int queuedFlits = 0;
         int capacity = 0;
 
+        /** The packet a VC of the attach link is sending, if busy. */
         struct SendState
         {
             bool busy = false;
-            PacketHandle pkt = invalidPacket;
-            int sent = 0;
+            bool cpu = false;        //!< the packet is CPU-class
+            std::uint8_t rank = 0;   //!< the packet's arbitration rank
+            int flits = 0;           //!< the packet's length
+            int sent = 0;            //!< flits sent so far
+            Flit flit;  //!< its flits' common fields (slot, routing)
         };
         std::vector<SendState> vcSend;  //!< per VC of the attach link
         int sendRr = 0;  //!< round-robin start VC for send selection
@@ -408,7 +407,9 @@ class Network : public RouterEnv, public CongestionProbe
          */
         bool ejDue = false;
         Flit ejFlit;
-        std::vector<PacketId> assembling;     //!< per VC
+        /** Per VC: slot of the packet being reassembled, or
+         *  invalidPacket between packets. */
+        std::vector<PacketHandle> assembling;
         std::vector<int> assembledFlits;      //!< per VC
         std::deque<std::pair<Message, int>> ready[2];  //!< per NetKind
         std::uint64_t flitsEjected = 0;
@@ -435,20 +436,49 @@ class Network : public RouterEnv, public CongestionProbe
     };
 
     /**
-     * A flit or credit due on cycle `when`: a flit reaching a router
-     * input port or a node's ejection slot, or a credit returning to a
-     * router output VC or an NI. Cross-domain arrivals wait in the
-     * sender's outgoing list until the merge; every arrival then waits
-     * in its receiving domain's wheel until it is due.
+     * A flit due on cycle `when`, reaching a router input port or a
+     * node's ejection slot. Cross-domain arrivals wait in the sender's
+     * outgoing list until the merge; every arrival then waits in its
+     * receiving domain's wheel until it is due.
      */
     struct Arrival
     {
         Cycle when;
         std::int16_t to;      //!< receiving router, or node if toNi
         std::int16_t port;    //!< receiving router's port (not toNi)
-        bool credit;          //!< credit for VC flit.vc, else a flit
         bool toNi;
         Flit flit;
+    };
+    static_assert(sizeof(Arrival) <= 32);
+
+    /**
+     * One buffer slot freed downstream, returning to its feeder: a
+     * router output VC, or an NI's attach-link VC. Credits take the
+     * same route as arrivals (wheel, or outgoing list then wheel) in
+     * lists of their own, so a credit costs 6 bytes, not a flit.
+     */
+    struct Credit
+    {
+        std::int16_t to;      //!< receiving router, or node if toNi
+        std::int16_t port;    //!< receiving router's output port
+        std::uint8_t vc;
+        bool toNi;
+    };
+    static_assert(sizeof(Credit) <= 8);
+
+    /** A cross-domain credit waiting for the merge, with its due cycle
+     *  (the wheel slot it is filed into). */
+    struct OutgoingCredit
+    {
+        Cycle when;
+        Credit credit;
+    };
+
+    /** One due cycle's share of a domain's wheel. */
+    struct WheelSlot
+    {
+        std::vector<Arrival> flits;
+        std::vector<Credit> credits;
     };
 
     /**
@@ -492,11 +522,17 @@ class Network : public RouterEnv, public CongestionProbe
          * so a size of at least the longest delay (routerStages +
          * interposerLatency) keeps each slot to one due cycle.
          */
-        std::vector<std::vector<Arrival>> wheel;
-        std::size_t wheelArrivals = 0;  //!< arrivals across all slots
-        /** Arrivals this domain sent to other domains this tick, in
-         *  send order; mergeTick() files them into their wheels. */
+        std::vector<WheelSlot> wheel;
+        //! flits and credits across all slots
+        std::size_t wheelArrivals = 0;
+        /** Flits and credits this domain sent to other domains this
+         *  tick, each list in send order; mergeTick() files them into
+         *  their wheels. */
         std::vector<Arrival> outgoing;
+        std::vector<OutgoingCredit> outgoingCredits;
+        /** Slots of this pool's delivered packets, in the merge's
+         *  global NI order; released at the start of the next sweep. */
+        std::vector<PacketHandle> released;
 
         /** Anything to sweep: an active NI or router, or an arrival
          *  due (every injection activates its NI). */
@@ -513,10 +549,14 @@ class Network : public RouterEnv, public CongestionProbe
     void niEject(Domain &d, Ni &ni, Cycle now) DR_COMPUTE_PHASE;
     /** Queue an arrival in its receiving domain's wheel. */
     void scheduleArrival(Domain &d, const Arrival &a) DR_COMPUTE_PHASE;
-    /** Send an arrival from `producer`'s worker to `consumer`'s:
-     *  straight into the wheel when they are the same domain, else
-     *  onto the producer's outgoing list. */
-    void sendArrival(int producer, int consumer, const Arrival &a)
+    /** Queue a credit due on `when` in its receiving domain's wheel. */
+    void scheduleCredit(Domain &d, Cycle when, const Credit &c)
+        DR_COMPUTE_PHASE;
+    /** Carry out `router`'s grants of this tick (it lives in domain
+     *  `d`, index `self`): each flit to its next hop, each credit to
+     *  its feeder, straight into `d`'s wheel or onto its outgoing
+     *  lists when the receiver is another domain's. */
+    void sendGrants(Domain &d, int self, int router, Cycle now)
         DR_COMPUTE_PHASE;
     /** Sweep one domain's NIs and routers (parallel). */
     void tickDomain(Domain &d, Cycle now) DR_COMPUTE_PHASE;

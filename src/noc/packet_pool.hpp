@@ -7,16 +7,17 @@
  * packets in a std::unordered_map<PacketId, Packet>, paying a hash
  * lookup on every NI injection, ejection, and scheduling decision; the
  * pool replaces the map with a flat slab indexed by a stable handle
- * that flits carry alongside the (debug-facing) PacketId. Released
+ * that flits carry instead of the (debug-facing) PacketId. Released
  * slots go onto a free list and are reused, so steady-state traffic
  * allocates nothing.
  *
  * Ownership (DESIGN.md §11, §12): each spatial domain owns one pool,
- * named in the low handle bits. alloc() runs in the owning domain's
- * compute phase (the endpoints inject in their ticks), release() in
- * the serial merge. The domain a tail ejects in reads the slot while
- * the owner may be allocating, so slots never move: the slab grows by
- * chunks that double in size.
+ * named in the low handle bits. alloc() and release() run in the owning
+ * domain's compute phase (the endpoints inject in their ticks; the
+ * domain releases the slots the serial merge listed for it at the start
+ * of its next sweep) or in serial code. The domain a tail ejects in
+ * reads the slot while the owner may be allocating, so slots never
+ * move: the slab grows by chunks that double in size.
  */
 
 #include <array>
@@ -72,9 +73,9 @@ class PacketPool
     }
 
     void
-    release(PacketHandle h) DR_COMMIT_PHASE
+    release(PacketHandle h) DR_COMPUTE_PHASE
     {
-        DR_PHASE_ASSERT_COMMIT();
+        DR_PHASE_ASSERT_DOMAIN(owner_);
         DR_ASSERT(isLive(h));
         const std::size_t index = indexOf(h);
         slot(index).live = false;

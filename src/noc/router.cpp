@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <ostream>
+#include <utility>
 
 #include "common/invariant.hpp"
 #include "common/log.hpp"
@@ -20,78 +21,45 @@ keyBit(int key)
     return std::uint64_t{1} << (key % 64);
 }
 
-/** Whether any of a key set's `words` words has a bit set. */
-bool
-anyKey(const std::uint64_t *set, int words)
-{
-    for (int w = 0; w < words; ++w) {
-        if (set[w])
-            return true;
-    }
-    return false;
-}
+/** What a router reads as the ejection space of a port with no node. */
+constexpr int kNoEjectionSpace = 0;
 
 } // namespace
 
 Router::Router(int id, int numPorts, int numVcs, int vcDepth, int stages,
                RouterEnv &env,
                const std::vector<std::uint8_t> &portIsLink,
-               const std::vector<NodeId> &portNode, bool vnPriority)
+               std::vector<const int *> portEjFree, bool vnPriority)
     : id_(id), numPorts_(numPorts), numVcs_(numVcs), vcDepth_(vcDepth),
       stages_(stages), vnPriority_(vnPriority),
-      env_(env), portIsLink_(portIsLink), portNode_(portNode),
+      env_(env), portIsLink_(portIsLink), portEjFree_(std::move(portEjFree)),
       in_(static_cast<std::size_t>(numPorts) * numVcs),
       out_(static_cast<std::size_t>(numPorts) * numVcs),
+      ringShift_(std::bit_width(std::bit_ceil(
+                     static_cast<unsigned>(std::max(vcDepth, 1)))) - 1),
+      ringMask_((1 << ringShift_) - 1),
       keyWords_((numPorts * numVcs + 63) / 64),
       rrPtr_(numPorts, 0),
-      saUsed_(static_cast<std::size_t>(keyWords_), 0),
-      saReq_(static_cast<std::size_t>(numPorts) * keyWords_, 0),
+      saUsed_(keyWords_ > 1 ? static_cast<std::size_t>(keyWords_) : 0, 0),
       portInterval_(numPorts, 1),
       portNextFree_(numPorts, 0),
-      keySets_(3 * static_cast<std::size_t>(keyWords_), 0)
+      keySets_(3 * static_cast<std::size_t>(keyWords_), 0),
+      outKeys_(2 * static_cast<std::size_t>(numPorts) * keyWords_, 0)
 {
     if (numVcs_ > 8)
         fatal("at most 8 VCs supported (VC masks are 8 bits)");
+    if (vcDepth_ < 1 || vcDepth_ > 32768)
+        fatal("router VC depth must be in [1, 32768] flits, got ", vcDepth_);
     if (stages_ < 1)
         fatal("router pipeline needs at least one stage, got ", stages_);
-    for (int p = 0; p < numPorts_; ++p) {
-        for (int v = 0; v < numVcs_; ++v) {
-            out_[p * numVcs_ + v].credits = vcDepth;
-            in_[p * numVcs_ + v].buf.reserve(
-                static_cast<std::size_t>(vcDepth));
-        }
-    }
-}
-
-void
-Router::applyFlit(int port, const Flit &flit)
-{
-    DR_STAMP_WRITE(*this);
-    DR_ASSERT_MSG(flit.vc < numVcs_, "router ", id_,
-                  ": arriving flit names VC ", int(flit.vc));
-    const int key = port * numVcs_ + flit.vc;
-    DR_INVARIANT(static_cast<int>(in_[key].buf.size()) < vcDepth_,
-                 "router ", id_, " port ", port, " vc ", int(flit.vc),
-                 " input buffer overrun (upstream sent without credit)");
-    in_[key].buf.push_back(flit);
-    keySets_[key / 64] |= keyBit(key);
-    ++stats_.bufferWrites;
-    ++bufferedCount_;
-    quiescent_ = false;
-}
-
-void
-Router::applyCredit(int port, int vc)
-{
-    DR_STAMP_WRITE(*this);
-    // Credit conservation: returns can never push a VC's credit count
-    // past the buffer depth (that would be a duplicated credit, letting
-    // the upstream router overrun the buffer).
-    DR_INVARIANT(out_[port * numVcs_ + vc].credits < vcDepth_, "router ",
-                 id_, " port ", port, " vc ", vc,
-                 " credit return exceeds buffer depth ", vcDepth_);
-    ++out_[port * numVcs_ + vc].credits;
-    quiescent_ = false;
+    for (OutVc &ovc : out_)
+        ovc.credits = vcDepth;
+    for (int key = 0; key < numPorts_ * numVcs_; ++key)
+        in_[key].port = static_cast<std::int16_t>(key / numVcs_);
+    for (const int *&ejFree : portEjFree_)
+        ejFree = ejFree ? ejFree : &kNoEjectionSpace;
+    flits_.resize(in_.size() << ringShift_);
+    grants_.reserve(static_cast<std::size_t>(numPorts_));
 }
 
 template <int W>
@@ -113,7 +81,7 @@ Router::routeCompute()
             const int key = w * 64 + std::countr_zero(pending);
             pending &= pending - 1;
             InVc &ivc = in_[key];
-            const Flit &head = ivc.buf.front();
+            const Flit &head = front(key);
             if (!head.head)
                 panic("router ", id_, ": body flit at idle VC head");
             // Rank and VC mask depend on (router, port, head) alone.
@@ -165,6 +133,10 @@ Router::vcAllocate()
                     ovc.ownerIn = key;
                     ivc.outVc = static_cast<std::int16_t>(ov);
                     active[w] |= keyBit(key);
+                    std::uint64_t *owners = ownerKeys(ivc.outPort);
+                    owners[w] |= keyBit(key);
+                    if (ovc.credits > 0)
+                        owners[keyWords_ + w] |= keyBit(key);
                     allocated = true;
                     break;
                 }
@@ -174,35 +146,34 @@ Router::vcAllocate()
     return allocated;
 }
 
-bool
-Router::outVcHasSpace(int port, int vc, NodeId node) const
-{
-    if (portIsLink_[port])
-        return out_[port * numVcs_ + vc].credits > 0;
-    return env_.nodeEjectFree(node) > 0;
-}
-
 template <int W>
 bool
 Router::switchAllocate(Cycle now)
 {
     // Grant one crossbar traversal per output and per input (separable
-    // allocation). Requests are bucketed per output port up front from
-    // the active-VC mask; outputs with no requesters are skipped with a
-    // single test. The best-candidate comparison (arbitration rank
-    // first — CPU before GPU, then VN rank when vnPriority is on —
-    // then rotation distance, unique per key) is order-independent, so
-    // the grants match an exhaustive port x VC scan exactly.
+    // allocation). An output's requesters are the keys holding one of
+    // its output VCs whose buffers hold a flit (a head keeps its output
+    // VC until its tail leaves), and its candidates those of them whose
+    // VC can take the flit: both are a few word operations on the
+    // output's owner and credit key sets, kept up to date by VC
+    // allocation, credits and grants. The best-candidate comparison
+    // (arbitration rank first — CPU before GPU, then VN rank when
+    // vnPriority is on — then rotation distance, unique per key) is
+    // order-independent, so the grants match an exhaustive port x VC
+    // scan exactly.
     const int words = W ? W : keyWords_;
     const std::uint64_t *occ = keySets_.data();
     const std::uint64_t *active = occ + 2 * words;
+    // Requesting heads counted only as far as none, one or several
+    // (without a popcount, which is a library call on baseline x86-64).
     int requesters = 0;
     int lone = -1;
     for (int w = 0; w < words; ++w) {
         const std::uint64_t m = active[w] & occ[w];
-        requesters += std::popcount(m);
-        if (m)
-            lone = w * 64 + std::countr_zero(m);
+        if (!m)
+            continue;
+        requesters += m & (m - 1) ? 2 : 1;
+        lone = w * 64 + std::countr_zero(m);
     }
     bool granted = false;
     if (requesters == 1) {
@@ -211,8 +182,7 @@ Router::switchAllocate(Cycle now)
         const int port = in_[lone].outPort;
         const bool throttled = hasThrottle_ && now < portNextFree_[port];
         throttledWait_ = throttledWait_ || throttled;
-        granted = !throttled &&
-                  outVcHasSpace(port, in_[lone].outVc, portNode_[port]);
+        granted = !throttled && outVcHasSpace(port, in_[lone].outVc);
         if (granted)
             grantTraversal(lone, port, now);
     }
@@ -220,49 +190,53 @@ Router::switchAllocate(Cycle now)
         rotateSaOffset();
         return granted;
     }
-    std::fill(saReq_.begin(), saReq_.end(), 0);
-    std::fill(saUsed_.begin(), saUsed_.end(), 0);
-    std::uint64_t *used = saUsed_.data();
-    for (int w = 0; w < words; ++w) {
-        for (std::uint64_t m = active[w] & occ[w]; m != 0; m &= m - 1) {
-            const int key = w * 64 + std::countr_zero(m);
-            saReq_[in_[key].outPort * words + w] |= keyBit(key);
-        }
+    // Keys of the input ports granted this pass: one word on the stack
+    // for one-word routers, else the member sized at construction.
+    std::uint64_t stackUsed = 0;
+    std::uint64_t *used = &stackUsed;
+    if constexpr (W != 1) {
+        std::fill(saUsed_.begin(), saUsed_.end(), 0);
+        used = saUsed_.data();
     }
 
     const int keys = numPorts_ * numVcs_;
     for (int i = 0, outPort = saOffset_; i < numPorts_; ++i) {
         if (i > 0 && ++outPort == numPorts_)
             outPort = 0;
-        const std::uint64_t *req = &saReq_[outPort * words];
-        if (hasThrottle_ && now < portNextFree_[outPort]) {
-            // Narrow link still serializing the previous flit. A pass
-            // that only lost grants to throttling must stay awake: the
-            // port frees by the passage of time alone.
-            if (anyKey(req, words))
-                throttledWait_ = true;
-            continue;
-        }
+        // A link output can take the flits of the owners holding a
+        // credit; an attach port all its owners' while the node has
+        // ejection space.
+        const std::uint64_t *owners = ownerKeys(outPort);
+        const bool link = portIsLink_[outPort];
+        const std::uint64_t *space = link ? owners + words : owners;
+        const bool open = link || *portEjFree_[outPort] > 0;
+        bool requested = false;
         int best = -1;
         int bestRank = 0;
         int bestDist = 0;
         for (int w = 0; w < words; ++w) {
-            for (std::uint64_t m = req[w] & ~used[w]; m != 0; m &= m - 1) {
+            requested = requested || (owners[w] & occ[w]) != 0;
+            std::uint64_t m = open ? space[w] & occ[w] & ~used[w] : 0;
+            for (; m != 0; m &= m - 1) {
                 const int key = w * 64 + std::countr_zero(m);
-                const InVc &ivc = in_[key];
-                if (!outVcHasSpace(outPort, ivc.outVc,
-                                   portNode_[outPort]))
-                    continue;
+                const int rank = in_[key].rank;
                 int dist = key - rrPtr_[outPort];
                 if (dist < 0)
                     dist += keys;
-                if (best < 0 || ivc.rank < bestRank ||
-                    (ivc.rank == bestRank && dist < bestDist)) {
+                if (best < 0 || rank < bestRank ||
+                    (rank == bestRank && dist < bestDist)) {
                     best = key;
-                    bestRank = ivc.rank;
+                    bestRank = rank;
                     bestDist = dist;
                 }
             }
+        }
+        if (requested && hasThrottle_ && now < portNextFree_[outPort]) {
+            // Narrow link still serializing the previous flit. A pass
+            // that only lost grants to throttling must stay awake: the
+            // port frees by the passage of time alone.
+            throttledWait_ = true;
+            continue;
         }
         if (best < 0)
             continue;
@@ -270,10 +244,10 @@ Router::switchAllocate(Cycle now)
         granted = true;
         // The granted input port sends nothing else this cycle: mark
         // all its VC keys (numVcs_ <= 8 bits, possibly across a word).
-        const int first = best - best % numVcs_;
+        const int first = in_[best].port * numVcs_;
         const std::uint64_t portKeys = (std::uint64_t{1} << numVcs_) - 1;
         used[first / 64] |= portKeys << (first % 64);
-        if (first % 64 + numVcs_ > 64)
+        if (W != 1 && first % 64 + numVcs_ > 64)
             used[first / 64 + 1] |= portKeys >> (64 - first % 64);
         grantTraversal(best, outPort, now);
     }
@@ -289,39 +263,41 @@ Router::grantTraversal(int key, int outPort, Cycle now)
         portNextFree_[outPort] =
             now + static_cast<Cycle>(portInterval_[outPort]);
     InVc &ivc = in_[key];
-    Flit flit = ivc.buf.front();
-    ivc.buf.pop_front();
-    if (ivc.buf.empty())
+    Grant &grant = grants_.emplace_back();
+    grant.flit = front(key);
+    ivc.head = static_cast<std::uint16_t>((ivc.head + 1) & ringMask_);
+    if (--ivc.count == 0)
         keySets_[key / 64] &= ~keyBit(key);
     --bufferedCount_;
 
-    // The flit leaves on the allocated output VC after traversing
-    // the remaining pipeline stages plus one cycle of link latency.
+    // The flit leaves on the allocated output VC; the Network delivers
+    // it at flitDue(now) and returns the input slot's credit upstream.
     const int outVc = ivc.outVc;
-    flit.vc = static_cast<std::uint8_t>(outVc);
-    const Cycle arrive = now + static_cast<Cycle>(stages_ - 1) + 1;
+    grant.flit.vc = static_cast<std::uint8_t>(outVc);
+    grant.outPort = static_cast<std::int16_t>(outPort);
+    grant.inPort = ivc.port;
+    grant.inVc = static_cast<std::uint8_t>(key - ivc.port * numVcs_);
     ++stats_.switchTraversals;
     if (stats_.portFlitsSent.empty())
         stats_.portFlitsSent.assign(numPorts_, 0);
     ++stats_.portFlitsSent[outPort];
 
+    std::uint64_t *owners = ownerKeys(outPort);
     if (portIsLink_[outPort]) {
         DR_INVARIANT(out_[outPort * numVcs_ + outVc].credits > 0,
                      "router ", id_, " port ", outPort, " vc ", outVc,
                      " switch traversal without a credit");
-        --out_[outPort * numVcs_ + outVc].credits;
-    } else {
-        env_.nodeEjectReserve(portNode_[outPort]);
+        if (--out_[outPort * numVcs_ + outVc].credits == 0)
+            owners[keyWords_ + key / 64] &= ~keyBit(key);
     }
-    env_.deliverToRouter(id_, outPort, flit, arrive);
 
-    // Return buffer credit to whoever feeds this input port.
-    env_.creditToFeeder(id_, key / numVcs_, key % numVcs_, now + 1);
-
-    if (flit.tail) {
+    if (grant.flit.tail) {
         out_[outPort * numVcs_ + outVc].ownerIn = -1;
+        owners[key / 64] &= ~keyBit(key);
+        owners[keyWords_ + key / 64] &= ~keyBit(key);
         ivc.outPort = -1;
         ivc.outVc = -1;
+        vcFreed_ = true;
         keySets_[keyWords_ + key / 64] &= ~keyBit(key);
         keySets_[2 * keyWords_ + key / 64] &= ~keyBit(key);
     }
@@ -333,7 +309,11 @@ Router::allocate(Cycle now)
 {
     throttledWait_ = false;
     const bool routed = routeCompute<W>();
-    const bool allocated = vcAllocate<W>();
+    // A VC allocation pass leaves every waiting head without a free VC
+    // in its mask, so the next one can only succeed for a newly routed
+    // head or after a tail has freed an output VC.
+    const bool allocated = (routed || vcFreed_) && vcAllocate<W>();
+    vcFreed_ = false;
     const bool granted = switchAllocate<W>(now);
     quiescent_ = !routed && !allocated && !granted && !throttledWait_;
 }
@@ -342,6 +322,7 @@ void
 Router::tick(Cycle now)
 {
     DR_STAMP_WRITE(*this);
+    grants_.clear();
     // Idle fast path: nothing buffered (this cycle's arrivals are
     // already applied).
     if (idle())
@@ -381,20 +362,22 @@ Router::freeCredits(int port) const
 }
 
 void
-Router::debugDump(std::ostream &os) const
+Router::debugDump(std::ostream &os,
+                  const std::function<PacketId(PacketHandle)> &packetId) const
 {
     for (int p = 0; p < numPorts_; ++p) {
         for (int v = 0; v < numVcs_; ++v) {
-            const InVc &ivc = in_[p * numVcs_ + v];
-            if (ivc.buf.empty() && ivc.outPort < 0)
+            const int key = p * numVcs_ + v;
+            const InVc &ivc = in_[key];
+            if (ivc.count == 0 && ivc.outPort < 0)
                 continue;
             os << "R" << id_ << " in[" << p << "][" << v << "] buf="
-               << ivc.buf.size() << " outPort=" << ivc.outPort
+               << ivc.count << " outPort=" << ivc.outPort
                << " outVc=" << ivc.outVc;
-            if (!ivc.buf.empty()) {
-                os << " frontPkt=" << ivc.buf.front().pkt
-                   << (ivc.buf.front().head ? "H" : "")
-                   << (ivc.buf.front().tail ? "T" : "");
+            if (ivc.count > 0) {
+                const Flit &flit = front(key);
+                os << " frontPkt=" << packetId(flit.slot)
+                   << (flit.head ? "H" : "") << (flit.tail ? "T" : "");
             }
             os << "\n";
         }
@@ -413,7 +396,7 @@ Router::bufferedFlits() const
 {
     int total = 0;
     for (const InVc &vc : in_)
-        total += static_cast<int>(vc.buf.size());
+        total += vc.count;
     return total;
 }
 
@@ -423,8 +406,9 @@ Router::blockedHeads() const
     std::vector<BlockedHead> heads;
     for (int p = 0; p < numPorts_; ++p) {
         for (int v = 0; v < numVcs_; ++v) {
-            const InVc &ivc = in_[p * numVcs_ + v];
-            if (ivc.buf.empty())
+            const int key = p * numVcs_ + v;
+            const InVc &ivc = in_[key];
+            if (ivc.count == 0)
                 continue;
             BlockedHead head;
             head.router = id_;
@@ -432,9 +416,9 @@ Router::blockedHeads() const
             head.inVc = v;
             head.outPort = ivc.outPort;
             head.outVc = ivc.outVc;
-            head.pkt = ivc.buf.front().pkt;
-            head.destRouter = ivc.buf.front().destRouter;
-            head.buffered = static_cast<int>(ivc.buf.size());
+            head.slot = front(key).slot;
+            head.destRouter = front(key).destRouter;
+            head.buffered = ivc.count;
             heads.push_back(head);
         }
     }

@@ -12,20 +12,24 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
+#include "common/invariant.hpp"
 #include "common/ownership.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
-#include "noc/ring_buffer.hpp"
 
 namespace dr
 {
 
 /**
- * Services a router needs from its enclosing network: topology-aware
- * routing, flit/credit delivery, and ejection-buffer accounting.
+ * The topology-aware routing a router asks of its enclosing network,
+ * once per head flit it routes. What a hop does beyond that — deliver
+ * the flit, return its credit, reserve ejection space — the network
+ * does itself from the router's recorded grants (Router::grants()).
  */
 class RouterEnv
 {
@@ -39,17 +43,6 @@ class RouterEnv
     virtual std::uint8_t vcMaskForOutput(int router, int port,
                                          const Flit &flit) const
         DR_COMPUTE_PHASE = 0;
-    /** Deliver a flit leaving `router` by output `port` at `when`: into
-     *  the peer router's input port, or the attached node's NI. */
-    virtual void deliverToRouter(int router, int port, const Flit &flit,
-                                 Cycle when) DR_COMPUTE_PHASE = 0;
-    /** Free flit slots in a node's ejection buffer. */
-    virtual int nodeEjectFree(NodeId node) const DR_COMPUTE_PHASE = 0;
-    /** Reserve one ejection slot (called at switch traversal). */
-    virtual void nodeEjectReserve(NodeId node) DR_COMPUTE_PHASE = 0;
-    /** Return one credit to the feeder of (router, inputPort, vc). */
-    virtual void creditToFeeder(int router, int inputPort, int vc,
-                                Cycle when) DR_COMPUTE_PHASE = 0;
 };
 
 /** Per-router statistics (drive link-utilization and energy figures). */
@@ -71,14 +64,16 @@ struct BlockedHead
     int inVc = -1;
     int outPort = -1;   //!< -1 before route computation
     int outVc = -1;     //!< -1 before VC allocation
-    PacketId pkt = 0;
+    PacketHandle slot = invalidPacket;  //!< the head's packet-pool slot
+    PacketId pkt = 0;   //!< resolved from `slot` by the Network
     std::int16_t destRouter = -1;
     int buffered = 0;   //!< flits queued behind (and including) the head
 };
 
 /**
  * A single router. The enclosing Network applies every flit and credit
- * due in a cycle (applyFlit/applyCredit), then calls tick() once.
+ * due in a cycle (applyFlit/applyCredit), calls tick() once, then
+ * carries out the switch traversals tick() recorded (grants()).
  *
  * The whole object is owned by one spatial domain of the parallel tick
  * engine (DESIGN.md §12): during the parallel phases only that domain's
@@ -94,21 +89,82 @@ class DR_DOMAIN_OWNED Router
      * CPU>GPU priority to the (class, virtual-network) rank of
      * vnet.hpp; off reproduces the legacy arbitration bit-for-bit.
      */
+    /**
+     * `portEjFree` names, per attach port, the attached node's count of
+     * free ejection-buffer flits, which switch allocation reads (null
+     * for link and unconnected ports); the owner of the count reserves
+     * a slot for every grant to that port.
+     */
     Router(int id, int numPorts, int numVcs, int vcDepth, int stages,
            RouterEnv &env,
            const std::vector<std::uint8_t> &portIsLink,
-           const std::vector<NodeId> &portNode, bool vnPriority = false);
+           std::vector<const int *> portEjFree, bool vnPriority = false);
 
     /** Write a flit arriving at an input port into its input VC. The
      *  Network calls this on the flit's due cycle, before any tick. */
-    void applyFlit(int port, const Flit &flit) DR_COMPUTE_PHASE;
+    void
+    applyFlit(int port, const Flit &flit) DR_COMPUTE_PHASE
+    {
+        DR_STAMP_WRITE(*this);
+        DR_ASSERT_MSG(flit.vc < numVcs_, "router ", id_,
+                      ": arriving flit names VC ", int(flit.vc));
+        const int key = port * numVcs_ + flit.vc;
+        InVc &ivc = in_[key];
+        DR_INVARIANT(ivc.count < vcDepth_, "router ", id_, " port ", port,
+                     " vc ", int(flit.vc),
+                     " input buffer overrun (upstream sent without "
+                     "credit)");
+        flits_[ringSlot(key, ivc.head + ivc.count)] = flit;
+        ++ivc.count;
+        keySets_[key / 64] |= std::uint64_t{1} << key % 64;
+        ++stats_.bufferWrites;
+        ++bufferedCount_;
+        quiescent_ = false;
+    }
 
     /** Return one downstream credit to an output VC (due cycle, before
      *  any tick, like applyFlit). */
-    void applyCredit(int port, int vc) DR_COMPUTE_PHASE;
+    void
+    applyCredit(int port, int vc) DR_COMPUTE_PHASE
+    {
+        DR_STAMP_WRITE(*this);
+        // Credit conservation: returns can never push a VC's credit count
+        // past the buffer depth (that would be a duplicated credit,
+        // letting the upstream router overrun the buffer).
+        OutVc &ovc = out_[port * numVcs_ + vc];
+        DR_INVARIANT(ovc.credits < vcDepth_, "router ", id_, " port ", port,
+                     " vc ", vc, " credit return exceeds buffer depth ",
+                     vcDepth_);
+        if (ovc.credits++ == 0 && ovc.ownerIn >= 0)
+            ownerKeys(port)[keyWords_ + ovc.ownerIn / 64] |=
+                std::uint64_t{1} << ovc.ownerIn % 64;
+        quiescent_ = false;
+    }
 
     /** One simulation cycle: route computation, VC and switch alloc. */
     void tick(Cycle now) DR_COMPUTE_PHASE;
+
+    /**
+     * One switch traversal of the last tick(): the flit as it leaves by
+     * `outPort` (its `vc` already the allocated output VC), and the
+     * input VC it left, whose feeder gets the buffer slot back as a
+     * credit. The enclosing Network turns each grant into a flit
+     * arrival due at flitDue(now) and a credit due at now + 1.
+     */
+    struct Grant
+    {
+        Flit flit;
+        std::int16_t outPort;
+        std::int16_t inPort;
+        std::uint8_t inVc;
+    };
+
+    /** The switch traversals of the last tick(), in grant order. */
+    std::span<const Grant> grants() const { return grants_; }
+
+    /** Cycle a flit granted at `now` reaches the next hop: the
+     *  remaining pipeline stages plus one cycle of link latency. */
+    Cycle flitDue(Cycle now) const { return now + stages_; }
 
     /** Record the owning spatial domain (partition time). */
     void setDomain(int domain) { DR_STAMP_SET_OWNER(*this, domain); }
@@ -147,8 +203,11 @@ class DR_DOMAIN_OWNED Router
     int id() const { return id_; }
     int numPorts() const { return numPorts_; }
 
-    /** Human-readable state dump for debugging stalls. */
-    void debugDump(std::ostream &os) const;
+    /** Human-readable state dump for debugging stalls; `packetId`
+     *  resolves a buffered flit's slot to its PacketId. */
+    void debugDump(std::ostream &os,
+                   const std::function<PacketId(PacketHandle)> &packetId)
+        const;
 
     /** Clear statistics without touching router state. */
     void resetStats() { stats_ = RouterStats{}; }
@@ -169,7 +228,7 @@ class DR_DOMAIN_OWNED Router
     int
     inVcOccupancy(int port, int vc) const
     {
-        return static_cast<int>(in_[port * numVcs_ + vc].buf.size());
+        return in_[port * numVcs_ + vc].count;
     }
 
     /** Whether the router holds no flit (active-set scheduling: idle
@@ -185,7 +244,9 @@ class DR_DOMAIN_OWNED Router
 
     struct InVc
     {
-        RingBuffer<Flit> buf;
+        std::uint16_t head = 0;     //!< ring slot of the front flit
+        std::uint16_t count = 0;    //!< flits buffered
+        std::int16_t port = 0;      //!< the input port (key / numVcs)
         std::int16_t outPort = -1;  //!< -1 until the head is routed
         std::int16_t outVc = -1;    //!< -1 until the head holds an output VC
         std::uint8_t rank = 0;      //!< routed head's arbitration rank
@@ -209,8 +270,32 @@ class DR_DOMAIN_OWNED Router
     template <int W> bool vcAllocate() DR_COMPUTE_PHASE;
     //!< returns whether any flit granted
     template <int W> bool switchAllocate(Cycle now) DR_COMPUTE_PHASE;
-    bool outVcHasSpace(int port, int vc, NodeId node) const
-        DR_COMPUTE_PHASE;
+
+    /** Index in flits_ of ring position `i` (taken modulo the ring
+     *  size) of input VC `key`. */
+    std::size_t
+    ringSlot(int key, int i) const
+    {
+        return (static_cast<std::size_t>(key) << ringShift_) +
+               static_cast<std::size_t>(i & ringMask_);
+    }
+
+    /** Front flit of a non-empty input VC. */
+    const Flit &
+    front(int key) const
+    {
+        return flits_[ringSlot(key, in_[key].head)];
+    }
+
+    /** Whether output VC `vc` of `port` can take a flit: a downstream
+     *  credit on a link, ejection space at an attach port. */
+    bool
+    outVcHasSpace(int port, int vc) const DR_COMPUTE_PHASE
+    {
+        if (portIsLink_[port])
+            return out_[port * numVcs_ + vc].credits > 0;
+        return *portEjFree_[port] > 0;
+    }
 
     /** Advance the rotating output start by one port. */
     void
@@ -234,13 +319,22 @@ class DR_DOMAIN_OWNED Router
     RouterEnv &env_;
 
     std::vector<std::uint8_t> portIsLink_;  //!< per port: link vs node/none
-    std::vector<NodeId> portNode_;          //!< per port: attached node
+    //! per port: the attached node's free ejection flits (a constant 0
+    //! for link and unconnected ports)
+    std::vector<const int *> portEjFree_;
 
     // Input and output VC state is stored flat, indexed by the VC key
     // `port * numVcs + vc` — the same encoding OutVc::ownerIn and the
     // switch-allocation rotation already use.
     std::vector<InVc> in_;                   //!< [port * numVcs + vc]
     std::vector<OutVc> out_;                 //!< [port * numVcs + vc]
+
+    // Every input VC's buffer, as one array of power-of-two rings: VC
+    // key k's ring is flits_[k << ringShift_] onward, bit_ceil(vcDepth)
+    // slots, one allocation per router instead of one per VC.
+    std::vector<Flit> flits_;
+    int ringShift_;  //!< log2 of the ring size
+    int ringMask_;   //!< ring size - 1
 
     // Sets of input VC keys, one bit per key in keyWords_ 64-bit words
     // (key k is bit k % 64 of word k / 64). The allocation passes
@@ -253,8 +347,10 @@ class DR_DOMAIN_OWNED Router
 
     int saOffset_ = 0;                 //!< rotating output iteration start
     std::vector<int> rrPtr_;           //!< per output, input rotation
-    std::vector<std::uint64_t> saUsed_;  //!< keys of granted input ports
-    std::vector<std::uint64_t> saReq_;   //!< [out * keyWords_ + word]
+    //! keys of the input ports granted this pass (multi-word routers;
+    //! one-word routers keep theirs on the stack)
+    std::vector<std::uint64_t> saUsed_;
+    std::vector<Grant> grants_;          //!< this tick's traversals
 
     /**
      * Stalled fast path: the last allocation pass routed, allocated and
@@ -266,6 +362,9 @@ class DR_DOMAIN_OWNED Router
      * bit-identical with the non-skipping kernel.
      */
     bool quiescent_ = false;
+
+    /** A tail freed an output VC since the last VC allocation pass. */
+    bool vcFreed_ = false;
 
     /**
      * Output-port serialization (narrow link classes). `hasThrottle_`
@@ -285,6 +384,19 @@ class DR_DOMAIN_OWNED Router
     //! buffered flits, heads holding an output port, heads holding an
     //! output VC.
     std::vector<std::uint64_t> keySets_;
+
+    //! Two key sets per output port, keyWords_ words each: the heads
+    //! holding one of its output VCs, then those of them whose VC holds
+    //! a downstream credit.
+    std::vector<std::uint64_t> outKeys_;
+
+    /** The owner key set of output `port`; its credit key set follows
+     *  keyWords_ words on. */
+    std::uint64_t *
+    ownerKeys(int port)
+    {
+        return &outKeys_[2 * static_cast<std::size_t>(port) * keyWords_];
+    }
 
     // Activity tracking so idle routers can skip their tick entirely.
     int bufferedCount_ = 0;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/hetero_system.hpp"
 #include "core/layout.hpp"
@@ -140,6 +142,72 @@ TEST_F(WatchdogTest, BlockedChainDumpNamesProducingDomain)
     EXPECT_NE(dump.find("/d" + std::to_string(sinkDomain)),
               std::string::npos)
         << dump;
+}
+
+TEST_F(WatchdogTest, BlockedChainDumpKeepsPacketIds)
+{
+    // Flits carry a pool slot, not their PacketId; the dump resolves
+    // the id through the packet pools. Clog one destination as above
+    // and check that every id in the router dump (frontPkt=) and the
+    // chain (pkt=), and every blocked head, names a packet that was
+    // really sent: node src's k-th packet is (src << 40) | k.
+    const int nodes = ic_.topology().nodes();
+    std::vector<std::uint64_t> sent(nodes, 0);
+    std::uint64_t id = 1;
+    for (Cycle c = 0; c < 200; ++c) {
+        for (NodeId src = 0; src < nodes - 1; ++src) {
+            Message m;
+            m.type = MsgType::ReadReq;
+            m.cls = TrafficClass::Gpu;
+            m.src = src;
+            m.dst = nodes - 1;
+            m.requester = src;
+            m.id = id++;
+            if (ic_.canSend(m)) {
+                ic_.send(m, c);
+                ++sent[src];
+            }
+        }
+        ic_.tick(c);
+    }
+    const auto wasSent = [&](std::uint64_t pkt) {
+        const std::uint64_t src = pkt >> 40;
+        const std::uint64_t seq = pkt & ((std::uint64_t{1} << 40) - 1);
+        return src < sent.size() && seq >= 1 && seq <= sent[src];
+    };
+
+    const Network &net = ic_.net(NetKind::Request);
+    int heads = 0;
+    for (int r = 0; r < ic_.topology().routers(); ++r) {
+        for (const BlockedHead &head : net.blockedHeads(r)) {
+            EXPECT_TRUE(wasSent(head.pkt)) << "R" << r << " pkt " << head.pkt;
+            ++heads;
+        }
+    }
+    EXPECT_GT(heads, 0);
+
+    WatchdogParams wp;
+    wp.stallCycles = 50;
+    wp.abortOnStall = false;
+    ProgressWatchdog dog(ic_, wp);
+    ::testing::internal::CaptureStderr();
+    dog.observe(0, 1);
+    EXPECT_TRUE(dog.observe(64, 1));
+    const std::string dump = ::testing::internal::GetCapturedStderr();
+    int ids = 0;
+    bool otherThanNode0 = false;
+    for (const std::string key : {" frontPkt=", " pkt="}) {
+        for (std::size_t at = dump.find(key); at != std::string::npos;
+             at = dump.find(key, at + 1)) {
+            const std::uint64_t pkt =
+                std::stoull(dump.substr(at + key.size()));
+            EXPECT_TRUE(wasSent(pkt)) << key << pkt << " in\n" << dump;
+            otherThanNode0 = otherThanNode0 || pkt >> 40 != 0;
+            ++ids;
+        }
+    }
+    EXPECT_GT(ids, 1) << dump;
+    EXPECT_TRUE(otherThanNode0) << dump;
 }
 
 TEST_F(WatchdogTest, AbortModePanics)

@@ -34,8 +34,45 @@ struct NetworkTestAccess
     {
         net.scheduleArrival(net.domains_[net.routerDomain_[router]],
                             {when, static_cast<std::int16_t>(router),
-                             static_cast<std::int16_t>(port), false, false,
-                             flit});
+                             static_cast<std::int16_t>(port), false, flit});
+    }
+
+    /**
+     * Drop (`copies` = 0) or duplicate (`copies` = 2) the first credit
+     * in flight toward a router output VC whose sender — the router on
+     * the far side of the link — is in the same domain as the receiver
+     * (`crossDomain` false) or in another one (true), as a lost or
+     * doubled credit return would. Call between ticks, when every
+     * credit sits in a wheel. Returns false when no such credit is in
+     * flight.
+     */
+    static bool
+    tamperCredit(Network &net, bool crossDomain, int copies)
+    {
+        for (Network::Domain &d : net.domains_) {
+            for (Network::WheelSlot &slot : d.wheel) {
+                for (std::size_t i = 0; i < slot.credits.size(); ++i) {
+                    const Network::Credit c = slot.credits[i];
+                    if (c.toNi)
+                        continue;
+                    const PortConn &conn = net.topo_.port(c.to, c.port);
+                    const bool crosses = net.routerDomain_[conn.peerRouter] !=
+                                         net.routerDomain_[c.to];
+                    if (crosses != crossDomain)
+                        continue;
+                    if (copies == 0) {
+                        slot.credits.erase(slot.credits.begin() +
+                                           static_cast<std::ptrdiff_t>(i));
+                        --d.wheelArrivals;
+                    } else {
+                        slot.credits.push_back(c);
+                        ++d.wheelArrivals;
+                    }
+                    return true;
+                }
+            }
+        }
+        return false;
     }
 
     /** Whether a router is in its domain's active set. */
@@ -60,7 +97,8 @@ struct NetworkTestAccess
         return net.domains_[domain].pool.alloc();
     }
 
-    /** Give a packet-pool slot back (serial-only: the merge's job). */
+    /** Give a packet-pool slot back, as its domain's sweep does with
+     *  the slots the merge listed. */
     static void
     releasePacket(Network &net, PacketHandle h)
     {
@@ -100,11 +138,15 @@ struct NetworkTestAccess
     leakCredit(Network &net, int router, int port, int vc)
     {
         Router &r = *net.routers_[router];
-        int &credits = r.out_[port * r.numVcs_ + vc].credits;
-        if (credits <= 0)
+        Router::OutVc &ovc = r.out_[port * r.numVcs_ + vc];
+        if (ovc.credits <= 0)
             panic("leakCredit: no credit to leak on router ", router,
                   " port ", port, " vc ", vc);
-        --credits;
+        // The VC's owner loses its place in the port's credit key set
+        // with the last credit, as a real traversal would take it.
+        if (--ovc.credits == 0 && ovc.ownerIn >= 0)
+            r.ownerKeys(port)[r.keyWords_ + ovc.ownerIn / 64] &=
+                ~(std::uint64_t{1} << ovc.ownerIn % 64);
     }
 
     /** Discard one attach-link credit an NI holds; panics when none is

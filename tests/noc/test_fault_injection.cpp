@@ -191,6 +191,80 @@ TEST(FaultInjectionDeath, EjectSlotLeakIsCaught)
                  "NI10 ejection-slot accounting violated");
 }
 
+/**
+ * Run `net` from cycle 0 under traffic that crosses a domain boundary
+ * at two threads (columns 0 and 3 of a 4x4 mesh, both directions), the
+ * credit law checked after every tick, until a credit of the wanted
+ * kind is in flight; then drop (`copies` 0) or duplicate (2) it.
+ */
+bool
+tamperCreditInFlight(Network &net, bool crossDomain, int copies)
+{
+    std::uint64_t id = 1;
+    for (NodeId src : {0, 3, 12, 15})
+        net.inject(faultMsg(src, 15 - src, id++, MsgType::ReadReply), 9, 0);
+    for (Cycle c = 0; c < 200; ++c) {
+        net.tick(c);
+        net.checkCreditConservation();
+        if (NetworkTestAccess::tamperCredit(net, crossDomain, copies))
+            return true;
+    }
+    return false;
+}
+
+TEST(FaultInjectionDeath, DroppedCreditIsCaught)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    Network net(faultParams(topo), topo);
+    ASSERT_TRUE(tamperCreditInFlight(net, false, 0));
+    EXPECT_DEATH(net.checkCreditConservation(),
+                 "credit conservation violated on link");
+}
+
+TEST(FaultInjectionDeath, DuplicatedCreditIsCaught)
+{
+    const Topology topo = Topology::makeMesh(4, 4);
+    Network net(faultParams(topo), topo);
+    ASSERT_TRUE(tamperCreditInFlight(net, false, 2));
+    EXPECT_DEATH(net.checkCreditConservation(),
+                 "credit conservation violated on link");
+}
+
+NetworkParams
+twoDomainParams(const Topology &topo)
+{
+    NetworkParams p = faultParams(topo);
+    p.threads = 2;
+    return p;
+}
+
+TEST(FaultInjectionDeath, DroppedCrossDomainCreditIsCaught)
+{
+    // Two domains split the mesh between rows 1 and 2: a credit for a
+    // flit that went down (or up) a column crosses back through the
+    // sender's outgoing credit list and the merge. The pool's worker
+    // thread is running, so the death test re-runs the test in a fresh
+    // process instead of forking a threaded one.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const Topology topo = Topology::makeMesh(4, 4);
+    Network net(twoDomainParams(topo), topo);
+    ASSERT_EQ(net.numDomains(), 2);
+    ASSERT_TRUE(tamperCreditInFlight(net, true, 0));
+    EXPECT_DEATH(net.checkCreditConservation(),
+                 "credit conservation violated on link");
+}
+
+TEST(FaultInjectionDeath, DuplicatedCrossDomainCreditIsCaught)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const Topology topo = Topology::makeMesh(4, 4);
+    Network net(twoDomainParams(topo), topo);
+    ASSERT_EQ(net.numDomains(), 2);
+    ASSERT_TRUE(tamperCreditInFlight(net, true, 2));
+    EXPECT_DEATH(net.checkCreditConservation(),
+                 "credit conservation violated on link");
+}
+
 TEST(FaultInjection, FlitConservationUnaffectedByCreditLeak)
 {
     const Topology topo = Topology::makeMesh(4, 4);

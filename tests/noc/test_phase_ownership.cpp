@@ -117,18 +117,34 @@ TEST(PhaseOwnershipDeath, UnstagedCrossDomainFlitTrapped)
 TEST(PhaseOwnershipDeath, SerialStateTouchedInComputeTrapped)
 {
     DR_REQUIRE_CHECKED();
-    // A domain's worker allocates from its own packet pool when its
-    // endpoints inject, but slots go back only in the serial merge:
-    // release() asserts the serial phase and must abort when entered
-    // from a compute scope, even by the pool's own domain.
+    // The network's statistics belong to the serial merge: resetStats()
+    // asserts the serial phase and must abort when entered from a
+    // compute scope, whichever domain's.
+    TwoDomainMesh m;
+    EXPECT_DEATH(
+        {
+            phase::ComputeScope cs(0);
+            m.net.resetStats();
+        },
+        "serial-only");
+}
+
+TEST(PhaseOwnershipDeath, ForeignPoolReleaseTrapped)
+{
+    DR_REQUIRE_CHECKED();
+    // A domain releases its own pool's slots, at the start of its
+    // sweep; domain 1's worker giving back a slot of domain 0's pool
+    // must trap. The owner itself may.
     TwoDomainMesh m;
     const PacketHandle h = NetworkTestAccess::allocPacket(m.net, 0);
     EXPECT_DEATH(
         {
-            phase::ComputeScope cs(0);
+            phase::ComputeScope cs(1);
             NetworkTestAccess::releasePacket(m.net, h);
         },
-        "serial-only");
+        "phase violation: release owned by domain 0");
+    phase::ComputeScope cs(0);
+    NetworkTestAccess::releasePacket(m.net, h);
 }
 
 TEST(PhaseOwnershipDeath, InjectIntoForeignDomainTrapped)

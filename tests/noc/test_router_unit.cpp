@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 
 #include "noc/router.hpp"
 
@@ -11,7 +12,9 @@ namespace
 
 /**
  * A mock environment exposing one router in isolation: port 0 ejects to
- * node 0, ports 1..3 are links whose deliveries/credits we record.
+ * node 0, ports 1..3 are links. It carries out the router's recorded
+ * grants the way the Network does — deliveries, credit returns and
+ * ejection reservations — and records them.
  */
 class MockEnv : public RouterEnv
 {
@@ -35,20 +38,17 @@ class MockEnv : public RouterEnv
         return 0xff;
     }
 
+    /** Record the grants of the router's tick at `now`. */
     void
-    deliverToRouter(int, int port, const Flit &flit, Cycle when) override
+    take(const Router &router, Cycle now)
     {
-        (port == 0 ? nodeDeliveries : linkDeliveries)
-            .push_back({port, flit, when});
-    }
-
-    int nodeEjectFree(NodeId) const override { return ejFree; }
-    void nodeEjectReserve(NodeId) override { --ejFree; }
-
-    void
-    creditToFeeder(int, int inputPort, int vc, Cycle when) override
-    {
-        creditReturns.push_back({inputPort, vc, when});
+        for (const Router::Grant &g : router.grants()) {
+            if (g.outPort == 0)
+                --ejFree;
+            (g.outPort == 0 ? nodeDeliveries : linkDeliveries)
+                .push_back({g.outPort, g.flit, router.flitDue(now)});
+            creditReturns.push_back({g.inPort, g.inVc, now + 1});
+        }
     }
 
     struct CreditReturn
@@ -72,10 +72,10 @@ class RouterUnit : public ::testing::Test
         // 4 ports: 0 = node, 1..3 = links. 2 VCs, 4-flit buffers,
         // 4-stage pipeline.
         const std::vector<std::uint8_t> isLink = {0, 1, 1, 1};
-        const std::vector<NodeId> nodes = {0, invalidNode, invalidNode,
-                                           invalidNode};
-        router = std::make_unique<Router>(7, 4, 2, 4, 4, env, isLink,
-                                          nodes);
+        router = std::make_unique<Router>(
+            7, 4, 2, 4, 4, env, isLink,
+            std::vector<const int *>{&env.ejFree, nullptr, nullptr,
+                                     nullptr});
     }
 
     /**
@@ -87,20 +87,29 @@ class RouterUnit : public ::testing::Test
     useTwoWordRouter()
     {
         std::vector<std::uint8_t> isLink(33, 1);
-        std::vector<NodeId> nodes(33, invalidNode);
+        std::vector<const int *> ejFree(33, nullptr);
         isLink[0] = 0;
-        nodes[0] = 0;
+        ejFree[0] = &env.ejFree;
         router = std::make_unique<Router>(7, 33, 2, 4, 4, env, isLink,
-                                          nodes);
+                                          std::move(ejFree));
     }
 
+    /** One router cycle, its grants carried out by the mock. */
+    void
+    tick(Cycle now)
+    {
+        router->tick(now);
+        env.take(*router, now);
+    }
+
+    /** A flit of packet `pkt` (the router never reads the slot, so the
+     *  tests use it as the packet's identity). */
     Flit
-    makeFlit(PacketId pkt, int seq, int packetLen, int outPort,
+    makeFlit(PacketHandle pkt, int seq, int packetLen, int outPort,
              TrafficClass cls = TrafficClass::Gpu, int vc = 0)
     {
         Flit f;
-        f.pkt = pkt;
-        f.seq = static_cast<std::uint16_t>(seq);
+        f.slot = pkt;
         f.head = seq == 0;
         f.tail = seq == packetLen - 1;
         f.vc = static_cast<std::uint8_t>(vc);
@@ -118,7 +127,7 @@ class RouterUnit : public ::testing::Test
 TEST_F(RouterUnit, ForwardsSingleFlitAfterPipeline)
 {
     router->applyFlit(1, makeFlit(1, 0, 1, /*outPort=*/2));
-    router->tick(0);
+    tick(0);
     ASSERT_EQ(env.linkDeliveries.size(), 1u);
     EXPECT_EQ(env.linkDeliveries[0].port, 2);
     // 4-stage router: SA at cycle 0 delivers at 0 + (4-1) + 1 = 4.
@@ -128,7 +137,7 @@ TEST_F(RouterUnit, ForwardsSingleFlitAfterPipeline)
 TEST_F(RouterUnit, ReturnsCreditToFeeder)
 {
     router->applyFlit(1, makeFlit(1, 0, 1, 2));
-    router->tick(0);
+    tick(0);
     ASSERT_EQ(env.creditReturns.size(), 1u);
     EXPECT_EQ(env.creditReturns[0].port, 1);
     EXPECT_EQ(env.creditReturns[0].vc, 0);
@@ -141,9 +150,9 @@ TEST_F(RouterUnit, OneFlitPerOutputPerCycle)
     // per cycle crosses.
     router->applyFlit(1, makeFlit(1, 0, 1, 2));
     router->applyFlit(3, makeFlit(2, 0, 1, 2));
-    router->tick(0);
+    tick(0);
     EXPECT_EQ(env.linkDeliveries.size(), 1u);
-    router->tick(1);
+    tick(1);
     EXPECT_EQ(env.linkDeliveries.size(), 2u);
 }
 
@@ -151,7 +160,7 @@ TEST_F(RouterUnit, DistinctOutputsCrossInParallel)
 {
     router->applyFlit(1, makeFlit(1, 0, 1, 2));
     router->applyFlit(3, makeFlit(2, 0, 1, 1));
-    router->tick(0);
+    tick(0);
     EXPECT_EQ(env.linkDeliveries.size(), 2u);
 }
 
@@ -160,7 +169,7 @@ TEST_F(RouterUnit, CpuFlitBeatsGpuFlit)
     // GPU on VC0 of port 1, CPU on VC0 of port 3, both to output 2.
     router->applyFlit(1, makeFlit(1, 0, 1, 2, TrafficClass::Gpu));
     router->applyFlit(3, makeFlit(2, 0, 1, 2, TrafficClass::Cpu));
-    router->tick(0);
+    tick(0);
     ASSERT_EQ(env.linkDeliveries.size(), 1u);
     EXPECT_EQ(env.linkDeliveries[0].flit.cls, TrafficClass::Cpu);
 }
@@ -170,7 +179,7 @@ TEST_F(RouterUnit, WormholeKeepsPacketOnOneOutputVc)
     for (int seq = 0; seq < 3; ++seq)
         router->applyFlit(1, makeFlit(1, seq, 3, 2));
     for (Cycle c = 0; c < 5; ++c)
-        router->tick(c);
+        tick(c);
     ASSERT_EQ(env.linkDeliveries.size(), 3u);
     const int vc = env.linkDeliveries[0].flit.vc;
     for (const auto &d : env.linkDeliveries) {
@@ -191,17 +200,17 @@ TEST_F(RouterUnit, CreditsLimitInFlightFlits)
     for (int seq = 0; seq < 4; ++seq)
         router->applyFlit(1, makeFlit(1, seq, 8, 2));
     for (Cycle c = 0; c < 10; ++c)
-        router->tick(c);
+        tick(c);
     for (int seq = 4; seq < 8; ++seq)
         router->applyFlit(1, makeFlit(1, seq, 8, 2));
     for (Cycle c = 10; c < 20; ++c)
-        router->tick(c);
+        tick(c);
     EXPECT_EQ(env.linkDeliveries.size(), 4u);
     // Returning credits releases the rest.
     for (int i = 0; i < 4; ++i)
         router->applyCredit(2, 0);
     for (Cycle c = 21; c < 40; ++c)
-        router->tick(c);
+        tick(c);
     EXPECT_EQ(env.linkDeliveries.size(), 8u);
 }
 
@@ -211,7 +220,7 @@ TEST_F(RouterUnit, EjectionRespectsNodeBufferSpace)
     for (int seq = 0; seq < 4; ++seq)
         router->applyFlit(1, makeFlit(1, seq, 4, /*outPort=*/0));
     for (Cycle c = 0; c < 10; ++c)
-        router->tick(c);
+        tick(c);
     EXPECT_EQ(env.nodeDeliveries.size(), 2u);
     EXPECT_EQ(env.ejFree, 0);
     // Growing ejection space must wake the stalled router, as
@@ -219,7 +228,7 @@ TEST_F(RouterUnit, EjectionRespectsNodeBufferSpace)
     env.ejFree = 10;
     router->wakeEjectSpace();
     for (Cycle c = 10; c < 20; ++c)
-        router->tick(c);
+        tick(c);
     EXPECT_EQ(env.nodeDeliveries.size(), 4u);
 }
 
@@ -235,7 +244,7 @@ TEST_F(RouterUnit, VcOwnershipBlocksSecondPacketUntilTail)
     router->applyFlit(1, makeFlit(3, 0, 1, 2, TrafficClass::Gpu, 1));
     // Give ample credits back as flits drain.
     for (Cycle c = 0; c < 30; ++c) {
-        router->tick(c);
+        tick(c);
         while (!env.linkDeliveries.empty() &&
                env.linkDeliveries.size() > creditsReturned) {
             router->applyCredit(
@@ -247,14 +256,14 @@ TEST_F(RouterUnit, VcOwnershipBlocksSecondPacketUntilTail)
     // Packet 3's flit is delivered last or near-last: its VC was owned.
     bool sawPkt3 = false;
     for (const auto &d : env.linkDeliveries)
-        sawPkt3 |= d.flit.pkt == 3;
+        sawPkt3 |= d.flit.slot == 3;
     EXPECT_TRUE(sawPkt3);
 }
 
 TEST_F(RouterUnit, IdleFastPathDeliversNothing)
 {
     for (Cycle c = 0; c < 100; ++c)
-        router->tick(c);
+        tick(c);
     EXPECT_TRUE(env.linkDeliveries.empty());
     EXPECT_TRUE(env.nodeDeliveries.empty());
     EXPECT_EQ(router->bufferedFlits(), 0);
@@ -263,7 +272,7 @@ TEST_F(RouterUnit, IdleFastPathDeliversNothing)
 TEST_F(RouterUnit, StatsCountTraversalsAndBufferWrites)
 {
     router->applyFlit(1, makeFlit(1, 0, 1, 2));
-    router->tick(0);
+    tick(0);
     EXPECT_EQ(router->stats().bufferWrites, 1u);
     EXPECT_EQ(router->stats().switchTraversals, 1u);
     ASSERT_FALSE(router->stats().portFlitsSent.empty());
@@ -276,10 +285,10 @@ TEST_F(RouterUnit, FreeCreditsReflectConsumption)
 {
     EXPECT_EQ(router->freeCredits(2), 8);  // 2 VCs x 4 flits
     router->applyFlit(1, makeFlit(1, 0, 1, 2));
-    router->tick(0);
+    tick(0);
     EXPECT_EQ(router->freeCredits(2), 7);
     router->applyCredit(2, 0);
-    router->tick(1);
+    tick(1);
     EXPECT_EQ(router->freeCredits(2), 8);
 }
 
@@ -288,7 +297,7 @@ TEST_F(RouterUnit, KeyPastFirstWordRoutesAllocatesAndCrosses)
     useTwoWordRouter();
     // Port 32, VC 1: key 65, bit 1 of word 1.
     router->applyFlit(32, makeFlit(1, 0, 1, 5, TrafficClass::Gpu, 1));
-    router->tick(0);
+    tick(0);
     ASSERT_EQ(env.linkDeliveries.size(), 1u);
     EXPECT_EQ(env.linkDeliveries[0].port, 5);
     EXPECT_EQ(env.linkDeliveries[0].when, 4u);
@@ -309,10 +318,10 @@ TEST_F(RouterUnit, KeysInBothWordsAlternateGrantsByRotation)
         router->applyFlit(32, makeFlit(2, seq, 4, 5));
     }
     for (Cycle c = 0; c < 8; ++c)
-        router->tick(c);
+        tick(c);
     ASSERT_EQ(env.linkDeliveries.size(), 8u);
     for (std::size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(env.linkDeliveries[i].flit.pkt, i % 2 ? 2u : 1u)
+        EXPECT_EQ(env.linkDeliveries[i].flit.slot, i % 2 ? 2 : 1)
             << "grant " << i;
 }
 
@@ -323,10 +332,10 @@ TEST_F(RouterUnit, CpuInSecondWordBeatsGpuInFirstWord)
     // at key 64 must still take the output first.
     router->applyFlit(1, makeFlit(1, 0, 1, 5, TrafficClass::Gpu));
     router->applyFlit(32, makeFlit(2, 0, 1, 5, TrafficClass::Cpu));
-    router->tick(0);
+    tick(0);
     ASSERT_EQ(env.linkDeliveries.size(), 1u);
     EXPECT_EQ(env.linkDeliveries[0].flit.cls, TrafficClass::Cpu);
-    router->tick(1);
+    tick(1);
     ASSERT_EQ(env.linkDeliveries.size(), 2u);
     EXPECT_EQ(env.linkDeliveries[1].flit.cls, TrafficClass::Gpu);
 }

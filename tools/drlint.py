@@ -40,9 +40,10 @@ Phase ownership, on every compute/endpoint-phase body (DESIGN.md §12):
                               type: atomics, mutexes, threads, the
                               barrier and the tick pool synchronize
                               themselves)
-  cross-domain-commit         pushes into an indexed domain's wheel or
-                              router with no outgoing-list path for the
-                              case where that domain is not its own
+  cross-domain-commit         pushes a flit (credit) into an indexed
+                              domain's wheel or router with no outgoing-
+                              list (outgoingCredits) path for the case
+                              where that domain is not its own
   spsc-drain-order            (any body) drains the outgoing lists in
                               descending producer order
   missing-stamp-check         binds a stamped structure (one declaring
@@ -221,8 +222,8 @@ PHASE_TOKENS = (
 MUTATING_CALLS = {
     "push_back", "emplace_back", "push_front", "pop_back", "pop_front",
     "clear", "insert", "erase", "resize", "reserve", "reset", "sample",
-    "add", "release", "alloc", "scheduleArrival", "applyFlit",
-    "applyCredit", "tick",
+    "add", "release", "alloc", "scheduleArrival", "scheduleCredit",
+    "applyFlit", "applyCredit", "tick",
     "wakeEjectSpace", "sweep", "setDomain", "resetStats", "onDelivered",
     "flush", "access", "evict", "next",
 }
@@ -924,8 +925,12 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
     stamped = sorted(n for n, k in prog.classes.items() if k.has_stamp)
     stamped_binding = bool(stamped) and bool(
         re.search(r"\b(?:%s)\s*&\s*\w+" % "|".join(stamped), body.text))
-    outgoing_push = re.search(r"\boutgoing\s*\.\s*push_back", body.text)
-    direct_router_mutation = None
+    # Flits and credits each have their own outgoing list.
+    outgoing_push = {
+        kind: re.search(r"\b%s\s*\.\s*push_back" % lst, body.text)
+        for kind, lst in (("Arrival", "outgoing"),
+                          ("Credit", "outgoingCredits"))}
+    direct_router_mutation = {}
 
     for lineno, line in body.lines:
         # Writes and mutating calls on this class's members.
@@ -953,15 +958,17 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
                 add(lineno, "compute-calls-commit", line)
         # Direct arrival into a resolved foreign domain: a push into
         # its wheel or an apply on its router (the producer's outgoing
-        # list is the legal alternative).
-        if re.search(r"\bscheduleArrival\s*\(\s*domains_\s*\[|"
-                     r"\brouters_\s*\[[^\]]*\]\s*->\s*"
-                     r"(?:applyFlit|applyCredit)\s*\(", line):
-            direct_router_mutation = (lineno, line)
+        # list for that kind is the legal alternative).
+        for kind, apply in (("Arrival", "applyFlit"),
+                            ("Credit", "applyCredit")):
+            if re.search(r"\bschedule%s\s*\(\s*domains_\s*\[|"
+                         r"\brouters_\s*\[[^\]]*\]\s*->\s*%s\s*\("
+                         % (kind, apply), line):
+                direct_router_mutation[kind] = (lineno, line)
 
-    if direct_router_mutation and not outgoing_push:
-        lineno, line = direct_router_mutation
-        add(lineno, "cross-domain-commit", line)
+    for kind, (lineno, line) in direct_router_mutation.items():
+        if not outgoing_push[kind]:
+            add(lineno, "cross-domain-commit", line)
     if stamped_binding and "DR_STAMP_WRITE(" not in body.text:
         add(body.lines[0][0], "missing-stamp-check", body.lines[0][1])
 

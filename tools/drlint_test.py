@@ -359,7 +359,7 @@ class PhaseModelTest(LiveTreeCase):
         self.assertEqual(net.phase("mergeTick"), "commit")
         pool = self.classes["PacketPool"]
         self.assertEqual(pool.phase("alloc"), "compute")
-        self.assertEqual(pool.phase("release"), "commit")
+        self.assertEqual(pool.phase("release"), "compute")
 
     def test_stamped_structures_detected(self):
         for name in ("Ni", "Domain", "Router", "CommitList"):
@@ -415,15 +415,23 @@ class PhaseRuleMutantTest(MutantCase):
                          NETWORK_CPP)
 
     def test_mutant_unstaged_cross_domain(self):
-        # sendArrival pushes the cross-domain hop straight into the
+        # sendGrants pushes the cross-domain hop straight into the
         # consumer's wheel instead of onto its own outgoing list.
         prog = scan_mutated([(
             NETWORK_CPP,
-            "    Domain &pd = domains_[producer];\n"
-            "    DR_STAMP_WRITE(pd);\n"
-            "    pd.outgoing.push_back(a);",
-            "    scheduleArrival(domains_[consumer], a);")])
+            "            d.outgoing.push_back(a);",
+            "            scheduleArrival(domains_[out.domain], a);")])
         self.assert_rule(prog.findings, "cross-domain-commit", NETWORK_CPP)
+
+    def test_mutant_unstaged_cross_domain_credit(self):
+        # sendGrants files a cross-domain credit straight into the
+        # feeder's wheel; the flit's outgoing list does not excuse it.
+        prog = scan_mutated([(
+            NETWORK_CPP,
+            "            d.outgoingCredits.push_back({when, c});",
+            "            scheduleCredit(domains_[in.domain], when, c);")])
+        self.assert_rule(prog.findings, "cross-domain-commit", NETWORK_CPP,
+                         contains="scheduleCredit")
 
     def test_mutant_missing_annotation(self):
         # A tick-reachable Network member loses its classification.
@@ -433,13 +441,13 @@ class PhaseRuleMutantTest(MutantCase):
         self.assert_rule(prog.findings, "unannotated-state", NETWORK_HPP)
 
     def test_mutant_commit_call_in_compute(self):
-        # niInject (compute) gives a packet slot back to its domain's
-        # pool: alloc() is legal there, release() belongs to the merge.
+        # niInject (compute) runs the serial merge itself: the merge
+        # files every domain's outgoing lists and must wait for the
+        # barrier.
         head = ("Network::niInject(Domain &d, Ni &ni, NodeId node, "
                 "Cycle now)\n{\n    DR_STAMP_WRITE(ni);")
         prog = scan_mutated([
-            (NETWORK_CPP, head,
-             head + "\n    d.pool.release(ni.vcSend[0].pkt);")])
+            (NETWORK_CPP, head, head + "\n    mergeTick();")])
         self.assert_rule(prog.findings, "compute-calls-commit",
                          NETWORK_CPP)
 
