@@ -308,16 +308,19 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
     const int vcs = params_.numVcs;
     int sendVc = -1;
     int sendRank = 0;
+    bool sendCpu = false;
     for (int i = 0, v = ni.sendRr; i < vcs; ++i, v = v + 1 == vcs ? 0 : v + 1) {
         const auto &ss = ni.vcSend[v];
         if (!ss.busy || ni.credits[v] <= 0)
             continue;
-        if (sendVc < 0 || ss.rank < sendRank) {
+        const Packet &p = d.pool[ss.pkt];
+        const int rank = arbRank(p.cls, p.vnet, params_.vnPriority);
+        if (sendVc < 0 || rank < sendRank) {
             sendVc = v;
-            sendRank = ss.rank;
+            sendRank = rank;
+            sendCpu = p.cls == TrafficClass::Cpu;
         }
     }
-    const bool sendCpu = sendVc >= 0 && ni.vcSend[sendVc].cpu;
 
     // Try to start a new packet on a free VC. CPU packets may start (and
     // thus preempt the link) even while a GPU packet is mid-flight on
@@ -336,20 +339,14 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
                 break;
             if (ni.queue[clsIdx].empty())
                 continue;
-            const PacketHandle handle = ni.queue[clsIdx].front();
-            const Packet &pkt = d.pool[handle];
-            Flit flit;
-            flit.slot = handle;
-            flit.tag = packetTag(pkt.id);
-            flit.destRouter = pkt.destRouter;
-            flit.destPort = pkt.destPort;
-            flit.cls = pkt.cls;
-            flit.order = pkt.order;
-            flit.vcMask = pkt.vcMask;
-            flit.vnet = pkt.vnet;
+            const Packet &pkt = d.pool[ni.queue[clsIdx].front()];
+            Flit probe;  // only routing fields matter for the mask hook
+            probe.destRouter = pkt.destRouter;
+            probe.order = pkt.order;
+            probe.vnet = pkt.vnet;
             const unsigned fit =
                 freeVcs ? freeVcs & pkt.vcMask &
-                              routing_.vcMaskForLink(attachRouter, flit)
+                              routing_.vcMaskForLink(attachRouter, probe)
                         : 0;
             if (!fit) {
                 // Head-of-line packet found no free, credited VC in its
@@ -358,14 +355,7 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
                 continue;
             }
             sendVc = std::countr_zero(fit);
-            auto &ss = ni.vcSend[sendVc];
-            ss.busy = true;
-            ss.cpu = pkt.cls == TrafficClass::Cpu;
-            ss.rank = static_cast<std::uint8_t>(
-                arbRank(pkt.cls, pkt.vnet, params_.vnPriority));
-            ss.flits = pkt.flits;
-            ss.sent = 0;
-            ss.flit = flit;
+            ni.vcSend[sendVc] = {true, ni.queue[clsIdx].front(), 0};
             ni.queue[clsIdx].pop_front();
             break;
         }
@@ -374,15 +364,23 @@ Network::niInject(Domain &d, Ni &ni, NodeId node, Cycle now)
     if (sendVc < 0)
         return;
 
-    // The packet's flits differ only in head, tail and link VC.
     auto &ss = ni.vcSend[sendVc];
-    Flit flit = ss.flit;
+    Packet &pkt = d.pool[ss.pkt];
+    Flit flit;
+    flit.slot = ss.pkt;
+    flit.tag = packetTag(pkt.id);
     flit.head = ss.sent == 0;
-    flit.tail = ss.sent == ss.flits - 1;
+    flit.tail = ss.sent == pkt.flits - 1;
     flit.vc = static_cast<std::uint8_t>(sendVc);
+    flit.destRouter = pkt.destRouter;
+    flit.destPort = pkt.destPort;
+    flit.cls = pkt.cls;
+    flit.order = pkt.order;
+    flit.vcMask = pkt.vcMask;
+    flit.vnet = pkt.vnet;
 
     if (flit.head)
-        d.pool[flit.slot].injectedAt = now;
+        pkt.injectedAt = now;
     DR_INVARIANT(ni.credits[sendVc] > 0, "network ", params_.name,
                  ": NI injection without a credit on VC ", sendVc);
     // Per-VN occupancy moves through domain-local (delta, max-prefix)
@@ -519,9 +517,17 @@ Network::tickAll(TickPool &pool, std::span<Network *const> nets, Cycle now,
     pool.run([&](int d) {
         phase::ComputeScope cs(d);
         DR_PHASE_ASSERT_COMPUTE();
-        if (!idle) {
-            for (Network *net : nets)
-                net->tickDomain(net->domains_[d], now);
+        for (Network *net : nets) {
+            Domain &dom = net->domains_[d];
+            // Slots of the packets the last merge saw delivered go back
+            // to this domain's pool, in that merge's order, before
+            // anything in this run can allocate.
+            DR_STAMP_WRITE(dom);
+            for (const PacketHandle slot : dom.released)
+                dom.pool.release(slot);
+            dom.released.clear();
+            if (!idle)
+                net->tickDomain(dom, now);
         }
         if (work)
             work(d, now);
@@ -537,13 +543,6 @@ void
 Network::tickDomain(Domain &d, Cycle now)
 {
     DR_STAMP_WRITE(d);
-    // Slots of the packets the last merge saw delivered go back to this
-    // domain's pool, in that merge's order, before anything here can
-    // allocate.
-    for (const PacketHandle slot : d.released)
-        d.pool.release(slot);
-    d.released.clear();
-
     // Apply this cycle's arrivals before any NI or router ticks. Every
     // arrival was scheduled at least one cycle ahead, so nothing this
     // cycle can observe the difference from applying them inside each

@@ -381,11 +381,8 @@ class Network : public RouterEnv, public CongestionProbe
         struct SendState
         {
             bool busy = false;
-            bool cpu = false;        //!< the packet is CPU-class
-            std::uint8_t rank = 0;   //!< the packet's arbitration rank
-            int flits = 0;           //!< the packet's length
-            int sent = 0;            //!< flits sent so far
-            Flit flit;  //!< its flits' common fields (slot, routing)
+            PacketHandle pkt = invalidPacket;
+            int sent = 0;  //!< flits sent so far
         };
         std::vector<SendState> vcSend;  //!< per VC of the attach link
         int sendRr = 0;  //!< round-robin start VC for send selection
@@ -531,7 +528,8 @@ class Network : public RouterEnv, public CongestionProbe
         std::vector<Arrival> outgoing;
         std::vector<OutgoingCredit> outgoingCredits;
         /** Slots of this pool's delivered packets, in the merge's
-         *  global NI order; released at the start of the next sweep. */
+         *  global NI order; released at the start of the next compute
+         *  run. */
         std::vector<PacketHandle> released;
 
         /** Anything to sweep: an active NI or router, or an arrival

@@ -15,9 +15,11 @@
  * named in the low handle bits. alloc() and release() run in the owning
  * domain's compute phase (the endpoints inject in their ticks; the
  * domain releases the slots the serial merge listed for it at the start
- * of its next sweep) or in serial code. The domain a tail ejects in
- * reads the slot while the owner may be allocating, so slots never
- * move: the slab grows by chunks that double in size.
+ * of its next compute run) or in serial code. A serial inject between
+ * ticks allocates before that release, so the free-list order is not
+ * the delivery order; slot numbers feed no result. The domain a tail
+ * ejects in reads the slot while the owner may be allocating, so slots
+ * never move: the slab grows by chunks that double in size.
  */
 
 #include <array>

@@ -40,11 +40,10 @@ Router::Router(int id, int numPorts, int numVcs, int vcDepth, int stages,
       ringMask_((1 << ringShift_) - 1),
       keyWords_((numPorts * numVcs + 63) / 64),
       rrPtr_(numPorts, 0),
-      saUsed_(keyWords_ > 1 ? static_cast<std::size_t>(keyWords_) : 0, 0),
+      saScratch_(keyWords_ > 1 ? (numPorts + 1) * keyWords_ : 0),
       portInterval_(numPorts, 1),
       portNextFree_(numPorts, 0),
-      keySets_(3 * static_cast<std::size_t>(keyWords_), 0),
-      outKeys_(2 * static_cast<std::size_t>(numPorts) * keyWords_, 0)
+      keySets_(3 * static_cast<std::size_t>(keyWords_), 0)
 {
     if (numVcs_ > 8)
         fatal("at most 8 VCs supported (VC masks are 8 bits)");
@@ -133,10 +132,6 @@ Router::vcAllocate()
                     ovc.ownerIn = key;
                     ivc.outVc = static_cast<std::int16_t>(ov);
                     active[w] |= keyBit(key);
-                    std::uint64_t *owners = ownerKeys(ivc.outPort);
-                    owners[w] |= keyBit(key);
-                    if (ovc.credits > 0)
-                        owners[keyWords_ + w] |= keyBit(key);
                     allocated = true;
                     break;
                 }
@@ -151,29 +146,23 @@ bool
 Router::switchAllocate(Cycle now)
 {
     // Grant one crossbar traversal per output and per input (separable
-    // allocation). An output's requesters are the keys holding one of
-    // its output VCs whose buffers hold a flit (a head keeps its output
-    // VC until its tail leaves), and its candidates those of them whose
-    // VC can take the flit: both are a few word operations on the
-    // output's owner and credit key sets, kept up to date by VC
-    // allocation, credits and grants. The best-candidate comparison
-    // (arbitration rank first — CPU before GPU, then VN rank when
-    // vnPriority is on — then rotation distance, unique per key) is
+    // allocation), visiting only requested outputs. The best-candidate
+    // comparison (arbitration rank first — CPU before GPU, then VN rank
+    // when vnPriority is on — then rotation distance, unique per key) is
     // order-independent, so the grants match an exhaustive port x VC
     // scan exactly.
     const int words = W ? W : keyWords_;
     const std::uint64_t *occ = keySets_.data();
     const std::uint64_t *active = occ + 2 * words;
-    // Requesting heads counted only as far as none, one or several
-    // (without a popcount, which is a library call on baseline x86-64).
+    // Requesters counted as none, one or several: a popcount would be
+    // a library call on baseline x86-64.
     int requesters = 0;
     int lone = -1;
     for (int w = 0; w < words; ++w) {
         const std::uint64_t m = active[w] & occ[w];
-        if (!m)
-            continue;
-        requesters += m & (m - 1) ? 2 : 1;
-        lone = w * 64 + std::countr_zero(m);
+        requesters += (m != 0) + ((m & (m - 1)) != 0);
+        if (m)
+            lone = w * 64 + std::countr_zero(m);
     }
     bool granted = false;
     if (requesters == 1) {
@@ -190,57 +179,70 @@ Router::switchAllocate(Cycle now)
         rotateSaOffset();
         return granted;
     }
-    // Keys of the input ports granted this pass: one word on the stack
-    // for one-word routers, else the member sized at construction.
-    std::uint64_t stackUsed = 0;
-    std::uint64_t *used = &stackUsed;
-    if constexpr (W != 1) {
-        std::fill(saUsed_.begin(), saUsed_.end(), 0);
-        used = saUsed_.data();
+    // Per-output request words, then the keys of the input ports
+    // granted this pass: on the stack for one-word routers (at most 64
+    // ports), else in saScratch_.
+    std::uint64_t stackScratch[W == 1 ? 65 : 1];
+    std::uint64_t *req = W == 1 ? stackScratch : saScratch_.data();
+    std::fill_n(req, (numPorts_ + 1) * words, 0);
+    std::uint64_t *used = req + numPorts_ * words;
+    std::uint64_t reqPorts = 0;  // one-word routers: requested outputs
+    for (int w = 0; w < words; ++w) {
+        for (std::uint64_t m = active[w] & occ[w]; m != 0; m &= m - 1) {
+            const int key = w * 64 + std::countr_zero(m);
+            const int port = in_[key].outPort;
+            req[port * words + w] |= keyBit(key);
+            if constexpr (W == 1)
+                reqPorts |= std::uint64_t{1} << port;
+        }
     }
 
+    // Grant output `outPort` to its best requester whose output VC can
+    // take a flit, reading the output's space once.
     const int keys = numPorts_ * numVcs_;
-    for (int i = 0, outPort = saOffset_; i < numPorts_; ++i) {
-        if (i > 0 && ++outPort == numPorts_)
-            outPort = 0;
-        // A link output can take the flits of the owners holding a
-        // credit; an attach port all its owners' while the node has
-        // ejection space.
-        const std::uint64_t *owners = ownerKeys(outPort);
-        const bool link = portIsLink_[outPort];
-        const std::uint64_t *space = link ? owners + words : owners;
-        const bool open = link || *portEjFree_[outPort] > 0;
-        bool requested = false;
-        int best = -1;
-        int bestRank = 0;
-        int bestDist = 0;
-        for (int w = 0; w < words; ++w) {
-            requested = requested || (owners[w] & occ[w]) != 0;
-            std::uint64_t m = open ? space[w] & occ[w] & ~used[w] : 0;
-            for (; m != 0; m &= m - 1) {
-                const int key = w * 64 + std::countr_zero(m);
-                const int rank = in_[key].rank;
-                int dist = key - rrPtr_[outPort];
-                if (dist < 0)
-                    dist += keys;
-                if (best < 0 || rank < bestRank ||
-                    (rank == bestRank && dist < bestDist)) {
-                    best = key;
-                    bestRank = rank;
-                    bestDist = dist;
-                }
-            }
-        }
-        if (requested && hasThrottle_ && now < portNextFree_[outPort]) {
+    const auto serve = [&](int outPort) {
+        if (hasThrottle_ && now < portNextFree_[outPort]) {
             // Narrow link still serializing the previous flit. A pass
             // that only lost grants to throttling must stay awake: the
             // port frees by the passage of time alone.
             throttledWait_ = true;
-            continue;
+            return;
+        }
+        // The output VCs that can take a flit: those holding a
+        // downstream credit on a link, all of them while the attached
+        // node has ejection space.
+        unsigned spaceVcs = 0;
+        if (portIsLink_[outPort]) {
+            const OutVc *ovc = &out_[outPort * numVcs_];
+            for (int v = 0; v < numVcs_; ++v)
+                spaceVcs |= static_cast<unsigned>(ovc[v].credits > 0) << v;
+        } else if (*portEjFree_[outPort] > 0) {
+            spaceVcs = ~0u;
+        }
+        const std::uint64_t *portReq = &req[outPort * words];
+        int best = -1;
+        int bestRank = 0;
+        int bestDist = 0;
+        for (int w = 0; spaceVcs && w < words; ++w) {
+            for (std::uint64_t m = portReq[w] & ~used[w]; m != 0;
+                 m &= m - 1) {
+                const int key = w * 64 + std::countr_zero(m);
+                const InVc &ivc = in_[key];
+                if (!(spaceVcs >> ivc.outVc & 1))
+                    continue;
+                int dist = key - rrPtr_[outPort];
+                if (dist < 0)
+                    dist += keys;
+                if (best < 0 || ivc.rank < bestRank ||
+                    (ivc.rank == bestRank && dist < bestDist)) {
+                    best = key;
+                    bestRank = ivc.rank;
+                    bestDist = dist;
+                }
+            }
         }
         if (best < 0)
-            continue;
-
+            return;
         granted = true;
         // The granted input port sends nothing else this cycle: mark
         // all its VC keys (numVcs_ <= 8 bits, possibly across a word).
@@ -250,6 +252,28 @@ Router::switchAllocate(Cycle now)
         if (W != 1 && first % 64 + numVcs_ > 64)
             used[first / 64 + 1] |= portKeys >> (64 - first % 64);
         grantTraversal(best, outPort, now);
+    };
+
+    // Visit the requested outputs in rotation order, from saOffset_ on:
+    // a one-word router walks the bits of those from saOffset_ up, then
+    // of those below it.
+    if constexpr (W == 1) {
+        std::uint64_t below =
+            reqPorts & ((std::uint64_t{1} << saOffset_) - 1);
+        for (std::uint64_t ports = reqPorts ^ below; ports | below;
+             ports &= ports - 1) {
+            if (!ports)
+                std::swap(ports, below);
+            serve(std::countr_zero(ports));
+        }
+    } else {
+        for (int i = 0; i < numPorts_; ++i) {
+            const int outPort = (saOffset_ + i) % numPorts_;
+            const std::uint64_t *portReq = req + outPort * words;
+            if (std::any_of(portReq, portReq + words,
+                            [](std::uint64_t w) { return w != 0; }))
+                serve(outPort);
+        }
     }
     rotateSaOffset();
     return granted;
@@ -282,19 +306,15 @@ Router::grantTraversal(int key, int outPort, Cycle now)
         stats_.portFlitsSent.assign(numPorts_, 0);
     ++stats_.portFlitsSent[outPort];
 
-    std::uint64_t *owners = ownerKeys(outPort);
     if (portIsLink_[outPort]) {
         DR_INVARIANT(out_[outPort * numVcs_ + outVc].credits > 0,
                      "router ", id_, " port ", outPort, " vc ", outVc,
                      " switch traversal without a credit");
-        if (--out_[outPort * numVcs_ + outVc].credits == 0)
-            owners[keyWords_ + key / 64] &= ~keyBit(key);
+        --out_[outPort * numVcs_ + outVc].credits;
     }
 
     if (grant.flit.tail) {
         out_[outPort * numVcs_ + outVc].ownerIn = -1;
-        owners[key / 64] &= ~keyBit(key);
-        owners[keyWords_ + key / 64] &= ~keyBit(key);
         ivc.outPort = -1;
         ivc.outVc = -1;
         vcFreed_ = true;
@@ -410,16 +430,11 @@ Router::blockedHeads() const
             const InVc &ivc = in_[key];
             if (ivc.count == 0)
                 continue;
-            BlockedHead head;
-            head.router = id_;
-            head.inPort = p;
-            head.inVc = v;
-            head.outPort = ivc.outPort;
-            head.outVc = ivc.outVc;
-            head.slot = front(key).slot;
-            head.destRouter = front(key).destRouter;
-            head.buffered = ivc.count;
-            heads.push_back(head);
+            heads.push_back({.router = id_, .inPort = p, .inVc = v,
+                             .outPort = ivc.outPort, .outVc = ivc.outVc,
+                             .slot = front(key).slot,
+                             .destRouter = front(key).destRouter,
+                             .buffered = ivc.count});
         }
     }
     return heads;

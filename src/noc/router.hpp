@@ -131,13 +131,11 @@ class DR_DOMAIN_OWNED Router
         // Credit conservation: returns can never push a VC's credit count
         // past the buffer depth (that would be a duplicated credit,
         // letting the upstream router overrun the buffer).
-        OutVc &ovc = out_[port * numVcs_ + vc];
-        DR_INVARIANT(ovc.credits < vcDepth_, "router ", id_, " port ", port,
+        int &credits = out_[port * numVcs_ + vc].credits;
+        DR_INVARIANT(credits < vcDepth_, "router ", id_, " port ", port,
                      " vc ", vc, " credit return exceeds buffer depth ",
                      vcDepth_);
-        if (ovc.credits++ == 0 && ovc.ownerIn >= 0)
-            ownerKeys(port)[keyWords_ + ovc.ownerIn / 64] |=
-                std::uint64_t{1} << ovc.ownerIn % 64;
+        ++credits;
         quiescent_ = false;
     }
 
@@ -347,9 +345,11 @@ class DR_DOMAIN_OWNED Router
 
     int saOffset_ = 0;                 //!< rotating output iteration start
     std::vector<int> rrPtr_;           //!< per output, input rotation
-    //! keys of the input ports granted this pass (multi-word routers;
-    //! one-word routers keep theirs on the stack)
-    std::vector<std::uint64_t> saUsed_;
+    //! Switch-allocation scratch of multi-word routers (one-word
+    //! routers keep theirs on the stack): each output's requesters,
+    //! then the keys of the input ports granted this pass, keyWords_
+    //! words each.
+    std::vector<std::uint64_t> saScratch_;
     std::vector<Grant> grants_;          //!< this tick's traversals
 
     /**
@@ -384,19 +384,6 @@ class DR_DOMAIN_OWNED Router
     //! buffered flits, heads holding an output port, heads holding an
     //! output VC.
     std::vector<std::uint64_t> keySets_;
-
-    //! Two key sets per output port, keyWords_ words each: the heads
-    //! holding one of its output VCs, then those of them whose VC holds
-    //! a downstream credit.
-    std::vector<std::uint64_t> outKeys_;
-
-    /** The owner key set of output `port`; its credit key set follows
-     *  keyWords_ words on. */
-    std::uint64_t *
-    ownerKeys(int port)
-    {
-        return &outKeys_[2 * static_cast<std::size_t>(port) * keyWords_];
-    }
 
     // Activity tracking so idle routers can skip their tick entirely.
     int bufferedCount_ = 0;

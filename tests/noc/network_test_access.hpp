@@ -97,8 +97,8 @@ struct NetworkTestAccess
         return net.domains_[domain].pool.alloc();
     }
 
-    /** Give a packet-pool slot back, as its domain's sweep does with
-     *  the slots the merge listed. */
+    /** Give a packet-pool slot back, as its domain's compute run does
+     *  with the slots the merge listed. */
     static void
     releasePacket(Network &net, PacketHandle h)
     {
@@ -138,15 +138,11 @@ struct NetworkTestAccess
     leakCredit(Network &net, int router, int port, int vc)
     {
         Router &r = *net.routers_[router];
-        Router::OutVc &ovc = r.out_[port * r.numVcs_ + vc];
-        if (ovc.credits <= 0)
+        int &credits = r.out_[port * r.numVcs_ + vc].credits;
+        if (credits <= 0)
             panic("leakCredit: no credit to leak on router ", router,
                   " port ", port, " vc ", vc);
-        // The VC's owner loses its place in the port's credit key set
-        // with the last credit, as a real traversal would take it.
-        if (--ovc.credits == 0 && ovc.ownerIn >= 0)
-            r.ownerKeys(port)[r.keyWords_ + ovc.ownerIn / 64] &=
-                ~(std::uint64_t{1} << ovc.ownerIn % 64);
+        --credits;
     }
 
     /** Discard one attach-link credit an NI holds; panics when none is

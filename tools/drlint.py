@@ -947,7 +947,7 @@ def check_compute_body(prog: Program, c: Cls, body: Body) -> None:
                 add(lineno, "serial-call-in-compute", line)
         # Calls into commit-phase methods: own-class bare calls and calls
         # through a member or a local reference, field chains followed
-        # through the declared types (`d.pool.release(h)`).
+        # through the declared types (`l1_.commitCycle(now)`).
         for m in BARE_CALL_RE.finditer(line):
             if c.phase(m.group(1)) == "commit":
                 add(lineno, "compute-calls-commit", line)

@@ -451,6 +451,24 @@ class PhaseRuleMutantTest(MutantCase):
         self.assert_rule(prog.findings, "compute-calls-commit",
                          NETWORK_CPP)
 
+    def test_mutant_commit_call_through_member(self):
+        # An endpoint-phase SmCore body drains the L1 organization's
+        # staged effects through its `l1_` member: commitCycle belongs
+        # to the merge.
+        prog = scan_mutated([
+            (SM_CORE, FILL_CALL, FILL_CALL + "\n    l1_.commitCycle(now);")])
+        self.assert_rule(prog.findings, "compute-calls-commit", SM_CORE,
+                         contains="l1_.commitCycle")
+
+    def test_mutant_commit_call_through_local(self):
+        # tickEndpoints refills a core's CTAs through its local
+        # `SmCore *g` instead of leaving the refill to the merge.
+        tick = "        g->tick(now);"
+        prog = scan_mutated([
+            (HETERO_CPP, tick, tick + "\n        g->refillCtas(now);")])
+        self.assert_rule(prog.findings, "compute-calls-commit", HETERO_CPP,
+                         contains="refillCtas")
+
     def test_mutant_spsc_drained_descending(self):
         # The serial merge files the outgoing lists of the producers
         # backwards.
